@@ -11,7 +11,6 @@ from .adversarial import (
 )
 from .core import (
     Basis,
-    DataMatrix,
     DimensionMismatch,
     Latents,
     SparsityParams,
@@ -19,6 +18,7 @@ from .core import (
     init_exemplar,
     init_random,
     normalize_columns,
+    solve_nnls,
     update_latents,
 )
 from .features import Spectrogram, StftConfig, apply_mask, istft, stft

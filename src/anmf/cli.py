@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Subcommands: train, separate, denoise, tune, eval, mix, features. All
-commands accept --seed, --threads and --config; everything emitted is
+commands accept --seed and --config; everything emitted is
 machine-readable (CSV metrics, JSON manifests and tuning results).
 """
 
@@ -9,7 +9,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -241,7 +240,7 @@ def cmd_separate(args):
     clamp = args.clamp_negatives
     V = aio.load_data_matrix(args.input, clamp)
     p = SparsityParams(mu_H=float(args.mu_h), eps=1e-12)
-    result = separate(V, bundle.bases, p, max_iter=args.max_iter, threads=args.threads)
+    result = separate(V, bundle.bases, p, max_iter=args.max_iter)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     estimates = []
@@ -273,7 +272,7 @@ def cmd_denoise(args):
         noise_mag = np.maximum(spec.magnitude - speech_mag, 0.0)
         mags = [speech_mag, noise_mag]
     else:
-        result = separate(spec.magnitude, bundle.bases, p, max_iter=args.max_iter, threads=args.threads)
+        result = separate(spec.magnitude, bundle.bases, p, max_iter=args.max_iter)
         mags = result.raw
     signals = feat.apply_mask(spec, mags, length=len(samples))
     aio.write_wav(args.output, signals[0], rate)
@@ -297,7 +296,9 @@ def cmd_tune(args):
     data = cfg.get("data", {})
     sources = [aio.load_data_matrix(p, clamp) for p in data.get("sources", [])]
     mixes = aio.load_data_matrix(data["mixes"], clamp) if data.get("mixes") else None
-    sup = data["supervised"]
+    sup = data.get("supervised")
+    if not sup:
+        raise CliError("the tune config needs a data.supervised block (sources and mix) to score trials on")
     sup_sources = [aio.load_data_matrix(p, clamp) for p in sup["sources"]]
     sup_mix = aio.load_data_matrix(sup["mix"], clamp)
     metric = cfg.get("metric", "psnr")
@@ -417,7 +418,6 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="anmf", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=int(os.environ.get("ANMF_THREADS", "1")))
     common.add_argument("--config", default=None)
     common.add_argument("--clamp-negatives", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,8 +1,9 @@
 """Core NMF primitives.
 
-Containers for bases, latent variables and data matrices, plus the
-multiplicative latent update, cone projection/distance, basis
-initialization and column normalization that everything else builds on.
+Containers for bases and latent variables, plus the multiplicative latent
+update, the non-negative least-squares solver built on it, cone distance,
+basis initialization and column normalization that everything else builds
+on.
 
 All numerical kernels accept either the container types defined here or
 plain numpy arrays, and return plain arrays. The containers are used at
@@ -10,7 +11,7 @@ pipeline boundaries (training state, model persistence); the kernels stay
 array-in/array-out like any other numpy code.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +34,8 @@ def as_array(x):
 
 
 def _check_nonneg(a, name):
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite, found NaN or inf entries")
     if a.size and np.min(a) < 0:
         raise ValueError(f"{name} must be non-negative, found min {np.min(a)}")
 
@@ -88,25 +91,9 @@ class Latents:
         _check_nonneg(self.entries, "latents")
 
 
-DATA_KINDS = ("source", "mix", "adversarial", "supervised")
-
-
-@dataclass
-class DataMatrix:
-    """Non-negative m x N matrix of column-wise signals."""
-
-    entries: np.ndarray
-    kind: str = "source"
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        _check_nonneg(self.entries, "data matrix")
-        if self.kind not in DATA_KINDS:
-            raise ValueError(f"unknown data kind {self.kind!r}")
-
-    @property
-    def n_columns(self):
-        return self.entries.shape[1]
+def _latent_step(H, num, G, n, p):
+    # the multiplicative latent update, given num = W.T U / n and G = W.T W
+    return H * num / (G @ H / n + p.mu_H + p.eps)
 
 
 def update_latents(H, W, U, p=None, n_scale=1.0):
@@ -124,32 +111,50 @@ def update_latents(H, W, U, p=None, n_scale=1.0):
         raise DimensionMismatch("update_latents basis", W.shape, U.shape)
     if H.shape[1] != U.shape[1]:
         raise DimensionMismatch("update_latents latents", H.shape, U.shape)
-    num = W.T @ U / n_scale
-    den = (W.T @ W) @ H / n_scale + p.mu_H + p.eps
-    return H * num / den
+    return _latent_step(H, W.T @ U / n_scale, W.T @ W, n_scale, p)
+
+
+def solve_nnls(V, W, p=None, max_iter=500, tol=1e-8):
+    """Non-negative least squares for every column of V against one basis.
+
+    Minimizes ||V - W H||_F^2 + mu_H |H|_1 over H >= 0 by iterating the
+    unscaled multiplicative latent update from the all-ones start (zeros
+    are absorbing for the update, so the start must be strictly positive).
+    W.T V and W.T W are formed once. The run stops after max_iter updates,
+    or earlier once ||H_new - H||_F <= tol * max(||H_new||_F, eps), where
+    the norms are taken over the whole block of columns.
+
+    Returns:
+        H, the d x N coefficient matrix.
+    """
+    p = p or SparsityParams()
+    V, W = as_array(V), as_array(W)
+    if W.shape[0] != V.shape[0]:
+        raise DimensionMismatch("solve_nnls", W.shape, V.shape)
+    num = W.T @ V
+    G = W.T @ W
+    H = np.ones((W.shape[1], V.shape[1]))
+    for _ in range(max_iter):
+        H_new = _latent_step(H, num, G, 1.0, p)
+        delta = np.linalg.norm(H_new - H)
+        H = H_new
+        if delta <= tol * max(np.linalg.norm(H), p.eps):
+            break
+    return H
 
 
 def cone_distance(W, u, p=None, max_iter=500, tol=1e-8):
     """Distance from u to the convex cone spanned by the columns of W.
 
-    Solves min_{h >= 0} ||u - W h||^2 + mu_H |h|_1 by iterating the
-    multiplicative latent update from a strictly positive start.
+    Solves min_{h >= 0} ||u - W h||^2 + mu_H |h|_1 with solve_nnls.
 
     Returns:
         (h, distance): the minimizing coefficients and ||u - W h||_2.
     """
-    p = p or SparsityParams()
     W = as_array(W)
     u = as_array(u).reshape(-1, 1)
-    h = np.ones((W.shape[1], 1))
-    for _ in range(max_iter):
-        h_new = update_latents(h, W, u, p)
-        delta = np.linalg.norm(h_new - h)
-        h = h_new
-        if delta <= tol * max(np.linalg.norm(h), p.eps):
-            break
-    distance = float(np.linalg.norm(u - W @ h))
-    return h.ravel(), distance
+    h = solve_nnls(u, W, p, max_iter, tol)
+    return h.ravel(), float(np.linalg.norm(u - W @ h))
 
 
 def init_exemplar(U, d, seed):

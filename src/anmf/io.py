@@ -102,10 +102,21 @@ def write_wav(path, samples, sample_rate):
         f.writeframes(pcm.tobytes())
 
 
+def _check_finite(path, mat):
+    bad = np.count_nonzero(~np.isfinite(mat))
+    if bad:
+        raise FormatError(f"{path}: {bad} non-finite (NaN or inf) entries")
+
+
 def load_data_matrix(path, clamp_negatives=False):
-    """Load a data matrix, dispatching on extension (.anmf or .idx)."""
+    """Load a data matrix, dispatching on extension (.anmf or .idx).
+
+    NaN or inf entries are a FormatError; so are negative entries, unless
+    clamp_negatives sets them to 0.
+    """
     path = Path(path)
     mat = load_idx_images(path) if path.suffix == ".idx" else read_matrix(path)
+    _check_finite(path, mat)
     if mat.size and np.min(mat) < 0:
         if not clamp_negatives:
             raise FormatError(f"{path}: negative entries (pass --clamp-negatives to clamp to 0)")
@@ -181,12 +192,15 @@ def save_bundle(directory, bases, train_spec=None, history=None, metadata=None):
 
 
 def load_bundle(directory):
-    """Load a bundle, checking manifest dimensions against basis files."""
+    """Load a bundle, checking basis files for finite entries and against
+    the manifest dimensions."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     bases = []
     for i in range(manifest["n_sources"]):
-        a = read_matrix(directory / f"basis_{i:03d}.anmf")
+        path = directory / f"basis_{i:03d}.anmf"
+        a = read_matrix(path)
+        _check_finite(path, a)
         if a.shape != (manifest["m"], manifest["d"][i]):
             raise FormatError(
                 f"basis {i} shape {a.shape} does not match manifest "

@@ -6,12 +6,11 @@ recovered sources sum to the mix, and provides the projection-only
 denoising path that uses a single basis.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SparsityParams, as_array, update_latents
+from .core import SparsityParams, as_array, solve_nnls
 
 
 @dataclass
@@ -24,26 +23,14 @@ class SeparationResult:
     residual: np.ndarray
 
 
-def _solve_latents(V, Wcat, p, max_iter, tol):
-    # convex problem; all-ones start (zeros are absorbing for the
-    # multiplicative update, so strict positivity is required)
-    h = np.ones((Wcat.shape[1], V.shape[1]))
-    for _ in range(max_iter):
-        h_new = update_latents(h, Wcat, V, p)
-        delta = np.linalg.norm(h_new - h)
-        h = h_new
-        if delta <= tol * max(np.linalg.norm(h), p.eps):
-            break
-    return h
-
-
-def separate(V, bases, p=None, max_iter=500, tol=1e-8, threads=1):
+def separate(V, bases, p=None, max_iter=500, tol=1e-8):
     """Separate the columns of V against a list of bases.
 
-    Minimizes ||V - [W_1 ... W_S] h||_F^2 + mu_H |h|_1 over h >= 0, splits
-    the solution into per-source blocks and Wiener-filters the raw
-    reconstructions. Columns are independent; threads > 1 solves column
-    chunks concurrently with identical results.
+    Minimizes ||V - [W_1 ... W_S] h||_F^2 + mu_H |h|_1 over h >= 0 with
+    solve_nnls, splits the solution into per-source blocks and
+    Wiener-filters the raw reconstructions. The stopping test is taken
+    over the whole block of columns, so when tol ends the run early a
+    column's latents depend on the other columns solved with it.
     """
     p = p or SparsityParams()
     V = as_array(V)
@@ -52,15 +39,7 @@ def separate(V, bases, p=None, max_iter=500, tol=1e-8, threads=1):
     for w in W:
         if w.shape[0] != m:
             raise ValueError(f"basis rows {w.shape[0]} do not match signal rows {m}")
-    Wcat = np.concatenate(W, axis=1)
-
-    if threads > 1 and V.shape[1] > 1:
-        chunks = np.array_split(np.arange(V.shape[1]), min(threads, V.shape[1]))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda idx: _solve_latents(V[:, idx], Wcat, p, max_iter, tol), chunks))
-        h = np.concatenate(parts, axis=1)
-    else:
-        h = _solve_latents(V, Wcat, p, max_iter, tol)
+    h = solve_nnls(V, np.concatenate(W, axis=1), p, max_iter, tol)
 
     offsets = np.cumsum([0] + [w.shape[1] for w in W])
     latents = [h[offsets[i] : offsets[i + 1]] for i in range(len(W))]
@@ -94,8 +73,5 @@ def project_denoise(V, basis, p=None, max_iter=500, tol=1e-8):
     Returns W h* with h* the non-negative projection coefficients; this is
     the projection-only denoising path that needs no noise basis.
     """
-    p = p or SparsityParams()
-    V = as_array(V)
     W = as_array(basis)
-    h = _solve_latents(V, W, p, max_iter, tol)
-    return W @ h
+    return W @ solve_nnls(V, W, p, max_iter, tol)

@@ -39,9 +39,6 @@ class TrainSpec:
     """All training hyperparameters.
 
     d may be a single int (shared by all sources) or one int per source.
-    omega and weight_model are carried along for the data-assembly stage
-    and for hyperparameter tuning; the epoch loop itself consumes the
-    already-assembled adversarial matrices.
     """
 
     d: object = 16
@@ -53,8 +50,6 @@ class TrainSpec:
     batch_size: int = 100
     seed: int = 0
     init: str = "exemplar"
-    omega: object = "default"
-    weight_model: object = None
     sample_anchor: str = "true_data"
 
     def __post_init__(self):
@@ -102,7 +97,6 @@ class TrainState:
     latents_adv: list
     latents_sup: object
     epoch: int = 0
-    rng_state: object = None
     history: list = field(default_factory=list)
 
 
@@ -263,6 +257,28 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
         per_source = _objective_arrays(W, U, H, Uhat, Hhat, Usup, Hsup, row0, spec)
         return float(np.dot(gammas, per_source))
 
+    def normalize_source(i):
+        partners = [H[i], Hhat[i], sup_block(i) if Hsup is not None else None]
+        W[i], scaled = normalize_columns(W[i], [x for x in partners if x is not None], p.eps)
+        scaled = iter(scaled)
+        if H[i] is not None:
+            H[i] = next(scaled)
+        if Hhat[i] is not None:
+            Hhat[i] = next(scaled)
+        if Hsup is not None:
+            Hsup[row0[i] : row0[i + 1]] = next(scaled)
+
+    def term_batch(data, lat, name, b, n_batches, rng):
+        n = data.shape[1]
+        if name == anchor:
+            sl = slice(b * spec.batch_size, min((b + 1) * spec.batch_size, n))
+            return data[:, sl], lat[:, sl]
+        if n_batches == 1:
+            return data, lat
+        take = max(1, math.ceil(n / n_batches))
+        idx = rng.integers(0, n, size=take)
+        return data[:, idx], lat[:, idx]
+
     for epoch in range(spec.epochs):
         # joint column shuffles, one permutation per active term
         for i in range(s):
@@ -280,21 +296,7 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
             Hsup = update_latents(Hsup, Wcat, Vsup, p, n_scale=n_sup)
 
         for i in range(s):
-            partners = [x for x in (H[i], Hhat[i]) if x is not None]
-            n_part = len(partners)
-            if Hsup is not None:
-                partners.append(sup_block(i))
-            W[i], scaled = normalize_columns(W[i], partners, p.eps)
-            k = 0
-            if H[i] is not None:
-                H[i] = scaled[k]
-                k += 1
-            if Hhat[i] is not None:
-                Hhat[i] = scaled[k]
-                k += 1
-            if Hsup is not None:
-                Hsup[row0[i] : row0[i + 1]] = scaled[n_part]
-
+            normalize_source(i)
             if active["true_data"]:
                 H[i] = update_latents(H[i], W[i], U[i], p, n_scale=U[i].shape[1])
             if active["adversarial"]:
@@ -306,47 +308,22 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
                 "supervised": n_sup,
             }[anchor]
             n_batches = max(1, math.ceil(n_anchor / spec.batch_size))
-
-            def term_batch(data, lat, name, b, rng):
-                n = data.shape[1]
-                if name == anchor:
-                    sl = slice(b * spec.batch_size, min((b + 1) * spec.batch_size, n))
-                    return data[:, sl], lat[:, sl]
-                if n_batches == 1:
-                    return data, lat
-                take = max(1, math.ceil(n / n_batches))
-                idx = rng.integers(0, n, size=take)
-                return data[:, idx], lat[:, idx]
-
             for b in range(n_batches):
                 parts_std = parts_adv = parts_sup = None
                 if active["true_data"]:
-                    ub, hb = term_batch(U[i], H[i], "true_data", b, samp_rng[i])
+                    ub, hb = term_batch(U[i], H[i], "true_data", b, n_batches, samp_rng[i])
                     parts_std = grad_parts_std(W[i], ub, hb, ub.shape[1])
                 if active["adversarial"]:
-                    ub, hb = term_batch(Uhat[i], Hhat[i], "adversarial", b, samp_rng[i])
+                    ub, hb = term_batch(Uhat[i], Hhat[i], "adversarial", b, n_batches, samp_rng[i])
                     parts_adv = grad_parts_adv(W[i], ub, hb, spec.tau_A, ub.shape[1])
                 if active["supervised"]:
-                    ub, hb = term_batch(Usup[i], sup_block(i), "supervised", b, samp_rng[i])
+                    ub, hb = term_batch(Usup[i], sup_block(i), "supervised", b, n_batches, samp_rng[i])
                     plus, minus = grad_parts_sup(W[i], ub, hb, ub.shape[1])
                     parts_sup = (gammas[i] * plus, gammas[i] * minus)
                 W[i] = update_basis(W[i], parts_std, parts_adv, parts_sup, spec.tau_S, p.mu_W, p.eps)
 
         for i in range(s):
-            partners = [x for x in (H[i], Hhat[i]) if x is not None]
-            n_part = len(partners)
-            if Hsup is not None:
-                partners.append(sup_block(i))
-            W[i], scaled = normalize_columns(W[i], partners, p.eps)
-            k = 0
-            if H[i] is not None:
-                H[i] = scaled[k]
-                k += 1
-            if Hhat[i] is not None:
-                Hhat[i] = scaled[k]
-                k += 1
-            if Hsup is not None:
-                Hsup[row0[i] : row0[i + 1]] = scaled[n_part]
+            normalize_source(i)
         history.append(objective_now())
 
     return TrainState(
@@ -355,7 +332,6 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
         latents_adv=[Latents(h) if h is not None else None for h in Hhat],
         latents_sup=Latents(Hsup) if Hsup is not None else None,
         epoch=spec.epochs,
-        rng_state=shuffle_rng.bit_generator.state,
         history=history,
     )
 

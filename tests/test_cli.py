@@ -277,6 +277,21 @@ class TestErrors:
             == 1
         )
 
+    def test_tune_needs_supervised_block(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "tune.json", {
+            "method": "nmf",
+            "data": {"sources": make_sources(tmp_path, np.random.default_rng(0))},
+            "tuning": {"space": {}},
+            "output": str(tmp_path / "out"),
+        })
+        assert run_cli(["tune", "--config", cfg]) == 1
+        assert "data.supervised" in capsys.readouterr().err
+
+    def test_threads_option_removed(self, capsys):
+        assert run_cli(["eval", "--threads", "2", "--estimates", "a", "--references", "a",
+                        "--output", "o.csv"]) == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_eval_length_mismatch(self, tmp_path):
         write_matrix(tmp_path / "a.anmf", np.ones((2, 2)))
         assert (

@@ -3,7 +3,6 @@ import pytest
 
 from anmf.core import (
     Basis,
-    DataMatrix,
     DimensionMismatch,
     Latents,
     SparsityParams,
@@ -11,6 +10,7 @@ from anmf.core import (
     init_exemplar,
     init_random,
     normalize_columns,
+    solve_nnls,
     update_latents,
 )
 from oracles import nnls_grid_1d, nnls_grid_2d
@@ -24,12 +24,12 @@ class TestContainers:
             Basis(np.array([[1.0, -0.1]]))
         with pytest.raises(ValueError):
             Latents(np.array([[-1.0]]))
-        with pytest.raises(ValueError):
-            DataMatrix(np.array([[-1.0]]))
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            DataMatrix(np.ones((2, 2)), kind="other")
+    @pytest.mark.parametrize("container", [Basis, Latents])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, container, bad):
+        with pytest.raises(ValueError, match="finite"):
+            container(np.array([[1.0, bad]]))
 
     def test_sparsity_validation(self):
         with pytest.raises(ValueError):
@@ -100,7 +100,53 @@ class TestUpdateLatents:
             prev = cur
 
 
+def reference_solve(V, W, p, max_iter, tol):
+    """Reference solver: update_latents repeated from all ones with the
+    whole-block stopping rule. Returns (H, iterations run)."""
+    H = np.ones((W.shape[1], V.shape[1]))
+    for it in range(1, max_iter + 1):
+        H_new = update_latents(H, W, V, p)
+        delta = np.linalg.norm(H_new - H)
+        H = H_new
+        if delta <= tol * max(np.linalg.norm(H), p.eps):
+            break
+    return H, it
+
+
+class TestSolveNnls:
+    def test_bitwise_reference_at_max_iter(self):
+        rng = np.random.default_rng(21)
+        W = rng.random((12, 5))
+        V = rng.random((12, 30))
+        V[:, 4] = 0.0
+        p = SparsityParams(0.0, 1e-3)
+        H_ref, iters = reference_solve(V, W, p, max_iter=60, tol=0.0)
+        assert iters == 60
+        assert np.array_equal(solve_nnls(V, W, p, max_iter=60, tol=0.0), H_ref)
+
+    def test_bitwise_reference_when_tol_stops_early(self):
+        rng = np.random.default_rng(22)
+        W = rng.random((6, 3))
+        V = W @ rng.random((3, 9))
+        H_ref, iters = reference_solve(V, W, P0, max_iter=20000, tol=1e-6)
+        assert iters < 20000
+        assert np.array_equal(solve_nnls(V, W, P0, max_iter=20000, tol=1e-6), H_ref)
+
+    def test_row_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            solve_nnls(np.ones((4, 2)), np.ones((5, 2)), P0)
+
+
 class TestConeDistance:
+    def test_is_solve_nnls_column(self):
+        rng = np.random.default_rng(23)
+        W = rng.random((7, 3))
+        u = rng.random(7)
+        h, dist = cone_distance(W, u, P0, max_iter=300, tol=1e-10)
+        H = solve_nnls(u.reshape(-1, 1), W, P0, max_iter=300, tol=1e-10)
+        assert np.array_equal(h, H[:, 0])
+        assert dist == np.linalg.norm(u.reshape(-1, 1) - W @ H)
+
     def test_point_in_cone(self):
         rng = np.random.default_rng(5)
         W = rng.random((4, 2))

@@ -137,6 +137,14 @@ class TestLoadDataMatrix:
         mat = load_data_matrix(p, clamp_negatives=True)
         assert np.array_equal(mat, [[1.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries(self, tmp_path, bad):
+        p = tmp_path / "m.anmf"
+        write_matrix(p, np.array([[1.0, bad]]))
+        for clamp in (False, True):
+            with pytest.raises(FormatError, match="non-finite"):
+                load_data_matrix(p, clamp_negatives=clamp)
+
 
 class TestMixSynthetic:
     def test_weight_mode_reconstructs(self):
@@ -192,4 +200,10 @@ class TestBundle:
         save_bundle(tmp_path / "model", [np.random.default_rng(7).random((4, 2))])
         write_matrix(tmp_path / "model" / "basis_000.anmf", np.ones((4, 3)))
         with pytest.raises(FormatError):
+            load_bundle(tmp_path / "model")
+
+    def test_non_finite_basis_rejected(self, tmp_path):
+        save_bundle(tmp_path / "model", [np.ones((4, 2))])
+        write_matrix(tmp_path / "model" / "basis_000.anmf", np.array([[1.0, np.nan]] * 4))
+        with pytest.raises(FormatError, match="basis_000.anmf"):
             load_bundle(tmp_path / "model")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anmf.core import SparsityParams
+from anmf.core import SparsityParams, solve_nnls
 from anmf.separation import project_denoise, separate, wiener_filter
 from oracles import nnls_grid_2d
 
@@ -35,16 +35,14 @@ class TestSeparate:
         h_ref, _ = nnls_grid_2d(W, v.ravel())
         assert np.allclose(res.latents[0].ravel(), h_ref, atol=1e-4)
 
-    def test_threaded_matches_serial(self):
+    @pytest.mark.parametrize("max_iter,tol", [(40, 0.0), (20000, 1e-6)])
+    def test_latents_are_solve_nnls_on_concatenated_bases(self, max_iter, tol):
         rng = np.random.default_rng(2)
-        bases = [rng.random((8, 4)), rng.random((8, 4))]
+        bases = [rng.random((8, 4)), rng.random((8, 3))]
         V = rng.random((8, 23))
-        serial = separate(V, bases, P0, threads=1)
-        threaded = separate(V, bases, P0, threads=4)
-        for a, b in zip(serial.latents, threaded.latents):
-            assert np.array_equal(a, b)
-        for a, b in zip(serial.filtered, threaded.filtered):
-            assert np.array_equal(a, b)
+        res = separate(V, bases, P0, max_iter=max_iter, tol=tol)
+        H = solve_nnls(V, np.concatenate(bases, axis=1), P0, max_iter=max_iter, tol=tol)
+        assert np.array_equal(np.concatenate(res.latents), H)
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -97,6 +95,14 @@ class TestWienerFilter:
 
 
 class TestProjectDenoise:
+    @pytest.mark.parametrize("max_iter,tol", [(40, 0.0), (20000, 1e-6)])
+    def test_is_basis_times_solve_nnls(self, max_iter, tol):
+        rng = np.random.default_rng(9)
+        W = rng.random((8, 4))
+        V = rng.random((8, 15))
+        out = project_denoise(V, W, P0, max_iter=max_iter, tol=tol)
+        assert np.array_equal(out, W @ solve_nnls(V, W, P0, max_iter=max_iter, tol=tol))
+
     def test_in_cone_identity(self):
         rng = np.random.default_rng(7)
         W = rng.random((6, 3))
