@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Subcommands: train, separate, denoise, tune, eval, mix, features. All
-commands accept --seed and --config; everything emitted is
-machine-readable (CSV metrics, JSON manifests and tuning results).
+Subcommands: train, separate, denoise, tune, eval, mix, features. mix,
+train and tune read a JSON --config; each command takes only the flags it
+reads. Everything emitted is machine-readable (CSV metrics, JSON
+manifests and tuning results).
 """
 
 import argparse
@@ -19,7 +20,7 @@ from . import features as feat
 from . import io as aio
 from . import metrics as amet
 from .core import SparsityParams, as_array
-from .separation import project_denoise, separate
+from .separation import project_denoise, separate, wiener_filter
 from .training import TrainSpec, train_semisupervised, train_smu
 
 METHODS = ("nmf", "enmf", "anmf", "dnmf", "danmf", "semi")
@@ -114,37 +115,25 @@ def train_with_method(method, sources, mixes, supervised, spec, wm):
     Returns:
         (bases, history): list of basis arrays and per-epoch objectives.
     """
-    if method in ("nmf", "enmf"):
-        state = train_smu(sources, spec)
-    elif method == "anmf":
-        sets = _assemble_adversarial(sources, mixes, wm, spec.seed)
-        state = train_smu(sources, spec, adversarial=sets)
-    elif method == "dnmf":
-        state = train_smu(sources, spec, supervised=supervised)
-    elif method == "danmf":
-        sets = _assemble_adversarial(sources, mixes, wm, spec.seed) if spec.tau_A > 0 else None
-        state = train_smu(sources, spec, adversarial=sets, supervised=supervised)
-    elif method == "semi":
-        # known sources first (adversarially when tau_A > 0, using the
-        # mixes and the other sources as adversarial data), then fit the
-        # unknown source's basis from the mixes alone
+    if method not in METHODS:
+        raise CliError(f"unknown method {method!r}")
+    train_spec = spec
+    if method == "semi":
+        # the known sources train first (adversarially when tau_A > 0, with
+        # the mixes and the other sources as adversarial data); the unknown
+        # source's basis is then fitted from the mixes alone
         s_known = len(sources)
-        dims = spec.dims(s_known + 1)
-        known_spec = TrainSpec(
-            d=dims[:s_known], tau_A=spec.tau_A, tau_S=0.0, sparsity=spec.sparsity,
+        train_spec = TrainSpec(
+            d=spec.dims(s_known + 1)[:s_known], tau_A=spec.tau_A, tau_S=0.0, sparsity=spec.sparsity,
             epochs=spec.epochs, batch_size=spec.batch_size, seed=spec.seed, init=spec.init,
         )
-        if spec.tau_A > 0:
-            sets = _assemble_adversarial(sources, mixes, wm, spec.seed)
-            state = train_smu(sources, known_spec, adversarial=sets)
-        else:
-            state = train_smu(sources, known_spec)
-        known = [as_array(b) for b in state.bases]
-        w_last = train_semisupervised(mixes, known, spec)
-        return known + [w_last], state.history
-    else:
-        raise CliError(f"unknown method {method!r}")
-    return [as_array(b) for b in state.bases], state.history
+    sets = _assemble_adversarial(sources, mixes, wm, spec.seed) if train_spec.tau_A > 0 else None
+    sup = supervised if train_spec.tau_S > 0 else None
+    state = train_smu(sources, train_spec, adversarial=sets, supervised=sup)
+    bases = [as_array(b) for b in state.bases]
+    if method == "semi":
+        bases.append(train_semisupervised(mixes, bases, spec))
+    return bases, state.history
 
 
 def _per_column_scores(estimates, references, metric, peak):
@@ -274,12 +263,14 @@ def cmd_denoise(args):
     else:
         result = separate(spec.magnitude, bundle.bases, p, max_iter=args.max_iter)
         mags = result.raw
-    signals = feat.apply_mask(spec, mags, length=len(samples))
-    aio.write_wav(args.output, signals[0], rate)
+    # soft-mask synthesis of the speech signal alone
+    speech_mag = wiener_filter(spec.magnitude, mags)[0]
+    speech = feat.istft(feat.Spectrogram(speech_mag, spec.phase, cfg), length=len(samples))
+    aio.write_wav(args.output, speech, rate)
     if args.reference:
         ref, _ = aio.load_wav(args.reference)
-        n = min(len(ref), len(signals[0]))
-        score = amet.si_sdr(signals[0][:n], ref[:n])
+        n = min(len(ref), len(speech))
+        score = amet.si_sdr(speech[:n], ref[:n])
         noisy = amet.si_sdr(samples[:n], ref[:n])
         _write_metrics_csv(
             Path(args.output).with_suffix(".csv"),
@@ -292,7 +283,7 @@ def cmd_denoise(args):
 def cmd_tune(args):
     cfg = _load_config(args)
     method = cfg.get("method", "nmf")
-    clamp = cfg.get("clamp_negatives", False)
+    clamp = cfg.get("clamp_negatives", False) or args.clamp_negatives
     data = cfg.get("data", {})
     sources = [aio.load_data_matrix(p, clamp) for p in data.get("sources", [])]
     mixes = aio.load_data_matrix(data["mixes"], clamp) if data.get("mixes") else None
@@ -416,17 +407,19 @@ def cmd_features(args):
 
 def _build_parser():
     parser = argparse.ArgumentParser(prog="anmf", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--config", default=None)
-    common.add_argument("--clamp-negatives", action="store_true")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None)
+    clamp = argparse.ArgumentParser(add_help=False)
+    clamp.add_argument("--clamp-negatives", action="store_true")
+    configured = argparse.ArgumentParser(add_help=False, parents=[seed, clamp])
+    configured.add_argument("--config", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("mix", parents=[common]).set_defaults(func=cmd_mix)
-    sub.add_parser("train", parents=[common]).set_defaults(func=cmd_train)
-    sub.add_parser("tune", parents=[common]).set_defaults(func=cmd_tune)
+    sub.add_parser("mix", parents=[configured]).set_defaults(func=cmd_mix)
+    sub.add_parser("train", parents=[configured]).set_defaults(func=cmd_train)
+    sub.add_parser("tune", parents=[configured]).set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("separate", parents=[common])
+    p = sub.add_parser("separate", parents=[clamp])
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output-dir", required=True)
@@ -438,7 +431,7 @@ def _build_parser():
     p.add_argument("--clip", action="store_true", help="clamp outputs to [0, peak]")
     p.set_defaults(func=cmd_separate)
 
-    p = sub.add_parser("denoise", parents=[common])
+    p = sub.add_parser("denoise")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
@@ -450,7 +443,7 @@ def _build_parser():
     p.add_argument("--max-iter", type=int, default=500)
     p.set_defaults(func=cmd_denoise)
 
-    p = sub.add_parser("eval", parents=[common])
+    p = sub.add_parser("eval", parents=[seed])
     p.add_argument("--estimates", nargs="+", required=True)
     p.add_argument("--references", nargs="+", required=True)
     p.add_argument("--metric", choices=("psnr", "sisdr"), default="psnr")
@@ -458,7 +451,7 @@ def _build_parser():
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("features", parents=[common])
+    p = sub.add_parser("features")
     p.add_argument("--input", default=None)
     p.add_argument("--output-prefix", default=None)
     p.add_argument("--inverse", action="store_true")

@@ -65,19 +65,10 @@ class Basis:
     """Non-negative m x d matrix of basis vectors for one source."""
 
     entries: np.ndarray
-    source_id: int = 0
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=float)
         _check_nonneg(self.entries, "basis")
-
-    @property
-    def m(self):
-        return self.entries.shape[0]
-
-    @property
-    def d(self):
-        return self.entries.shape[1]
 
 
 @dataclass

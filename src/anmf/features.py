@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .separation import wiener_filter
+
 
 @dataclass
 class StftConfig:
@@ -101,20 +103,15 @@ def istft(spec, length=None):
 def apply_mask(mix_spec, source_mags, eps=1e-12, length=None):
     """Soft-mask the mix spectrum and synthesize per-source signals.
 
-    mask_i = mag_i / sum_j mag_j (equal split where the denominator is
-    <= eps); each masked complex spectrum keeps the mixture phase and is
-    inverted separately. The masked spectra sum to the mix spectrum
-    wherever the denominator exceeds eps.
+    The masked magnitudes are wiener_filter(mix magnitude, mags, eps):
+    mask_i = mag_i / sum_j mag_j, an equal split where the denominator is
+    <= eps. Each masked spectrum keeps the mixture phase and is inverted
+    separately. The masked spectra sum to the mix spectrum wherever the
+    denominator exceeds eps.
     """
     mags = [np.asarray(m, dtype=float) for m in source_mags]
     for m in mags:
         if m.shape != mix_spec.magnitude.shape:
             raise ValueError(f"mask shape {m.shape} does not match spectrogram {mix_spec.magnitude.shape}")
-    denom = sum(mags)
-    safe = denom > eps
-    mix_complex = mix_spec.complex_spectrum()
-    out = []
-    for m in mags:
-        mask = np.where(safe, np.divide(m, denom, out=np.zeros_like(m), where=safe), 1.0 / len(mags))
-        out.append(istft(Spectrogram(mask * mix_spec.magnitude, mix_spec.phase, mix_spec.config), length))
-    return out
+    masked = wiener_filter(mix_spec.magnitude, mags, eps)
+    return [istft(Spectrogram(u, mix_spec.phase, mix_spec.config), length) for u in masked]

@@ -38,7 +38,8 @@ def write_matrix(path, matrix):
 
 
 def read_matrix(path):
-    """Read a matrix file written by write_matrix; bit-exact round trip."""
+    """Read a matrix file written by write_matrix; bit-exact round trip.
+    NaN or inf entries are a FormatError naming the file."""
     data = Path(path).read_bytes()
     if len(data) < 24 or data[:4] != MATRIX_MAGIC:
         raise FormatError(f"{path}: not a matrix file (bad magic)")
@@ -49,6 +50,9 @@ def read_matrix(path):
     if len(data) != expected:
         raise FormatError(f"{path}: payload truncated ({len(data)} bytes, expected {expected})")
     payload = np.frombuffer(data[24:], dtype="<f8")
+    bad = np.count_nonzero(~np.isfinite(payload))
+    if bad:
+        raise FormatError(f"{path}: {bad} non-finite (NaN or inf) entries")
     return payload.reshape((rows, cols), order="F").astype(float)
 
 
@@ -102,12 +106,6 @@ def write_wav(path, samples, sample_rate):
         f.writeframes(pcm.tobytes())
 
 
-def _check_finite(path, mat):
-    bad = np.count_nonzero(~np.isfinite(mat))
-    if bad:
-        raise FormatError(f"{path}: {bad} non-finite (NaN or inf) entries")
-
-
 def load_data_matrix(path, clamp_negatives=False):
     """Load a data matrix, dispatching on extension (.anmf or .idx).
 
@@ -116,7 +114,6 @@ def load_data_matrix(path, clamp_negatives=False):
     """
     path = Path(path)
     mat = load_idx_images(path) if path.suffix == ".idx" else read_matrix(path)
-    _check_finite(path, mat)
     if mat.size and np.min(mat) < 0:
         if not clamp_negatives:
             raise FormatError(f"{path}: negative entries (pass --clamp-negatives to clamp to 0)")
@@ -188,7 +185,7 @@ def save_bundle(directory, bases, train_spec=None, history=None, metadata=None):
     for i, a in enumerate(arrays):
         write_matrix(directory / f"basis_{i:03d}.anmf", a)
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return ModelBundle([Basis(a, source_id=i) for i, a in enumerate(arrays)], manifest)
+    return ModelBundle([Basis(a) for a in arrays], manifest)
 
 
 def load_bundle(directory):
@@ -198,13 +195,11 @@ def load_bundle(directory):
     manifest = json.loads((directory / "manifest.json").read_text())
     bases = []
     for i in range(manifest["n_sources"]):
-        path = directory / f"basis_{i:03d}.anmf"
-        a = read_matrix(path)
-        _check_finite(path, a)
+        a = read_matrix(directory / f"basis_{i:03d}.anmf")
         if a.shape != (manifest["m"], manifest["d"][i]):
             raise FormatError(
                 f"basis {i} shape {a.shape} does not match manifest "
                 f"({manifest['m']}, {manifest['d'][i]})"
             )
-        bases.append(Basis(a, source_id=i))
+        bases.append(Basis(a))
     return ModelBundle(bases, manifest)

@@ -64,14 +64,6 @@ class TrainSpec:
         if self.sample_anchor not in ANCHORS:
             raise ValueError(f"unknown sample anchor {self.sample_anchor!r}")
 
-    @property
-    def method(self):
-        if self.tau_S == 1.0:
-            return "dnmf"
-        if self.tau_S > 0.0:
-            return "danmf"
-        return "anmf" if self.tau_A > 0.0 else "nmf"
-
     def dims(self, n_sources):
         if np.isscalar(self.d):
             return [int(self.d)] * n_sources
@@ -90,13 +82,16 @@ class TrainSpec:
 
 @dataclass
 class TrainState:
-    """Everything produced by a training run."""
+    """Everything produced by a training run.
+
+    The latents are in the column order of the last epoch's shuffle, not
+    that of the data as given; an inactive term's latents are None.
+    """
 
     bases: list
     latents_true: list
     latents_adv: list
     latents_sup: object
-    epoch: int = 0
     history: list = field(default_factory=list)
 
 
@@ -162,23 +157,16 @@ def update_basis(W, parts_std, parts_adv, parts_sup, tau_S, mu_W, eps=1e-12):
 
 
 def _term_weights(spec):
+    """Signed objective weight of each term; the adversarial term is
+    subtracted. A term is active when its weight is nonzero."""
     w_true = 1.0 - spec.tau_S
-    return w_true, w_true * spec.tau_A, spec.tau_S
+    return {"true_data": w_true, "adversarial": -w_true * spec.tau_A, "supervised": spec.tau_S}
 
 
-def _resolve_anchor(spec, active):
-    if active.get(spec.sample_anchor):
-        return spec.sample_anchor
-    for name in ANCHORS:
-        if active.get(name):
-            return name
-    raise ValueError("no active training term to anchor batches on")
-
-
-def _init_basis(spec, source, m, d, seed):
-    if spec.init == "exemplar" and source is not None:
+def _init_basis(spec, source, d, seed):
+    if spec.init == "exemplar":
         return init_exemplar(source, d, seed)
-    return init_random(m, d, seed)
+    return init_random(source.shape[0], d, seed)
 
 
 def train_smu(true_data, spec, adversarial=None, supervised=None):
@@ -193,13 +181,15 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
         supervised: (per-source ground-truth matrices, mixed matrix);
             required when tau_S > 0.
 
-    Each epoch shuffles every active dataset jointly with its latent
-    columns, updates the supervised latents, then per source normalizes
-    the basis, updates that source's latents and runs the batched basis
-    update; all bases and latents are normalized at the end of the epoch.
-    One term (the sample anchor) is fully covered by the batches; the
-    other active terms are resampled with replacement to the same batch
-    count. The recorded history is the gamma-weighted objective per epoch.
+    Bases start from each source's true data, or its supervised data when
+    none is given. Each epoch shuffles every active term's data jointly
+    with its latent columns, updates the supervised latents, then per
+    source normalizes the basis, updates that source's other latents and
+    runs the batched basis update; all bases and latents are normalized
+    at the end of the epoch. One term (the sample anchor) is fully covered
+    by the batches; the other active terms are resampled with replacement
+    to the same batch count. The recorded history is the gamma-weighted
+    objective per epoch.
 
     Returns:
         TrainState with final bases, latents and objective history.
@@ -209,146 +199,112 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
             raise ValueError("no training data given")
         true_data = [None] * len(supervised[0])
     s = len(true_data)
-    w_true, w_adv, w_sup = _term_weights(spec)
     U = [as_array(u) if u is not None else None for u in true_data]
-    if w_true > 0 and any(u is None for u in U):
-        raise ValueError("weakly supervised term is active but source data is missing")
-    if w_adv > 0:
-        if adversarial is None or any(a is None for a in adversarial):
-            raise ValueError("adversarial term is active but adversarial data is missing")
-        Uhat = [as_array(getattr(a, "matrix", a)) for a in adversarial]
-    else:
-        Uhat = [None] * s
-    if w_sup > 0:
-        if supervised is None:
-            raise ValueError("supervised term is active but supervised data is missing")
-        Usup = [as_array(u) for u in supervised[0]]
+    weight = _term_weights(spec)
+    data = {}  # active term -> per-source data, in ANCHORS order
+    for name, sets in zip(ANCHORS, (U, adversarial, supervised[0] if supervised is not None else None)):
+        if weight[name] == 0:
+            continue
+        if sets is None or any(x is None for x in sets):
+            raise ValueError(f"{name} term is active but its data is missing")
+        if len(sets) != s:
+            raise ValueError(f"{name} data must cover every source")
+        data[name] = [as_array(getattr(x, "matrix", x)) for x in sets]
+    if "supervised" in data:
         Vsup = as_array(supervised[1])
-        n_sup = Vsup.shape[1]
-        if len(Usup) != s:
-            raise ValueError("supervised data must cover every source")
-    else:
-        Usup, Vsup, n_sup = None, None, 0
+        if any(u.shape[1] != Vsup.shape[1] for u in data["supervised"]):
+            raise ValueError("supervised sources and mix must have the same column count")
 
-    m = next(a.shape[0] for a in (U + (Usup or [])) if a is not None)
     dims = spec.dims(s)
     gammas = spec.gammas(s)
     p = spec.sparsity
     row0 = np.cumsum([0] + dims)  # row offsets of each source in concatenated latents
-
     W = [
-        _init_basis(spec, U[i] if U[i] is not None else (Usup[i] if Usup else None), m, dims[i], [spec.seed, 1, i])
+        _init_basis(spec, U[i] if U[i] is not None else data["supervised"][i], dims[i], [spec.seed, 1, i])
         for i in range(s)
     ]
-    H = [np.ones((dims[i], U[i].shape[1])) if w_true > 0 else None for i in range(s)]
-    Hhat = [np.ones((dims[i], Uhat[i].shape[1])) if w_adv > 0 else None for i in range(s)]
-    Hsup = np.ones((row0[-1], n_sup)) if w_sup > 0 else None
-
-    active = {"true_data": w_true > 0, "adversarial": w_adv > 0, "supervised": w_sup > 0}
-    anchor = _resolve_anchor(spec, active)
+    L = {name: [np.ones((dims[i], x.shape[1])) for i, x in enumerate(sets)] for name, sets in data.items()}
+    per_source = [name for name in data if name != "supervised"]
+    anchor = spec.sample_anchor if spec.sample_anchor in data else next(iter(data))
     shuffle_rng = np.random.default_rng([spec.seed, 0])
     samp_rng = [np.random.default_rng([spec.seed, 1000 + i]) for i in range(s)]
     history = []
 
-    def sup_block(i):
-        return Hsup[row0[i] : row0[i + 1]]
-
-    def objective_now():
-        per_source = _objective_arrays(W, U, H, Uhat, Hhat, Usup, Hsup, row0, spec)
-        return float(np.dot(gammas, per_source))
-
     def normalize_source(i):
-        partners = [H[i], Hhat[i], sup_block(i) if Hsup is not None else None]
-        W[i], scaled = normalize_columns(W[i], [x for x in partners if x is not None], p.eps)
-        scaled = iter(scaled)
-        if H[i] is not None:
-            H[i] = next(scaled)
-        if Hhat[i] is not None:
-            Hhat[i] = next(scaled)
-        if Hsup is not None:
-            Hsup[row0[i] : row0[i + 1]] = next(scaled)
+        W[i], scaled = normalize_columns(W[i], [L[name][i] for name in data], p.eps)
+        for name, h in zip(data, scaled):
+            L[name][i] = h
 
-    def term_batch(data, lat, name, b, n_batches, rng):
-        n = data.shape[1]
+    def term_batch(name, i, b, n_batches):
+        x, h = data[name][i], L[name][i]
+        n = x.shape[1]
         if name == anchor:
             sl = slice(b * spec.batch_size, min((b + 1) * spec.batch_size, n))
-            return data[:, sl], lat[:, sl]
+            return x[:, sl], h[:, sl]
         if n_batches == 1:
-            return data, lat
+            return x, h
         take = max(1, math.ceil(n / n_batches))
-        idx = rng.integers(0, n, size=take)
-        return data[:, idx], lat[:, idx]
+        idx = samp_rng[i].integers(0, n, size=take)
+        return x[:, idx], h[:, idx]
 
-    for epoch in range(spec.epochs):
-        # joint column shuffles, one permutation per active term
+    def gradient_parts(name, i, ub, hb):
+        if name == "true_data":
+            return grad_parts_std(W[i], ub, hb, ub.shape[1])
+        if name == "adversarial":
+            return grad_parts_adv(W[i], ub, hb, spec.tau_A, ub.shape[1])
+        plus, minus = grad_parts_sup(W[i], ub, hb, ub.shape[1])
+        return gammas[i] * plus, gammas[i] * minus
+
+    for _ in range(spec.epochs):
+        # joint column shuffles: one permutation per source and per-source
+        # term, then one shared by the supervised sources, their stacked
+        # latents and the mix
         for i in range(s):
-            if active["true_data"]:
-                perm = shuffle_rng.permutation(U[i].shape[1])
-                U[i], H[i] = U[i][:, perm], H[i][:, perm]
-            if active["adversarial"]:
-                perm = shuffle_rng.permutation(Uhat[i].shape[1])
-                Uhat[i], Hhat[i] = Uhat[i][:, perm], Hhat[i][:, perm]
-        if active["supervised"]:
-            perm = shuffle_rng.permutation(n_sup)
-            Vsup, Hsup = Vsup[:, perm], Hsup[:, perm]
-            Usup = [u[:, perm] for u in Usup]
-            Wcat = np.concatenate(W, axis=1)
-            Hsup = update_latents(Hsup, Wcat, Vsup, p, n_scale=n_sup)
+            for name in per_source:
+                perm = shuffle_rng.permutation(data[name][i].shape[1])
+                data[name][i], L[name][i] = data[name][i][:, perm], L[name][i][:, perm]
+        if "supervised" in data:
+            perm = shuffle_rng.permutation(Vsup.shape[1])
+            Vsup = Vsup[:, perm]
+            data["supervised"] = [u[:, perm] for u in data["supervised"]]
+            # pop, so the old row blocks are freed before the joint update
+            Hsup = np.concatenate(L.pop("supervised"))[:, perm]
+            Hsup = update_latents(Hsup, np.concatenate(W, axis=1), Vsup, p, n_scale=Vsup.shape[1])
+            L["supervised"] = [Hsup[row0[i] : row0[i + 1]] for i in range(s)]
 
         for i in range(s):
             normalize_source(i)
-            if active["true_data"]:
-                H[i] = update_latents(H[i], W[i], U[i], p, n_scale=U[i].shape[1])
-            if active["adversarial"]:
-                Hhat[i] = update_latents(Hhat[i], W[i], Uhat[i], p, n_scale=Uhat[i].shape[1])
-
-            n_anchor = {
-                "true_data": U[i].shape[1] if U[i] is not None else 0,
-                "adversarial": Uhat[i].shape[1] if Uhat[i] is not None else 0,
-                "supervised": n_sup,
-            }[anchor]
-            n_batches = max(1, math.ceil(n_anchor / spec.batch_size))
+            for name in per_source:
+                L[name][i] = update_latents(L[name][i], W[i], data[name][i], p, n_scale=data[name][i].shape[1])
+            n_batches = max(1, math.ceil(data[anchor][i].shape[1] / spec.batch_size))
             for b in range(n_batches):
-                parts_std = parts_adv = parts_sup = None
-                if active["true_data"]:
-                    ub, hb = term_batch(U[i], H[i], "true_data", b, n_batches, samp_rng[i])
-                    parts_std = grad_parts_std(W[i], ub, hb, ub.shape[1])
-                if active["adversarial"]:
-                    ub, hb = term_batch(Uhat[i], Hhat[i], "adversarial", b, n_batches, samp_rng[i])
-                    parts_adv = grad_parts_adv(W[i], ub, hb, spec.tau_A, ub.shape[1])
-                if active["supervised"]:
-                    ub, hb = term_batch(Usup[i], sup_block(i), "supervised", b, n_batches, samp_rng[i])
-                    plus, minus = grad_parts_sup(W[i], ub, hb, ub.shape[1])
-                    parts_sup = (gammas[i] * plus, gammas[i] * minus)
-                W[i] = update_basis(W[i], parts_std, parts_adv, parts_sup, spec.tau_S, p.mu_W, p.eps)
+                parts = {name: gradient_parts(name, i, *term_batch(name, i, b, n_batches)) for name in data}
+                W[i] = update_basis(W[i], *(parts.get(name) for name in ANCHORS), spec.tau_S, p.mu_W, p.eps)
 
         for i in range(s):
             normalize_source(i)
-        history.append(objective_now())
+        history.append(float(np.dot(gammas, _objective_arrays(W, data, L, weight, p.mu_W))))
+
+    def latents(name):
+        return [Latents(h) for h in L[name]] if name in L else [None] * s
 
     return TrainState(
-        bases=[Basis(W[i], source_id=i) for i in range(s)],
-        latents_true=[Latents(h) if h is not None else None for h in H],
-        latents_adv=[Latents(h) if h is not None else None for h in Hhat],
-        latents_sup=Latents(Hsup) if Hsup is not None else None,
-        epoch=spec.epochs,
+        bases=[Basis(w) for w in W],
+        latents_true=latents("true_data"),
+        latents_adv=latents("adversarial"),
+        latents_sup=Latents(np.concatenate(L["supervised"])) if "supervised" in L else None,
         history=history,
     )
 
 
-def _objective_arrays(W, U, H, Uhat, Hhat, Usup, Hsup, row0, spec):
-    w_true, w_adv, w_sup = _term_weights(spec)
-    s = len(W)
-    out = np.zeros(s)
-    for i in range(s):
-        f = spec.sparsity.mu_W * np.sum(np.abs(W[i]))
-        if w_true > 0 and U[i] is not None and H[i] is not None:
-            f += w_true * np.linalg.norm(U[i] - W[i] @ H[i]) ** 2 / U[i].shape[1]
-        if w_adv > 0 and Uhat[i] is not None and Hhat[i] is not None:
-            f -= w_adv * np.linalg.norm(Uhat[i] - W[i] @ Hhat[i]) ** 2 / Uhat[i].shape[1]
-        if w_sup > 0 and Usup is not None and Hsup is not None:
-            hs = Hsup[row0[i] : row0[i + 1]]
-            f += w_sup * np.linalg.norm(Usup[i] - W[i] @ hs) ** 2 / Usup[i].shape[1]
+def _objective_arrays(W, D, L, weight, mu_W):
+    # per source: mu_W |W_i|_1 plus, for each term in D, its signed weight
+    # times ||D_i - W_i L_i||^2 / N_i
+    out = np.zeros(len(W))
+    for i, w in enumerate(W):
+        f = mu_W * np.sum(np.abs(w))
+        for name in D:
+            f += weight[name] * np.linalg.norm(D[name][i] - w @ L[name][i]) ** 2 / D[name][i].shape[1]
         out[i] = f
     return out
 
@@ -356,21 +312,32 @@ def _objective_arrays(W, U, H, Uhat, Hhat, Usup, Hsup, row0, spec):
 def objective(state, true_data, spec, adversarial=None, supervised=None):
     """Per-source training objective for an existing state.
 
+    A term enters when its weight is nonzero and its data and latents are
+    given. The state's latents, in the column order of the last epoch's
+    shuffle, are paired with the data as given, so after a shuffled epoch
+    the total differs from the last history entry.
+
     Returns (per_source, total) where total is the gamma-weighted sum.
     """
     W = [as_array(b) for b in state.bases]
     s = len(W)
-    dims = [w.shape[1] for w in W]
-    row0 = np.cumsum([0] + dims)
-    U = [as_array(u) if u is not None else None for u in (true_data or [None] * s)]
-    H = [as_array(h) if h is not None else None for h in state.latents_true]
-    Uhat = [as_array(getattr(a, "matrix", a)) if a is not None else None for a in (adversarial or [None] * s)]
-    Hhat = [as_array(h) if h is not None else None for h in state.latents_adv]
-    Usup = [as_array(u) for u in supervised[0]] if supervised is not None else None
-    Hsup = as_array(state.latents_sup) if state.latents_sup is not None else None
-    per_source = _objective_arrays(W, U, H, Uhat, Hhat, Usup, Hsup, row0, spec)
-    total = float(np.dot(spec.gammas(s), per_source))
-    return per_source, total
+    row0 = np.cumsum([0] + [w.shape[1] for w in W])
+    sup_latents = [None] * s
+    if state.latents_sup is not None:
+        sup_latents = [as_array(state.latents_sup)[row0[i] : row0[i + 1]] for i in range(s)]
+    weight = _term_weights(spec)
+    terms = {
+        "true_data": (true_data, state.latents_true),
+        "adversarial": (adversarial, state.latents_adv),
+        "supervised": (supervised[0] if supervised is not None else None, sup_latents),
+    }
+    D, L = {}, {}
+    for name, (sets, lats) in terms.items():
+        if weight[name] != 0 and sets is not None and all(x is not None for x in [*sets, *lats]):
+            D[name] = [as_array(getattr(x, "matrix", x)) for x in sets]
+            L[name] = [as_array(h) for h in lats]
+    per_source = _objective_arrays(W, D, L, weight, spec.sparsity.mu_W)
+    return per_source, float(np.dot(spec.gammas(s), per_source))
 
 
 def train_semisupervised(V, pretrained, spec):
@@ -391,7 +358,7 @@ def train_semisupervised(V, pretrained, spec):
     dims = spec.dims(s)
     p = spec.sparsity
     n_v = V.shape[1]
-    W_s = _init_basis(spec, V, V.shape[0], dims[-1], [spec.seed, 1, s - 1])
+    W_s = _init_basis(spec, V, dims[-1], [spec.seed, 1, s - 1])
     bases = frozen + [W_s]
     H = [np.ones((dims[i], n_v)) for i in range(s)]
 
@@ -404,8 +371,7 @@ def train_semisupervised(V, pretrained, spec):
             H_new = H[i] * num / den
             model = model + bases[i] @ (H_new - H[i])
             H[i] = H_new
-        num = V @ H[-1].T / n_v
-        den = model @ H[-1].T / n_v + p.mu_W + p.eps
-        bases[-1] = bases[-1] * num / den
+        parts = (model @ H[-1].T / n_v, V @ H[-1].T / n_v)
+        bases[-1] = update_basis(bases[-1], parts, None, None, 0.0, p.mu_W, p.eps)
         bases[-1], (H[-1],) = normalize_columns(bases[-1], [H[-1]], p.eps)
     return bases[-1]

@@ -287,6 +287,49 @@ class TestErrors:
         assert run_cli(["tune", "--config", cfg]) == 1
         assert "data.supervised" in capsys.readouterr().err
 
+    def test_tune_honours_clamp_negatives(self, tmp_path, capsys):
+        src = tmp_path / "neg.anmf"
+        write_matrix(src, np.array([[1.0, -0.5], [0.2, 0.3]]))
+        cfg = write_config(tmp_path, "tune.json", {
+            "method": "nmf",
+            "data": {"sources": [str(src)]},
+            "tuning": {"space": {}},
+            "output": str(tmp_path / "out"),
+        })
+        assert run_cli(["tune", "--config", cfg]) == 1
+        assert "negative entries" in capsys.readouterr().err
+        # with the flag the source loads and the run stops at the next check
+        assert run_cli(["tune", "--config", cfg, "--clamp-negatives"]) == 1
+        assert "data.supervised" in capsys.readouterr().err
+
+    def test_features_inverse_rejects_non_finite(self, tmp_path, capsys):
+        prefix = str(tmp_path / "feat")
+        (tmp_path / "feat.cfg.json").write_text(json.dumps(
+            {"n_fft": 512, "hop": 128, "window": "hann", "sample_rate": 16000, "length": 512}))
+        mag = np.ones((257, 5))
+        mag[3, 2] = np.nan
+        write_matrix(prefix + ".mag.anmf", mag)
+        write_matrix(prefix + ".phase.anmf", np.zeros((257, 5)))
+        argv = ["features", "--inverse", "--input-prefix", prefix, "--output", str(tmp_path / "y.wav")]
+        assert run_cli(argv) == 1
+        assert "feat.mag.anmf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["separate", "--model", "m", "--input", "x", "--output-dir", "o"], ["--seed", "1"]),
+        (["separate", "--model", "m", "--input", "x", "--output-dir", "o"], ["--config", "c"]),
+        (["denoise", "--model", "m", "--input", "x", "--output", "y"], ["--seed", "1"]),
+        (["denoise", "--model", "m", "--input", "x", "--output", "y"], ["--config", "c"]),
+        (["denoise", "--model", "m", "--input", "x", "--output", "y"], ["--clamp-negatives"]),
+        (["eval", "--estimates", "a", "--references", "a", "--output", "o"], ["--config", "c"]),
+        (["eval", "--estimates", "a", "--references", "a", "--output", "o"], ["--clamp-negatives"]),
+        (["features"], ["--seed", "1"]),
+        (["features"], ["--config", "c"]),
+        (["features"], ["--clamp-negatives"]),
+    ])
+    def test_unread_flags_rejected(self, argv, flag, capsys):
+        assert run_cli(argv + flag) == 2
+        assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+
     def test_threads_option_removed(self, capsys):
         assert run_cli(["eval", "--threads", "2", "--estimates", "a", "--references", "a",
                         "--output", "o.csv"]) == 2

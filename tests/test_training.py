@@ -181,6 +181,25 @@ class TestTrainSmu:
         state = train_smu([None, None], spec, supervised=sup)
         assert len(state.history) == 3
 
+    @pytest.mark.parametrize("true_given", [True, False])
+    def test_dnmf_initializes_from_true_data_else_supervised(self, true_given):
+        rng = np.random.default_rng(12)
+        U = [rng.random((5, 7)), rng.random((5, 6))]
+        sup_sources = [rng.random((5, 4)), rng.random((5, 4))]
+        sup = (sup_sources, sup_sources[0] + sup_sources[1])
+        spec = make_spec(d=[2, 3], tau_S=1.0, epochs=0, seed=6)
+        state = train_smu(U if true_given else [None, None], spec, supervised=sup)
+        for i, source in enumerate(U if true_given else sup_sources):
+            assert np.array_equal(as_array(state.bases[i]), init_exemplar(source, [2, 3][i], [6, 1, i]))
+
+    def test_term_data_must_match_sources(self):
+        U = [np.ones((3, 4)), np.ones((3, 4))]
+        with pytest.raises(ValueError, match="adversarial data must cover every source"):
+            train_smu(U, make_spec(d=2, tau_A=0.5, epochs=1), adversarial=[np.ones((3, 4))])
+        sup = ([np.ones((3, 4)), np.ones((3, 5))], np.ones((3, 4)))
+        with pytest.raises(ValueError, match="same column count"):
+            train_smu(U, make_spec(d=2, tau_S=0.5, epochs=1), supervised=sup)
+
     def test_missing_required_term_named(self):
         U = [np.ones((3, 4))]
         with pytest.raises(ValueError, match="adversarial"):
@@ -243,14 +262,15 @@ class TestObjective:
         per_source, _ = objective(state, [rng.random((4, 5))], spec, adversarial=[Uhat])
         assert per_source[0] < 0
 
-    def test_matches_scalar_loop(self):
+    @pytest.mark.parametrize("d", [2, [2, 3]], ids=["d2", "d2_3"])
+    def test_matches_scalar_loop(self, d):
         rng = np.random.default_rng(8)
         U = [rng.random((4, 6)), rng.random((4, 5))]
         sup_sources = [rng.random((4, 3)), rng.random((4, 3))]
         sup = (sup_sources, sup_sources[0] + sup_sources[1])
         adv_sets = [rng.random((4, 7)), rng.random((4, 7))]
         spec = make_spec(
-            d=2, tau_A=0.3, tau_S=0.4, gamma=[1.5, 0.5], epochs=2, batch_size=3, seed=0,
+            d=d, tau_A=0.3, tau_S=0.4, gamma=[1.5, 0.5], epochs=2, batch_size=3, seed=0,
             sparsity=SparsityParams(0.01, 0.02),
         )
         state = train_smu(U, spec, adversarial=adv_sets, supervised=sup)
@@ -261,7 +281,7 @@ class TestObjective:
 
         w_true = 1 - spec.tau_S
         w_adv = w_true * spec.tau_A
-        dims = [2, 2]
+        dims = spec.dims(2)
         row = 0
         for i in range(2):
             W = as_array(state.bases[i])
