@@ -20,7 +20,7 @@ from . import features as feat
 from . import io as aio
 from . import metrics as amet
 from .core import SparsityParams, as_array
-from .separation import project_denoise, separate, wiener_filter
+from .separation import project_denoise, separate, wiener_mask
 from .training import TrainSpec, train_semisupervised, train_smu
 
 METHODS = ("nmf", "enmf", "anmf", "dnmf", "danmf", "semi")
@@ -201,11 +201,16 @@ def cmd_mix(args):
     return 0
 
 
-def cmd_train(args):
-    cfg = _load_config(args)
+def _config_method(cfg):
     method = cfg.get("method", "nmf")
     if method not in METHODS:
         raise CliError(f"unknown method {method!r}")
+    return method
+
+
+def cmd_train(args):
+    cfg = _load_config(args)
+    method = _config_method(cfg)
     clamp = cfg.get("clamp_negatives", False) or args.clamp_negatives
     data = cfg.get("data", {})
     sources = [aio.load_data_matrix(p, clamp) for p in data.get("sources", [])]
@@ -257,15 +262,17 @@ def cmd_denoise(args):
         # projection denoising: project the mixed magnitude onto the
         # speech basis; the unexplained remainder acts as the noise
         # magnitude for the soft mask
-        speech_mag = project_denoise(spec.magnitude, bundle.bases[0], p, max_iter=args.max_iter)
-        noise_mag = np.maximum(spec.magnitude - speech_mag, 0.0)
-        mags = [speech_mag, noise_mag]
+        mags = [project_denoise(spec.magnitude, bundle.bases[0], p, max_iter=args.max_iter)]
+        mags.append(np.maximum(spec.magnitude - mags[0], 0.0))
     else:
-        result = separate(spec.magnitude, bundle.bases, p, max_iter=args.max_iter)
-        mags = result.raw
-    # soft-mask synthesis of the speech signal alone
-    speech_mag = wiener_filter(spec.magnitude, mags)[0]
-    speech = feat.istft(feat.Spectrogram(speech_mag, spec.phase, cfg), length=len(samples))
+        mags = separate(spec.magnitude, bundle.bases, p, max_iter=args.max_iter).raw
+    # soft-mask synthesis of the speech signal alone: the speech mask
+    # multiplies the mix in place, and the magnitudes are dropped before
+    # the inverse transform to bound peak memory
+    mask = wiener_mask(mags[0], sum(mags), len(mags))
+    del mags
+    spec.apply_gain(mask)
+    speech = feat.istft(spec, length=len(samples))
     aio.write_wav(args.output, speech, rate)
     if args.reference:
         ref, _ = aio.load_wav(args.reference)
@@ -282,7 +289,7 @@ def cmd_denoise(args):
 
 def cmd_tune(args):
     cfg = _load_config(args)
-    method = cfg.get("method", "nmf")
+    method = _config_method(cfg)
     clamp = cfg.get("clamp_negatives", False) or args.clamp_negatives
     data = cfg.get("data", {})
     sources = [aio.load_data_matrix(p, clamp) for p in data.get("sources", [])]
@@ -384,7 +391,8 @@ def cmd_features(args):
         cfg = feat.StftConfig(**{k: cfg_data[k] for k in ("n_fft", "hop", "window", "sample_rate")})
         mag = aio.read_matrix(args.input_prefix + ".mag.anmf")
         phase = aio.read_matrix(args.input_prefix + ".phase.anmf")
-        signal = feat.istft(feat.Spectrogram(mag, phase, cfg), length=cfg_data.get("length"))
+        spec = feat.Spectrogram(mag * np.exp(1j * phase), mag, cfg)
+        signal = feat.istft(spec, length=cfg_data.get("length"))
         aio.write_wav(args.output, signal, cfg.sample_rate)
         return 0
     samples, rate = aio.load_wav(args.input)

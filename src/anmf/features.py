@@ -1,15 +1,15 @@
 """STFT analysis and synthesis for the audio pipeline.
 
-Magnitude/phase spectrograms with centered Hann-windowed frames, exact
-overlap-add inversion, and soft-mask synthesis that reapplies the mixture
-phase to per-source magnitude estimates.
+Complex one-sided spectrograms with centered Hann-windowed frames, exact
+overlap-add inversion, and soft-mask synthesis that multiplies a real
+Wiener mask per source into the complex mix spectrum.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .separation import wiener_filter
+from .separation import wiener_mask
 
 
 @dataclass
@@ -43,31 +43,60 @@ class StftConfig:
 
 @dataclass
 class Spectrogram:
-    """One-sided magnitude and phase, (n_fft/2 + 1) x T."""
+    """One-sided complex spectrum and its magnitude, (n_fft/2 + 1) x T.
 
+    istft inverts spectrum; magnitude stays equal to |spectrum| up to
+    rounding, so a gain applied in place goes to both (apply_gain).
+    """
+
+    spectrum: np.ndarray
     magnitude: np.ndarray
-    phase: np.ndarray
     config: StftConfig
 
     @property
     def n_frames(self):
         return self.magnitude.shape[1]
 
-    def complex_spectrum(self):
-        return self.magnitude * np.exp(1j * self.phase)
+    @property
+    def phase(self):
+        return np.angle(self.spectrum)
+
+    def apply_gain(self, gain):
+        """Multiply a real gain, such as a soft mask, into both arrays in place."""
+        # stft stores the spectrum column-major; a gain in the same layout
+        # is multiplied in without strided reads
+        gain = np.asarray(gain, order="F" if self.spectrum.flags.f_contiguous else "C")
+        self.spectrum *= gain
+        self.magnitude *= gain
 
 
 def stft(signal, cfg=None):
-    """Short-time Fourier transform with centered reflection-padded frames."""
+    """Short-time Fourier transform with centered reflection-padded frames.
+
+    The end is padded so that the last frame reaches past the last sample:
+    a signal of n samples gives ceil(n / hop) + 1 frames.
+    """
     cfg = cfg or StftConfig()
     x = np.asarray(signal, dtype=float).ravel()
     if len(x) < cfg.n_fft:
         raise ValueError(f"signal of length {len(x)} is shorter than one window ({cfg.n_fft})")
     pad = cfg.n_fft // 2
-    xp = np.pad(x, pad, mode="reflect")
+    xp = np.pad(x, (pad, pad + (-len(x)) % cfg.hop), mode="reflect")
     frames = np.lib.stride_tricks.sliding_window_view(xp, cfg.n_fft)[:: cfg.hop]
     spec = np.fft.rfft(frames * cfg.window_samples(), axis=1).T
-    return Spectrogram(np.abs(spec), np.angle(spec), cfg)
+    return Spectrogram(spec, np.abs(spec), cfg)
+
+
+def _overlap_add(segments, t):
+    # segments: r x hop blocks of each frame, shape (t, r, hop) or (r, hop)
+    # for one block set shared by all t frames. Block j of frame k lands in
+    # output block k + j; adding j from last to first gives every output
+    # sample its frames in ascending order, as a loop over frames would.
+    r, hop = segments.shape[-2:]
+    out = np.zeros((t + r - 1, hop))
+    for j in reversed(range(r)):
+        out[j : j + t] += segments[..., j, :]
+    return out.ravel()
 
 
 def istft(spec, length=None):
@@ -78,21 +107,16 @@ def istft(spec, length=None):
     length for signals divisible by the hop.
     """
     cfg = spec.config
-    frames = np.fft.irfft(spec.complex_spectrum().T, n=cfg.n_fft, axis=1)
+    r = cfg.n_fft // cfg.hop
     window = cfg.window_samples()
-    frames = frames * window
+    frames = np.fft.irfft(spec.spectrum.T, n=cfg.n_fft, axis=1)
+    frames *= window
     t = frames.shape[0]
-    total = (t - 1) * cfg.hop + cfg.n_fft
-    out = np.zeros(total)
-    wsum = np.zeros(total)
-    for k in range(t):
-        start = k * cfg.hop
-        out[start : start + cfg.n_fft] += frames[k]
-        wsum[start : start + cfg.n_fft] += window**2
-    nonzero = wsum > 1e-15
-    out[nonzero] /= wsum[nonzero]
+    out = _overlap_add(frames.reshape(t, r, cfg.hop), t)
+    wsum = _overlap_add((window**2).reshape(r, cfg.hop), t)
+    np.divide(out, wsum, out=out, where=wsum > 1e-15)
     pad = cfg.n_fft // 2
-    out = out[pad : total - pad]
+    out = out[pad : len(out) - pad]
     if length is None:
         length = (t - 1) * cfg.hop
     if length <= len(out):
@@ -103,15 +127,17 @@ def istft(spec, length=None):
 def apply_mask(mix_spec, source_mags, eps=1e-12, length=None):
     """Soft-mask the mix spectrum and synthesize per-source signals.
 
-    The masked magnitudes are wiener_filter(mix magnitude, mags, eps):
-    mask_i = mag_i / sum_j mag_j, an equal split where the denominator is
-    <= eps. Each masked spectrum keeps the mixture phase and is inverted
-    separately. The masked spectra sum to the mix spectrum wherever the
-    denominator exceeds eps.
+    Source i gets the real mask wiener_mask(mag_i, sum_j mag_j, S, eps):
+    mag_i / sum_j mag_j, an equal split 1/S where the denominator is
+    <= eps. Each mask multiplies the complex mix spectrum, and each masked
+    spectrum is inverted separately. The masked spectra sum to the mix
+    spectrum wherever the denominator exceeds eps.
     """
     mags = [np.asarray(m, dtype=float) for m in source_mags]
     for m in mags:
         if m.shape != mix_spec.magnitude.shape:
             raise ValueError(f"mask shape {m.shape} does not match spectrogram {mix_spec.magnitude.shape}")
-    masked = wiener_filter(mix_spec.magnitude, mags, eps)
-    return [istft(Spectrogram(u, mix_spec.phase, mix_spec.config), length) for u in masked]
+    total = sum(mags)
+    masks = [wiener_mask(m, total, len(mags), eps) for m in mags]
+    spec, mag, cfg = mix_spec.spectrum, mix_spec.magnitude, mix_spec.config
+    return [istft(Spectrogram(spec * g, mag * g, cfg), length) for g in masks]

@@ -49,22 +49,27 @@ def separate(V, bases, p=None, max_iter=500, tol=1e-8):
     return SeparationResult(latents, raw, filtered, residual)
 
 
+def wiener_mask(part, total, n_sources, eps=1e-12):
+    """Soft mask of one of n_sources sources: part / total entrywise.
+
+    Where total <= eps the mask is 1 / n_sources, an equal split. With
+    total the sum of all parts, the n_sources masks sum to one.
+    """
+    return np.divide(part, total, out=np.full_like(part, 1.0 / n_sources), where=total > eps)
+
+
 def wiener_filter(v, raw, eps=1e-12):
     """Reallocate the mix proportionally to the raw reconstructions.
 
-    u_i = v * raw_i / sum_j raw_j entrywise; where the denominator is
+    u_i = v * raw_i / sum_j raw_j entrywise, that is v times
+    wiener_mask(raw_i, sum_j raw_j, S, eps); where the denominator is
     <= eps the mix is split equally across sources. The outputs sum to v
     wherever the denominator exceeds eps.
     """
     v = as_array(v)
     raw = [as_array(r) for r in raw]
-    denom = sum(raw)
-    safe = denom > eps
-    out = []
-    for r in raw:
-        u = np.where(safe, v * np.divide(r, denom, out=np.zeros_like(r), where=safe), v / len(raw))
-        out.append(u)
-    return out
+    total = sum(raw)
+    return [v * wiener_mask(r, total, len(raw), eps) for r in raw]
 
 
 def project_denoise(V, basis, p=None, max_iter=500, tol=1e-8):

@@ -302,6 +302,22 @@ class TestErrors:
         assert run_cli(["tune", "--config", cfg, "--clamp-negatives"]) == 1
         assert "data.supervised" in capsys.readouterr().err
 
+    def test_tune_rejects_unknown_method_before_trials(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        sup = make_sources(tmp_path, rng, n=12)
+        write_matrix(tmp_path / "sup_mix.anmf", sum(read_matrix(p) for p in sup))
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "tune.json", {
+            "method": "pca",
+            "data": {"sources": make_sources(tmp_path, rng),
+                     "supervised": {"sources": sup, "mix": str(tmp_path / "sup_mix.anmf")}},
+            "tuning": {"trials": 2, "folds": 2, "space": {}},
+            "output": str(out),
+        })
+        assert run_cli(["tune", "--config", cfg]) == 1
+        assert "unknown method 'pca'" in capsys.readouterr().err
+        assert not (out / "tune_result.json").exists()
+
     def test_features_inverse_rejects_non_finite(self, tmp_path, capsys):
         prefix = str(tmp_path / "feat")
         (tmp_path / "feat.cfg.json").write_text(json.dumps(

@@ -6,6 +6,7 @@ from anmf.core import (
     DimensionMismatch,
     Latents,
     SparsityParams,
+    as_array,
     cone_distance,
     init_exemplar,
     init_random,
@@ -30,6 +31,12 @@ class TestContainers:
     def test_non_finite_entries_rejected(self, container, bad):
         with pytest.raises(ValueError, match="finite"):
             container(np.array([[1.0, bad]]))
+
+    def test_none_rejected(self):
+        with pytest.raises(TypeError, match="None"):
+            as_array(None)
+        with pytest.raises(TypeError, match="None"):
+            update_latents(np.ones((2, 3)), None, np.ones((4, 3)))
 
     def test_sparsity_validation(self):
         with pytest.raises(ValueError):

@@ -31,13 +31,14 @@ class TestStftConfig:
 
 
 class TestRoundTrip:
-    # exact inversion holds for hop-divisible lengths
-    @pytest.mark.parametrize("n", [512, 2048, 3968, 4096])
+    @pytest.mark.parametrize("n", [512, 2048, 3968, 4096, 16077, 16127])
     def test_exact_inverse(self, n):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(n) * 0.3
         cfg = StftConfig()
-        y = istft(stft(x, cfg), length=n)
+        spec = stft(x, cfg)
+        assert spec.n_frames == -(-n // cfg.hop) + 1
+        y = istft(spec, length=n)
         assert len(y) == n
         assert np.max(np.abs(y - x)) < 1e-9
 
@@ -58,6 +59,38 @@ class TestRoundTrip:
             stft(np.zeros(100), StftConfig())
 
 
+def istft_loop(spec):
+    """Reference inverse: the per-frame overlap-add loop, default length."""
+    cfg = spec.config
+    window = cfg.window_samples()
+    frames = np.fft.irfft(spec.spectrum.T, n=cfg.n_fft, axis=1) * window
+    t = frames.shape[0]
+    total = (t - 1) * cfg.hop + cfg.n_fft
+    out = np.zeros(total)
+    wsum = np.zeros(total)
+    for k in range(t):
+        start = k * cfg.hop
+        out[start : start + cfg.n_fft] += frames[k]
+        wsum[start : start + cfg.n_fft] += window**2
+    nonzero = wsum > 1e-15
+    out[nonzero] /= wsum[nonzero]
+    pad = cfg.n_fft // 2
+    return out[pad : total - pad]
+
+
+class TestOverlapAdd:
+    @pytest.mark.parametrize("n_fft,hop", [(512, 128), (256, 64), (64, 32), (8, 8)])
+    @pytest.mark.parametrize("extra", [0, 1, 37])
+    def test_bitwise_equal_to_frame_loop(self, n_fft, hop, extra):
+        rng = np.random.default_rng(n_fft + extra)
+        cfg = StftConfig(n_fft=n_fft, hop=hop)
+        spec = stft(rng.standard_normal(5 * n_fft + extra), cfg)
+        # a random real gain, so the spectrum is no longer an exact transform
+        gain = rng.random(spec.magnitude.shape)
+        spec = Spectrogram(spec.spectrum * gain, spec.magnitude * gain, cfg)
+        assert np.array_equal(istft(spec), istft_loop(spec))
+
+
 class TestSpectrogram:
     def test_shapes(self):
         x = np.random.default_rng(3).standard_normal(1024)
@@ -69,8 +102,8 @@ class TestSpectrogram:
     def test_complex_spectrum_consistent(self):
         x = np.random.default_rng(4).standard_normal(1024)
         spec = stft(x)
-        c = spec.complex_spectrum()
-        assert np.allclose(np.abs(c), spec.magnitude)
+        assert np.allclose(np.abs(spec.spectrum), spec.magnitude)
+        assert np.allclose(spec.magnitude * np.exp(1j * spec.phase), spec.spectrum)
 
     def test_pure_tone_peak_bin(self):
         cfg = StftConfig(n_fft=256, hop=64, sample_rate=8000)
@@ -91,6 +124,10 @@ class TestApplyMask:
         mags = [rng.random(spec.magnitude.shape) + 0.01 for _ in range(3)]
         parts = apply_mask(spec, mags, length=2048)
         assert np.max(np.abs(sum(parts) - x)) < 1e-9
+        for part, m in zip(parts, mags):
+            mask = m / sum(mags)
+            masked = Spectrogram(spec.spectrum * mask, spec.magnitude * mask, cfg)
+            assert np.array_equal(part, istft(masked, length=2048))
 
     def test_degenerate_mask_gets_equal_split(self):
         rng = np.random.default_rng(6)
@@ -98,7 +135,9 @@ class TestApplyMask:
         spec = stft(x, StftConfig(n_fft=128, hop=32))
         zeros = np.zeros(spec.magnitude.shape)
         parts = apply_mask(spec, [zeros, zeros], length=512)
-        assert np.allclose(parts[0], parts[1])
+        half = istft(Spectrogram(spec.spectrum * 0.5, spec.magnitude * 0.5, spec.config), length=512)
+        assert np.array_equal(parts[0], half)
+        assert np.array_equal(parts[1], half)
         assert np.max(np.abs(parts[0] + parts[1] - x)) < 1e-9
 
     def test_dominant_source_takes_all(self):
