@@ -38,9 +38,7 @@ from .separation import SeparationResult, project_denoise, separate, wiener_filt
 from .training import (
     TrainSpec,
     TrainState,
-    grad_parts_adv,
-    grad_parts_std,
-    grad_parts_sup,
+    grad_parts,
     objective,
     train_semisupervised,
     train_smu,

@@ -47,11 +47,6 @@ class WeightModel:
             if self.mc_samples < 1:
                 raise ValueError("mc_samples must be >= 1")
 
-    @property
-    def n_sources(self):
-        v = self.values if self.mode == "deterministic" else self.concentration
-        return len(v)
-
     @classmethod
     def equal(cls, n_sources):
         """Deterministic equal weights 1/S, the default model."""

@@ -115,8 +115,6 @@ def train_with_method(method, sources, mixes, supervised, spec, wm):
     Returns:
         (bases, history): list of basis arrays and per-epoch objectives.
     """
-    if method not in METHODS:
-        raise CliError(f"unknown method {method!r}")
     train_spec = spec
     if method == "semi":
         # the known sources train first (adversarially when tau_A > 0, with

@@ -23,7 +23,6 @@ class DimensionMismatch(ValueError):
 
     def __init__(self, what, shape_a, shape_b):
         super().__init__(f"{what}: incompatible shapes {shape_a} and {shape_b}")
-        self.shapes = (shape_a, shape_b)
 
 
 def as_array(x):

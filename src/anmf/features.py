@@ -138,6 +138,10 @@ def apply_mask(mix_spec, source_mags, eps=1e-12, length=None):
         if m.shape != mix_spec.magnitude.shape:
             raise ValueError(f"mask shape {m.shape} does not match spectrogram {mix_spec.magnitude.shape}")
     total = sum(mags)
-    masks = [wiener_mask(m, total, len(mags), eps) for m in mags]
-    spec, mag, cfg = mix_spec.spectrum, mix_spec.magnitude, mix_spec.config
-    return [istft(Spectrogram(spec * g, mag * g, cfg), length) for g in masks]
+    parts = []
+    for m in mags:
+        # np.copy keeps stft's column-major layout for apply_gain
+        part = Spectrogram(np.copy(mix_spec.spectrum), np.copy(mix_spec.magnitude), mix_spec.config)
+        part.apply_gain(wiener_mask(m, total, len(mags), eps))
+        parts.append(istft(part, length))
+    return parts

@@ -72,8 +72,7 @@ def load_idx_images(path):
     if len(data) < expected:
         raise FormatError(f"{path}: truncated IDX payload ({len(data)} bytes, expected {expected})")
     pixels = np.frombuffer(data[16:expected], dtype=np.uint8).reshape(count, rows, cols)
-    flat = np.stack([img.flatten(order="F") for img in pixels], axis=1)
-    return flat.astype(float) / 255.0
+    return pixels.transpose(2, 1, 0).reshape(rows * cols, count).astype(float) / 255.0
 
 
 def load_wav(path):

@@ -20,7 +20,6 @@ class SeparationResult:
     latents: list
     raw: list
     filtered: list
-    residual: np.ndarray
 
 
 def separate(V, bases, p=None, max_iter=500, tol=1e-8):
@@ -44,9 +43,7 @@ def separate(V, bases, p=None, max_iter=500, tol=1e-8):
     offsets = np.cumsum([0] + [w.shape[1] for w in W])
     latents = [h[offsets[i] : offsets[i + 1]] for i in range(len(W))]
     raw = [W[i] @ latents[i] for i in range(len(W))]
-    filtered = wiener_filter(V, raw, p.eps)
-    residual = np.linalg.norm(V - sum(raw), axis=0)
-    return SeparationResult(latents, raw, filtered, residual)
+    return SeparationResult(latents, raw, wiener_filter(V, raw, p.eps))
 
 
 def wiener_mask(part, total, n_sources, eps=1e-12):

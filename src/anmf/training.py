@@ -7,6 +7,13 @@ pushed away from the adversarial data. tau_A = tau_S = 0 is standard NMF,
 tau_S = 1 is discriminative NMF, tau_A > 0 with tau_S = 0 is adversarial
 NMF, anything else is the combined method.
 
+Every term of the objective is a weighted fit weight * ||D - W L||^2 / N,
+and the basis step treats them alike (grad_parts): the Gram product
+W L L^T goes to the denominator of the multiplicative update and the data
+product D L^T to the numerator, each scaled by |weight| / N and swapped
+for the subtracted adversarial term; update_basis divides the blended
+sums.
+
 Randomness is derived from the master seed as follows: the epoch shuffle
 stream is ``default_rng([seed, 0])``, the exemplar/random initialization
 of basis i uses ``[seed, 1, i]``, and the per-source batch resampling
@@ -39,6 +46,10 @@ class TrainSpec:
     """All training hyperparameters.
 
     d may be a single int (shared by all sources) or one int per source.
+    gamma, one positive weight per source (default all ones), enters in
+    two different ways: the basis step scales only source i's supervised
+    gradient parts by gamma_i, while the recorded history weights source
+    i's whole objective by gamma_i.
     """
 
     d: object = 16
@@ -95,72 +106,41 @@ class TrainState:
     history: list = field(default_factory=list)
 
 
-def grad_parts_std(W, U, H, n):
-    """Positive/negative gradient parts of the weakly supervised term."""
+def grad_parts(W, U, H, weight):
+    """Denominator and numerator parts of the basis gradient of
+    weight * ||U - W H||^2 / N.
+
+    They are the Gram product W H H^T and the data product U H^T, both
+    scaled by |weight| / N. A negative weight swaps them, so the update
+    moves the basis away from that term's data.
+    """
     W, U, H = as_array(W), as_array(U), as_array(H)
+    n = U.shape[1]
     if n == 0:
-        raise ValueError("standard term has no columns")
-    if W.shape[0] != U.shape[0] or W.shape[1] != H.shape[0] or U.shape[1] != H.shape[1]:
-        raise DimensionMismatch("grad_parts_std", W.shape, U.shape)
-    plus = W @ (H @ H.T) / n
-    minus = U @ H.T / n
-    return plus, minus
+        raise ValueError("gradient term has no columns")
+    if W.shape[0] != U.shape[0] or W.shape[1] != H.shape[0] or n != H.shape[1]:
+        raise DimensionMismatch("grad_parts", W.shape, U.shape)
+    gram = abs(weight) * (W @ (H @ H.T)) / n
+    data = abs(weight) * (U @ H.T) / n
+    return (data, gram) if weight < 0 else (gram, data)
 
 
-def grad_parts_adv(W, Uhat, Hhat, tau_A, nhat):
-    """Gradient parts of the adversarial term.
-
-    The data product lands on the positive (denominator) side and the
-    Gram product on the negative side, the mirror image of the standard
-    term: the update moves the basis away from the adversarial data.
-    """
-    W = as_array(W)
-    if tau_A == 0.0 or Hhat is None:
-        z = np.zeros_like(W)
-        return z, z.copy()
-    Uhat, Hhat = as_array(Uhat), as_array(Hhat)
-    plus = tau_A * (Uhat @ Hhat.T) / nhat
-    minus = tau_A * (W @ (Hhat @ Hhat.T)) / nhat
-    return plus, minus
-
-
-def grad_parts_sup(W_i, Usup_i, Hsup_i, n_sup):
-    """Gradient parts of the strongly supervised term for one source."""
-    W_i, Usup_i, Hsup_i = as_array(W_i), as_array(Usup_i), as_array(Hsup_i)
-    if n_sup == 0:
-        raise ValueError("supervised term has no columns")
-    plus = W_i @ (Hsup_i @ Hsup_i.T) / n_sup
-    minus = Usup_i @ Hsup_i.T / n_sup
-    return plus, minus
-
-
-def update_basis(W, parts_std, parts_adv, parts_sup, tau_S, mu_W, eps=1e-12):
-    """One multiplicative basis update from blended gradient parts.
-
-    Any parts tuple may be None; it then contributes nothing. Returns
-    W * num / (den + mu_W + eps) with num/den the (1 - tau_S)-weighted
-    standard-plus-adversarial parts plus the tau_S-weighted supervised
-    parts.
-    """
-    W = as_array(W)
-    num = np.zeros_like(W)
-    den = np.zeros_like(W)
-    if tau_S < 1.0:
-        for parts in (parts_std, parts_adv):
-            if parts is not None:
-                den += (1.0 - tau_S) * parts[0]
-                num += (1.0 - tau_S) * parts[1]
-    if tau_S > 0.0 and parts_sup is not None:
-        den += tau_S * parts_sup[0]
-        num += tau_S * parts_sup[1]
-    return W * num / (den + mu_W + eps)
+def update_basis(W, den, num, mu_W, eps):
+    """One multiplicative basis update, W * num / (den + mu_W + eps), from
+    gradient parts summed over the active terms."""
+    return as_array(W) * num / (den + mu_W + eps)
 
 
 def _term_weights(spec):
-    """Signed objective weight of each term; the adversarial term is
-    subtracted. A term is active when its weight is nonzero."""
+    """Each term's (blend, weight); the objective weighs the term by their
+    product, and a term is active when that product is nonzero.
+
+    tau_S blends the weakly supervised objective (true data minus tau_A
+    times adversarial) against the strongly supervised one; the weight is
+    the term's sign and scale inside its objective.
+    """
     w_true = 1.0 - spec.tau_S
-    return {"true_data": w_true, "adversarial": -w_true * spec.tau_A, "supervised": spec.tau_S}
+    return {"true_data": (w_true, 1.0), "adversarial": (w_true, -spec.tau_A), "supervised": (spec.tau_S, 1.0)}
 
 
 def _init_basis(spec, source, d, seed):
@@ -188,8 +168,10 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
     runs the batched basis update; all bases and latents are normalized
     at the end of the epoch. One term (the sample anchor) is fully covered
     by the batches; the other active terms are resampled with replacement
-    to the same batch count. The recorded history is the gamma-weighted
-    objective per epoch.
+    to the same batch count. A batch's basis step sums each active term's
+    gradient parts, scaled by the term's weight (times gamma_i for the
+    supervised term) and then by its tau_S blend. The recorded history is
+    the gamma-weighted objective per epoch.
 
     Returns:
         TrainState with final bases, latents and objective history.
@@ -203,7 +185,7 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
     weight = _term_weights(spec)
     data = {}  # active term -> per-source data, in ANCHORS order
     for name, sets in zip(ANCHORS, (U, adversarial, supervised[0] if supervised is not None else None)):
-        if weight[name] == 0:
+        if math.prod(weight[name]) == 0:
             continue
         if sets is None or any(x is None for x in sets):
             raise ValueError(f"{name} term is active but its data is missing")
@@ -247,14 +229,6 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
         idx = samp_rng[i].integers(0, n, size=take)
         return x[:, idx], h[:, idx]
 
-    def gradient_parts(name, i, ub, hb):
-        if name == "true_data":
-            return grad_parts_std(W[i], ub, hb, ub.shape[1])
-        if name == "adversarial":
-            return grad_parts_adv(W[i], ub, hb, spec.tau_A, ub.shape[1])
-        plus, minus = grad_parts_sup(W[i], ub, hb, ub.shape[1])
-        return gammas[i] * plus, gammas[i] * minus
-
     for _ in range(spec.epochs):
         # joint column shuffles: one permutation per source and per-source
         # term, then one shared by the supervised sources, their stacked
@@ -278,8 +252,14 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
                 L[name][i] = update_latents(L[name][i], W[i], data[name][i], p, n_scale=data[name][i].shape[1])
             n_batches = max(1, math.ceil(data[anchor][i].shape[1] / spec.batch_size))
             for b in range(n_batches):
-                parts = {name: gradient_parts(name, i, *term_batch(name, i, b, n_batches)) for name in data}
-                W[i] = update_basis(W[i], *(parts.get(name) for name in ANCHORS), spec.tau_S, p.mu_W, p.eps)
+                den = num = 0.0
+                for name in data:
+                    blend, w = weight[name]
+                    if name == "supervised":
+                        w *= gammas[i]
+                    g_den, g_num = grad_parts(W[i], *term_batch(name, i, b, n_batches), w)
+                    den, num = den + blend * g_den, num + blend * g_num
+                W[i] = update_basis(W[i], den, num, p.mu_W, p.eps)
 
         for i in range(s):
             normalize_source(i)
@@ -298,13 +278,14 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
 
 
 def _objective_arrays(W, D, L, weight, mu_W):
-    # per source: mu_W |W_i|_1 plus, for each term in D, its signed weight
+    # per source: mu_W |W_i|_1 plus, for each term in D, blend * weight
     # times ||D_i - W_i L_i||^2 / N_i
     out = np.zeros(len(W))
     for i, w in enumerate(W):
         f = mu_W * np.sum(np.abs(w))
         for name in D:
-            f += weight[name] * np.linalg.norm(D[name][i] - w @ L[name][i]) ** 2 / D[name][i].shape[1]
+            sq = np.linalg.norm(D[name][i] - w @ L[name][i]) ** 2
+            f += math.prod(weight[name]) * sq / D[name][i].shape[1]
         out[i] = f
     return out
 
@@ -333,7 +314,7 @@ def objective(state, true_data, spec, adversarial=None, supervised=None):
     }
     D, L = {}, {}
     for name, (sets, lats) in terms.items():
-        if weight[name] != 0 and sets is not None and all(x is not None for x in [*sets, *lats]):
+        if math.prod(weight[name]) != 0 and sets is not None and all(x is not None for x in [*sets, *lats]):
             D[name] = [as_array(getattr(x, "matrix", x)) for x in sets]
             L[name] = [as_array(h) for h in lats]
     per_source = _objective_arrays(W, D, L, weight, spec.sparsity.mu_W)
@@ -371,7 +352,6 @@ def train_semisupervised(V, pretrained, spec):
             H_new = H[i] * num / den
             model = model + bases[i] @ (H_new - H[i])
             H[i] = H_new
-        parts = (model @ H[-1].T / n_v, V @ H[-1].T / n_v)
-        bases[-1] = update_basis(bases[-1], parts, None, None, 0.0, p.mu_W, p.eps)
+        bases[-1] = update_basis(bases[-1], model @ H[-1].T / n_v, V @ H[-1].T / n_v, p.mu_W, p.eps)
         bases[-1], (H[-1],) = normalize_columns(bases[-1], [H[-1]], p.eps)
     return bases[-1]

@@ -75,7 +75,6 @@ def plain_nmf_trajectory(U, d, spec):
     """Full-batch multiplicative NMF loop mirroring the documented
     seed derivation; returns the per-epoch (W, H) trajectory."""
     from anmf.core import init_exemplar, init_random, normalize_columns, update_latents
-    from anmf.training import grad_parts_std, update_basis
 
     p = spec.sparsity
     U = np.asarray(U, dtype=float).copy()
@@ -85,14 +84,14 @@ def plain_nmf_trajectory(U, d, spec):
         W = init_random(U.shape[0], d, [spec.seed, 1, 0])
     H = np.ones((d, U.shape[1]))
     rng = np.random.default_rng([spec.seed, 0])
+    n = U.shape[1]
     traj = []
     for _ in range(spec.epochs):
         perm = rng.permutation(U.shape[1])
         U, H = U[:, perm], H[:, perm]
         W, (H,) = normalize_columns(W, [H], p.eps)
         H = update_latents(H, W, U, p, n_scale=U.shape[1])
-        parts = grad_parts_std(W, U, H, U.shape[1])
-        W = update_basis(W, parts, None, None, 0.0, p.mu_W, p.eps)
+        W = W * (U @ H.T / n) / (W @ (H @ H.T) / n + p.mu_W + p.eps)
         W, (H,) = normalize_columns(W, [H], p.eps)
         traj.append((W.copy(), H.copy()))
     return traj

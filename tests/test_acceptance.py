@@ -16,7 +16,7 @@ from anmf.core import SparsityParams, as_array, cone_distance, update_latents
 from anmf.features import StftConfig, apply_mask, stft, istft
 from anmf.metrics import Choice, SearchSpace, cap_scores, psnr, random_search, si_sdr
 from anmf.separation import separate, wiener_filter
-from anmf.training import TrainSpec, grad_parts_std, train_smu, update_basis
+from anmf.training import TrainSpec, grad_parts, train_smu, update_basis
 from oracles import nnls_grid_1d, nnls_grid_2d, plain_nmf_trajectory
 
 P0 = SparsityParams(0.0, 0.0)
@@ -41,12 +41,14 @@ def test_criterion_01_reduction_identities():
         d=2, tau_S=1.0, epochs=4, batch_size=5, seed=0, sparsity=PS, sample_anchor="supervised"
     )
 
-    def forbidden(*a, **k):
-        raise AssertionError("non-supervised gradient part computed under tau_S = 1")
+    sup_columns = {tuple(c) for u in sup_sources for c in u.T}
 
-    with mock.patch.object(training, "grad_parts_std", forbidden), mock.patch.object(
-        training, "grad_parts_adv", forbidden
-    ):
+    def supervised_only(W, U, H, weight):
+        if any(tuple(c) not in sup_columns for c in U.T):
+            raise AssertionError("non-supervised gradient part computed under tau_S = 1")
+        return grad_parts(W, U, H, weight)
+
+    with mock.patch.object(training, "grad_parts", supervised_only):
         dstate = train_smu([None, None], dspec, supervised=sup)
     assert len(dstate.history) == 4
     assert time.perf_counter() - t0 < 10.0
@@ -64,7 +66,7 @@ def test_criterion_02_fixed_points():
         U = W @ H
         H1 = update_latents(H, W, U, p_exact)
         assert np.max(np.abs(H1 - H) / np.abs(H)) < 1e-12
-        W1 = update_basis(W, grad_parts_std(W, U, H, 12), None, None, 0.0, 0.0, eps=1e-300)
+        W1 = update_basis(W, *grad_parts(W, U, H, 1.0), 0.0, eps=1e-300)
         assert np.max(np.abs(W1 - W) / np.abs(W)) < 1e-12
 
 

@@ -75,8 +75,9 @@ class TestIdx:
         mat = load_idx_images(p)
         assert mat.shape == (8, 3)
         assert np.all((0 <= mat) & (mat <= 1))
-        # column-wise flattening of the first image
-        assert np.array_equal(mat[:, 0], pixels[0].flatten(order="F") / 255.0)
+        # column-wise flattening of each image
+        for k, img in enumerate(pixels):
+            assert np.array_equal(mat[:, k], img.flatten(order="F") / 255.0)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.idx"

@@ -48,14 +48,6 @@ class TestSeparate:
         with pytest.raises(ValueError):
             separate(np.ones((4, 2)), [np.ones((5, 2))], P0)
 
-    def test_residual_per_column(self):
-        rng = np.random.default_rng(3)
-        W = rng.random((6, 3))
-        V = W @ rng.random((3, 7))
-        res = separate(V, [W], P0, max_iter=2000)
-        assert res.residual.shape == (7,)
-        assert np.all(res.residual < 1e-4 * np.linalg.norm(V))
-
 
 class TestWienerFilter:
     def test_conservation(self):

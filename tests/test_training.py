@@ -3,12 +3,10 @@ import pytest
 
 import anmf.training as training
 from anmf.adversarial import assemble_adversarial, default_omega
-from anmf.core import SparsityParams, as_array, init_exemplar, update_latents
+from anmf.core import DimensionMismatch, SparsityParams, as_array, init_exemplar
 from anmf.training import (
     TrainSpec,
-    grad_parts_adv,
-    grad_parts_std,
-    grad_parts_sup,
+    grad_parts,
     objective,
     train_semisupervised,
     train_smu,
@@ -26,11 +24,34 @@ def make_spec(**kw):
     return TrainSpec(**kw)
 
 
+@pytest.fixture
+def basis_steps(monkeypatch):
+    """Record train_smu's basis steps: per update_basis call, the
+    grad_parts calls (args, result) since the previous one, the
+    update_basis args and its result."""
+    steps, parts = [], []
+
+    def spy_parts(*args):
+        out = grad_parts(*args)
+        parts.append((args, out))
+        return out
+
+    def spy_update(*args):
+        out = update_basis(*args)
+        steps.append((parts[:], args, out))
+        parts.clear()
+        return out
+
+    monkeypatch.setattr(training, "grad_parts", spy_parts)
+    monkeypatch.setattr(training, "update_basis", spy_update)
+    return steps
+
+
 class TestGradParts:
     def test_zero_activations(self):
         W = np.random.default_rng(0).random((3, 2))
         U = np.random.default_rng(1).random((3, 5))
-        plus, minus = grad_parts_std(W, U, np.zeros((2, 5)), 5)
+        plus, minus = grad_parts(W, U, np.zeros((2, 5)), 1.0)
         assert np.all(plus == 0) and np.all(minus == 0)
 
     def test_fixed_point_with_std_parts_only(self):
@@ -38,8 +59,7 @@ class TestGradParts:
         W = rng.random((4, 2))
         H = rng.random((2, 6))
         U = W @ H
-        parts = grad_parts_std(W, U, H, 6)
-        W1 = update_basis(W, parts, None, None, 0.0, 0.0)
+        W1 = update_basis(W, *grad_parts(W, U, H, 1.0), 0.0, 1e-12)
         assert np.allclose(W1, W, rtol=1e-12)
 
     def test_std_matches_triple_loop(self):
@@ -47,24 +67,25 @@ class TestGradParts:
         W = rng.random((3, 2))
         H = rng.random((2, 5))
         U = rng.random((3, 5))
-        plus, minus = grad_parts_std(W, U, H, 5)
+        plus, minus = grad_parts(W, U, H, 1.0)
         assert np.allclose(plus, triple_loop_product(W, triple_loop_product(H, H.T)) / 5, atol=1e-12)
         assert np.allclose(minus, triple_loop_product(U, H.T) / 5, atol=1e-12)
 
     def test_sup_matches_triple_loop(self):
+        # a supervised term carries its source's gamma as its weight
         rng = np.random.default_rng(4)
         W = rng.random((3, 2))
         H = rng.random((2, 5))
         U = rng.random((3, 5))
-        plus, minus = grad_parts_sup(W, U, H, 5)
-        assert np.allclose(plus, triple_loop_product(W, triple_loop_product(H, H.T)) / 5, atol=1e-12)
-        assert np.allclose(minus, triple_loop_product(U, H.T) / 5, atol=1e-12)
+        plus, minus = grad_parts(W, U, H, 1.7)
+        assert np.allclose(plus, 1.7 * triple_loop_product(W, triple_loop_product(H, H.T)) / 5, atol=1e-12)
+        assert np.allclose(minus, 1.7 * triple_loop_product(U, H.T) / 5, atol=1e-12)
 
     def test_adv_zero_weight_and_zero_latents(self):
         W = np.ones((3, 2))
-        plus, minus = grad_parts_adv(W, np.ones((3, 4)), np.ones((2, 4)), 0.0, 4)
+        plus, minus = grad_parts(W, np.ones((3, 4)), np.ones((2, 4)), 0.0)
         assert np.all(plus == 0) and np.all(minus == 0)
-        plus, minus = grad_parts_adv(W, np.ones((3, 4)), np.zeros((2, 4)), 1.0, 4)
+        plus, minus = grad_parts(W, np.ones((3, 4)), np.zeros((2, 4)), -1.0)
         assert np.all(plus == 0) and np.all(minus == 0)
 
     def test_adv_swaps_data_and_gram_roles(self):
@@ -72,49 +93,81 @@ class TestGradParts:
         W = rng.random((3, 2))
         H = rng.random((2, 5))
         U = rng.random((3, 5))
-        plus_s, minus_s = grad_parts_std(W, U, H, 5)
-        plus_a, minus_a = grad_parts_adv(W, U, H, 1.0, 5)
+        plus_s, minus_s = grad_parts(W, U, H, 0.4)
+        plus_a, minus_a = grad_parts(W, U, H, -0.4)
         # the data product lands in the denominator side and vice versa
-        assert np.allclose(plus_a, minus_s, rtol=1e-12)
-        assert np.allclose(minus_a, plus_s, rtol=1e-12)
+        assert np.array_equal(plus_a, minus_s)
+        assert np.array_equal(minus_a, plus_s)
 
     def test_zero_count_rejected(self):
-        with pytest.raises(ValueError):
-            grad_parts_std(np.ones((2, 1)), np.ones((2, 0)), np.ones((1, 0)), 0)
-        with pytest.raises(ValueError):
-            grad_parts_sup(np.ones((2, 1)), np.ones((2, 0)), np.ones((1, 0)), 0)
+        for weight in (1.0, -1.0):
+            with pytest.raises(ValueError, match="no columns"):
+                grad_parts(np.ones((2, 1)), np.ones((2, 0)), np.ones((1, 0)), weight)
+
+    def test_shape_mismatch_rejected(self):
+        W, U, H = np.ones((3, 2)), np.ones((3, 4)), np.ones((2, 4))
+        for args in ((W, U[:2], H), (W, U, H[:1]), (W, U, H[:, :3])):
+            with pytest.raises(DimensionMismatch):
+                grad_parts(*args, 1.0)
 
 
 class TestUpdateBasis:
-    def test_dnmf_uses_only_supervised_parts(self):
+    def test_dnmf_uses_only_supervised_parts(self, basis_steps):
+        # true and adversarial data are given but inactive at tau_S = 1:
+        # each step's parts are exactly one supervised batch's
         rng = np.random.default_rng(6)
-        W = rng.random((3, 2))
-        sup = (rng.random((3, 2)), rng.random((3, 2)))
-        garbage = (np.full((3, 2), 1e6), np.full((3, 2), 1e6))
-        W1 = update_basis(W, garbage, garbage, sup, 1.0, 0.0)
-        expected = W * sup[1] / (sup[0] + 1e-12)
-        assert np.array_equal(W1, expected)
+        U = [rng.random((5, 8)), rng.random((5, 7))]
+        sup_sources = [rng.random((5, 6)), rng.random((5, 6))]
+        sup = (sup_sources, sup_sources[0] + sup_sources[1])
+        adv_sets = [assemble_adversarial(i, U, None, default_omega([8, 7], 0), 1.0) for i in range(2)]
+        spec = make_spec(d=2, tau_A=0.5, tau_S=1.0, epochs=2, batch_size=4, seed=3)
+        train_smu(U, spec, adversarial=adv_sets, supervised=sup)
+        sup_columns = {tuple(c) for u in sup_sources for c in u.T}
+        assert len(basis_steps) == 2 * 2 * 2  # epochs x sources x batches
+        for parts, (W, den, num, _, _), W1 in basis_steps:
+            assert len(parts) == 1
+            (_, U_b, _, _), (g_den, g_num) = parts[0]
+            assert all(tuple(c) in sup_columns for c in U_b.T)
+            assert np.array_equal(den, g_den) and np.array_equal(num, g_num)
+            assert np.array_equal(W1, W * g_num / (g_den + 1e-12))
 
-    def test_matches_scalar_loop(self):
+    def test_matches_scalar_loop(self, basis_steps):
+        # the step weighs each term's parts by its weight (1, tau_A mirrored,
+        # gamma_i), then blends them by 1 - tau_S and tau_S
         rng = np.random.default_rng(7)
-        W = rng.random((3, 2))
-        parts = [(rng.random((3, 2)), rng.random((3, 2))) for _ in range(3)]
-        tau_S, mu_W, eps = 0.3, 0.05, 1e-12
-        W1 = update_basis(W, parts[0], parts[1], parts[2], tau_S, mu_W, eps)
-        ref = np.zeros_like(W)
-        for i in range(3):
-            for j in range(2):
-                num = (1 - tau_S) * (parts[0][1][i, j] + parts[1][1][i, j]) + tau_S * parts[2][1][i, j]
-                den = (1 - tau_S) * (parts[0][0][i, j] + parts[1][0][i, j]) + tau_S * parts[2][0][i, j]
-                ref[i, j] = W[i, j] * num / (den + mu_W + eps)
-        assert np.allclose(W1, ref, rtol=1e-12)
+        U = [rng.random((4, 6)), rng.random((4, 5))]
+        sup_sources = [rng.random((4, 3)), rng.random((4, 3))]
+        sup = (sup_sources, sup_sources[0] + sup_sources[1])
+        adv_sets = [assemble_adversarial(i, U, sup[1], default_omega([6, 5], 3), 1.0) for i in range(2)]
+        tau_A, tau_S, gamma, mu_W, eps = 0.2, 0.3, [1.7, 0.6], 0.05, 1e-12
+        spec = make_spec(
+            d=2, tau_A=tau_A, tau_S=tau_S, gamma=gamma, epochs=1, sparsity=SparsityParams(mu_W, 0.0, eps)
+        )
+        train_smu(U, spec, adversarial=adv_sets, supervised=sup)
+        assert len(basis_steps) == 2
+        for i, (parts, (W, den, num, _, _), W1) in enumerate(basis_steps):
+            gram, data = [], []
+            for (_, U_b, H_b, _), _ in parts:  # true, adversarial, supervised
+                n = U_b.shape[1]
+                gram.append(triple_loop_product(W, triple_loop_product(H_b, H_b.T)) / n)
+                data.append(triple_loop_product(U_b, H_b.T) / n)
+            ref_den, ref_num, ref = (np.zeros_like(W) for _ in range(3))
+            w_sup = tau_S * gamma[i]
+            for r in range(4):
+                for c in range(2):
+                    g, dt = [x[r, c] for x in gram], [x[r, c] for x in data]
+                    ref_den[r, c] = (1 - tau_S) * (g[0] + tau_A * dt[1]) + w_sup * g[2]
+                    ref_num[r, c] = (1 - tau_S) * (dt[0] + tau_A * g[1]) + w_sup * dt[2]
+                    ref[r, c] = W[r, c] * ref_num[r, c] / (ref_den[r, c] + mu_W + eps)
+            assert np.allclose(den, ref_den, rtol=1e-12, atol=0)
+            assert np.allclose(num, ref_num, rtol=1e-12, atol=0)
+            assert np.allclose(W1, ref, rtol=1e-12, atol=0)
 
     def test_zero_entries_stay_zero(self):
         rng = np.random.default_rng(8)
         W = rng.random((3, 2))
         W[0, 0] = 0.0
-        parts = (rng.random((3, 2)), rng.random((3, 2)))
-        W1 = update_basis(W, parts, None, None, 0.0, 0.0)
+        W1 = update_basis(W, rng.random((3, 2)), rng.random((3, 2)), 0.0, 1e-12)
         assert W1[0, 0] == 0.0
         assert np.all(W1 >= 0)
 
@@ -169,17 +222,23 @@ class TestTrainSmu:
         assert np.all(as_array(state.latents_sup) >= 0)
 
     def test_dnmf_touches_only_supervised_parts(self, monkeypatch):
-        def boom(*a, **k):
-            raise AssertionError("non-supervised gradient part computed")
-
-        monkeypatch.setattr(training, "grad_parts_std", boom)
-        monkeypatch.setattr(training, "grad_parts_adv", boom)
         rng = np.random.default_rng(5)
         sup_sources = [rng.random((5, 9)), rng.random((5, 9))]
         sup = (sup_sources, sup_sources[0] + sup_sources[1])
+        sup_columns = {tuple(c) for u in sup_sources for c in u.T}
+        calls = []
+
+        def supervised_only(W, U, H, weight):
+            if any(tuple(c) not in sup_columns for c in U.T):
+                raise AssertionError("non-supervised gradient part computed")
+            calls.append(weight)
+            return grad_parts(W, U, H, weight)
+
+        monkeypatch.setattr(training, "grad_parts", supervised_only)
         spec = make_spec(d=2, tau_S=1.0, epochs=3, batch_size=4, seed=0, sample_anchor="supervised")
         state = train_smu([None, None], spec, supervised=sup)
         assert len(state.history) == 3
+        assert len(calls) == 3 * 2 * 3  # epochs x sources x batches
 
     @pytest.mark.parametrize("true_given", [True, False])
     def test_dnmf_initializes_from_true_data_else_supervised(self, true_given):
