@@ -186,8 +186,7 @@ def assemble_adversarial(i, sources, mixes, om, beta_i):
         if w == 0:
             continue
         alpha = float(np.sqrt(_snap_unit(w * n_hat / counts[j])))
-        block = u.copy() if alpha == 1.0 else alpha * u
-        blocks.append(block)
+        blocks.append(u if alpha == 1.0 else alpha * u)
         segments.append(Segment(j, pos, pos + counts[j], alpha))
         pos += counts[j]
     res = float(om.residual[i])
@@ -195,8 +194,7 @@ def assemble_adversarial(i, sources, mixes, om, beta_i):
         raise ValueError(f"residual[{i}] > 0 but no mix data present")
     if res > 0 and n_mix > 0:
         alpha_v = float(np.sqrt(_snap_unit(res * n_hat / n_mix) * beta_i))
-        block = v.copy() if alpha_v == 1.0 else alpha_v * v
-        blocks.append(block)
+        blocks.append(v if alpha_v == 1.0 else alpha_v * v)
         segments.append(Segment(MIX, pos, pos + n_mix, alpha_v))
         pos += n_mix
     if not blocks:

@@ -336,7 +336,7 @@ def cmd_tune(args):
     payload = {
         "best": result.best,
         "trials": [
-            {"params": t.params, "fold_scores": t.fold_scores, "mean_score": t.mean_score}
+            {"params": t.params, "fold_scores": t.fold_scores, "mean_score": t.mean_score, "error": t.error}
             for t in result.trials
         ],
     }

@@ -140,6 +140,7 @@ class Trial:
     params: dict
     fold_scores: list
     mean_score: float
+    error: str | None = None  # repr of the exception that ended the trial
 
 
 @dataclass
@@ -159,7 +160,9 @@ def random_search(space, trials, evaluate, folds=5, n=None, seed=0, use_cv=True)
     With use_cv, evaluate(params, train_idx, val_idx) is called once per
     fold of a seeded split of n items (the split is shared across trials);
     without it, evaluate(params, None, None) is called once on the full
-    data. Trials whose evaluation raises are kept with score -inf.
+    data. A trial whose evaluation raises ValueError, ArithmeticError or
+    LinAlgError is kept with score -inf and the exception's repr as its
+    error; any other exception propagates.
 
     Returns:
         TuneResult; best is the earliest trial attaining the maximal mean
@@ -171,13 +174,13 @@ def random_search(space, trials, evaluate, folds=5, n=None, seed=0, use_cv=True)
     results = []
     for t in range(trials):
         params = space.sample(np.random.default_rng([seed, t]))
-        scores = []
+        scores, error = [], None
         try:
             for train_idx, val_idx in splits:
                 scores.append(float(evaluate(params, train_idx, val_idx)))
             mean = float(np.mean(scores))
-        except Exception:
-            scores, mean = [], -math.inf
-        results.append(Trial(params, scores, mean))
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+            scores, mean, error = [], -math.inf, repr(exc)
+        results.append(Trial(params, scores, mean, error))
     best = int(np.argmax([r.mean_score for r in results]))
     return TuneResult(results, best)

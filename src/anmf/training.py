@@ -14,6 +14,13 @@ product D L^T to the numerator, each scaled by |weight| / N and swapped
 for the subtracted adversarial term; update_basis divides the blended
 sums.
 
+The recorded objective is taken from m x d and d x d products: each fit
+is expanded as ||D - W L||^2 = ||D||^2 + <W, W (L L^T) - 2 D L^T>, with
+||D||^2 computed once per run because a column shuffle leaves it
+unchanged. Where the expansion cancels to at
+most 1e-8 ||D||^2, rounding could dominate it, and the fit is computed
+directly instead.
+
 Randomness is derived from the master seed as follows: the epoch shuffle
 stream is ``default_rng([seed, 0])``, the exemplar/random initialization
 of basis i uses ``[seed, 1, i]``, and the per-source batch resampling
@@ -46,10 +53,9 @@ class TrainSpec:
     """All training hyperparameters.
 
     d may be a single int (shared by all sources) or one int per source.
-    gamma, one positive weight per source (default all ones), enters in
-    two different ways: the basis step scales only source i's supervised
-    gradient parts by gamma_i, while the recorded history weights source
-    i's whole objective by gamma_i.
+    gamma, one positive weight per source (default all ones), scales
+    source i's supervised term, and only that term, by gamma_i, in the
+    basis step and in the recorded objective alike.
     """
 
     d: object = 16
@@ -131,16 +137,23 @@ def update_basis(W, den, num, mu_W, eps):
     return as_array(W) * num / (den + mu_W + eps)
 
 
-def _term_weights(spec):
-    """Each term's (blend, weight); the objective weighs the term by their
-    product, and a term is active when that product is nonzero.
+def _term_weights(spec, n_sources):
+    """Each term's (blend, per-source weights); the objective weighs source
+    i's term by blend * weights[i], and a term is active when that product
+    is nonzero.
 
     tau_S blends the weakly supervised objective (true data minus tau_A
     times adversarial) against the strongly supervised one; the weight is
-    the term's sign and scale inside its objective.
+    the term's sign and scale inside its objective, gamma_i for source i's
+    supervised term.
     """
     w_true = 1.0 - spec.tau_S
-    return {"true_data": (w_true, 1.0), "adversarial": (w_true, -spec.tau_A), "supervised": (spec.tau_S, 1.0)}
+    ones = np.ones(n_sources)
+    return {
+        "true_data": (w_true, ones),
+        "adversarial": (w_true, -spec.tau_A * ones),
+        "supervised": (spec.tau_S, spec.gammas(n_sources)),
+    }
 
 
 def _init_basis(spec, source, d, seed):
@@ -169,9 +182,10 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
     at the end of the epoch. One term (the sample anchor) is fully covered
     by the batches; the other active terms are resampled with replacement
     to the same batch count. A batch's basis step sums each active term's
-    gradient parts, scaled by the term's weight (times gamma_i for the
+    gradient parts, scaled by the term's weight (gamma_i for the
     supervised term) and then by its tau_S blend. The recorded history is
-    the gamma-weighted objective per epoch.
+    the total objective after each epoch, the sum over sources of what
+    those steps descend.
 
     Returns:
         TrainState with final bases, latents and objective history.
@@ -182,10 +196,10 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
         true_data = [None] * len(supervised[0])
     s = len(true_data)
     U = [as_array(u) if u is not None else None for u in true_data]
-    weight = _term_weights(spec)
+    weight = _term_weights(spec, s)
     data = {}  # active term -> per-source data, in ANCHORS order
     for name, sets in zip(ANCHORS, (U, adversarial, supervised[0] if supervised is not None else None)):
-        if math.prod(weight[name]) == 0:
+        if not np.any(np.multiply(*weight[name])):
             continue
         if sets is None or any(x is None for x in sets):
             raise ValueError(f"{name} term is active but its data is missing")
@@ -198,7 +212,7 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
             raise ValueError("supervised sources and mix must have the same column count")
 
     dims = spec.dims(s)
-    gammas = spec.gammas(s)
+    sq_norms = _sq_norms(data)
     p = spec.sparsity
     row0 = np.cumsum([0] + dims)  # row offsets of each source in concatenated latents
     W = [
@@ -255,15 +269,13 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
                 den = num = 0.0
                 for name in data:
                     blend, w = weight[name]
-                    if name == "supervised":
-                        w *= gammas[i]
-                    g_den, g_num = grad_parts(W[i], *term_batch(name, i, b, n_batches), w)
+                    g_den, g_num = grad_parts(W[i], *term_batch(name, i, b, n_batches), w[i])
                     den, num = den + blend * g_den, num + blend * g_num
                 W[i] = update_basis(W[i], den, num, p.mu_W, p.eps)
 
         for i in range(s):
             normalize_source(i)
-        history.append(float(np.dot(gammas, _objective_arrays(W, data, L, weight, p.mu_W))))
+        history.append(float(np.sum(_objective_arrays(W, data, L, weight, p.mu_W, sq_norms))))
 
     def latents(name):
         return [Latents(h) for h in L[name]] if name in L else [None] * s
@@ -277,15 +289,28 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
     )
 
 
-def _objective_arrays(W, D, L, weight, mu_W):
-    # per source: mu_W |W_i|_1 plus, for each term in D, blend * weight
-    # times ||D_i - W_i L_i||^2 / N_i
+def _sq_norms(D):
+    # norm ravels in memory order, so a column-major matrix is not copied
+    return {name: [np.linalg.norm(x) ** 2 for x in sets] for name, sets in D.items()}
+
+
+def _objective_arrays(W, D, L, weight, mu_W, sq_norms):
+    # per source: mu_W |W_i|_1 plus, for each term in D, blend * weight_i
+    # times ||D_i - W_i L_i||^2 / N_i, the squared fit expanded as
+    # ||D_i||^2 + <W_i, W_i (L_i L_i^T) - 2 D_i L_i^T>. Every product is
+    # m x d or d x d, which BLAS forms from either memory layout without a
+    # copy. Where the expansion cancels to at most 1e-8 ||D_i||^2 it may be
+    # mostly rounding, so the fit is recomputed directly.
     out = np.zeros(len(W))
     for i, w in enumerate(W):
         f = mu_W * np.sum(np.abs(w))
         for name in D:
-            sq = np.linalg.norm(D[name][i] - w @ L[name][i]) ** 2
-            f += math.prod(weight[name]) * sq / D[name][i].shape[1]
+            x, h, dd = D[name][i], L[name][i], sq_norms[name][i]
+            sq = dd + np.vdot(w, w @ (h @ h.T) - 2 * (x @ h.T))
+            if sq <= 1e-8 * dd:
+                sq = np.linalg.norm(x - w @ h) ** 2
+            blend, wt = weight[name]
+            f += blend * wt[i] * sq / x.shape[1]
         out[i] = f
     return out
 
@@ -294,11 +319,12 @@ def objective(state, true_data, spec, adversarial=None, supervised=None):
     """Per-source training objective for an existing state.
 
     A term enters when its weight is nonzero and its data and latents are
-    given. The state's latents, in the column order of the last epoch's
-    shuffle, are paired with the data as given, so after a shuffled epoch
-    the total differs from the last history entry.
+    given; source i's supervised term is weighted by gamma_i, as in the
+    basis step. The state's latents, in the column order of the last
+    epoch's shuffle, are paired with the data as given, so after a
+    shuffled epoch the total differs from the last history entry.
 
-    Returns (per_source, total) where total is the gamma-weighted sum.
+    Returns (per_source, total) where total is the sum over sources.
     """
     W = [as_array(b) for b in state.bases]
     s = len(W)
@@ -306,7 +332,7 @@ def objective(state, true_data, spec, adversarial=None, supervised=None):
     sup_latents = [None] * s
     if state.latents_sup is not None:
         sup_latents = [as_array(state.latents_sup)[row0[i] : row0[i + 1]] for i in range(s)]
-    weight = _term_weights(spec)
+    weight = _term_weights(spec, s)
     terms = {
         "true_data": (true_data, state.latents_true),
         "adversarial": (adversarial, state.latents_adv),
@@ -314,11 +340,11 @@ def objective(state, true_data, spec, adversarial=None, supervised=None):
     }
     D, L = {}, {}
     for name, (sets, lats) in terms.items():
-        if math.prod(weight[name]) != 0 and sets is not None and all(x is not None for x in [*sets, *lats]):
+        if np.any(np.multiply(*weight[name])) and sets is not None and all(x is not None for x in [*sets, *lats]):
             D[name] = [as_array(getattr(x, "matrix", x)) for x in sets]
             L[name] = [as_array(h) for h in lats]
-    per_source = _objective_arrays(W, D, L, weight, spec.sparsity.mu_W)
-    return per_source, float(np.dot(spec.gammas(s), per_source))
+    per_source = _objective_arrays(W, D, L, weight, spec.sparsity.mu_W, _sq_norms(D))
+    return per_source, float(np.sum(per_source))
 
 
 def train_semisupervised(V, pretrained, spec):

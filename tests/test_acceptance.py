@@ -236,28 +236,38 @@ def test_criterion_08_audio_denoise():
     assert time.perf_counter() - t0 < 120.0
 
 
-def _per_epoch_time(n, reps=3, epochs=4):
-    U = np.random.default_rng(42).random((257, n))
-    best = np.inf
+def _per_epoch_times(sizes, reps=3, epochs=4):
+    """Best per-epoch time at each column count.
+
+    Each size is trained once untimed, and then the sizes alternate within
+    every rep, so that a slow stretch of the machine cannot fall on one
+    size alone. On a VM whose second vCPU sat idle, the first second or
+    so of two-thread BLAS runs on one core: a 2000-column call took
+    0.33 s instead of 0.04 s.
+    """
+    data = {n: np.random.default_rng(42).random((257, n)) for n in sizes}
+    for U in data.values():
+        train_smu([U.copy()], TrainSpec(d=64, epochs=epochs, batch_size=10**9, seed=0, sparsity=PS))
+    best = dict.fromkeys(sizes, np.inf)
     for _ in range(reps):
-        spec = TrainSpec(d=64, epochs=epochs, batch_size=10**9, seed=0, sparsity=PS)
-        t0 = time.perf_counter()
-        train_smu([U.copy()], spec)
-        elapsed = time.perf_counter() - t0
-        spec0 = TrainSpec(d=64, epochs=0, batch_size=10**9, seed=0, sparsity=PS)
-        t1 = time.perf_counter()
-        train_smu([U.copy()], spec0)
-        overhead = time.perf_counter() - t1
-        best = min(best, (elapsed - overhead) / epochs)
+        for n, U in data.items():
+            spec = TrainSpec(d=64, epochs=epochs, batch_size=10**9, seed=0, sparsity=PS)
+            t0 = time.perf_counter()
+            train_smu([U.copy()], spec)
+            elapsed = time.perf_counter() - t0
+            spec0 = TrainSpec(d=64, epochs=0, batch_size=10**9, seed=0, sparsity=PS)
+            t1 = time.perf_counter()
+            train_smu([U.copy()], spec0)
+            overhead = time.perf_counter() - t1
+            best[n] = min(best[n], (elapsed - overhead) / epochs)
     return best
 
 
 def test_criterion_09_linear_scaling():
     """Per-epoch runtime at m = 257, d = 64 scales linearly in the column
     count: the 2N/N ratio lies in [1.5, 3.0]."""
-    small = _per_epoch_time(2000)
-    large = _per_epoch_time(4000)
-    ratio = large / small
+    best = _per_epoch_times((2000, 4000))
+    ratio = best[4000] / best[2000]
     assert 1.5 <= ratio <= 3.0, f"scaling ratio {ratio:.2f}"
 
 

@@ -181,3 +181,22 @@ class TestAssemble:
                 assert np.array_equal(block, origin)
             else:
                 assert np.allclose(block / seg.alpha, origin, rtol=1e-15)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_result_owns_its_memory_in_input_layout(self, order):
+        # unit blocks go straight into the concatenation: the result is
+        # still a new array, even for a single block, in the inputs' layout
+        rng = np.random.default_rng(5)
+        sources = [np.asarray(rng.random((4, 5)), order=order) for _ in range(3)]
+        mixes = np.asarray(rng.random((4, 6)), order=order)
+        kept = [u.copy() for u in sources] + [mixes.copy()]
+        single = OmegaWeights(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), np.zeros(3))
+        for out in (
+            assemble_adversarial(0, sources, mixes, default_omega([5, 5, 5], 6), 1.0).matrix,
+            assemble_adversarial(0, sources, None, single, 1.0).matrix,
+        ):
+            assert out.flags.owndata
+            assert out.flags.f_contiguous if order == "F" else out.flags.c_contiguous
+            out[:] = -1.0
+        for x, before in zip(sources + [mixes], kept):
+            assert np.array_equal(x, before)

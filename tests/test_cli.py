@@ -302,6 +302,29 @@ class TestErrors:
         assert run_cli(["tune", "--config", cfg, "--clamp-negatives"]) == 1
         assert "data.supervised" in capsys.readouterr().err
 
+    def test_tune_records_trial_errors(self, tmp_path):
+        rng = np.random.default_rng(0)
+        sup = make_sources(tmp_path, rng, n=12)
+        write_matrix(tmp_path / "sup_mix.anmf", sum(read_matrix(p) for p in sup))
+        out = tmp_path / "out"
+        # batch_size 0 fails TrainSpec's validation inside the trial
+        cfg = write_config(tmp_path, "tune.json", {
+            "method": "nmf",
+            "data": {"sources": make_sources(tmp_path, rng),
+                     "supervised": {"sources": sup, "mix": str(tmp_path / "sup_mix.anmf")}},
+            "train": {"d": 2, "epochs": 3},
+            "tuning": {"trials": 6, "space": {"batch_size": {"type": "choice", "options": [0, 5]}}},
+            "output": str(out),
+        })
+        assert run_cli(["tune", "--config", cfg]) == 0
+        trials = json.loads((out / "tune_result.json").read_text())["trials"]
+        assert {t["params"]["batch_size"] for t in trials} == {0, 5}
+        for t in trials:
+            if t["params"]["batch_size"] == 0:
+                assert t["error"].startswith("ValueError(") and "batch_size" in t["error"]
+            else:
+                assert t["error"] is None and len(t["fold_scores"]) == 1
+
     def test_tune_rejects_unknown_method_before_trials(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         sup = make_sources(tmp_path, rng, n=12)

@@ -158,14 +158,25 @@ class TestRandomSearch:
     def test_failed_trials_score_neg_inf(self):
         def flaky(p, tr, va):
             if p["x"] > 0.5:
-                raise RuntimeError("boom")
+                raise ValueError("boom")
             return p["x"]
 
         result = random_search(self.space(), 10, flaky, use_cv=False, seed=1)
         for t in result.trials:
             if t.params["x"] > 0.5:
                 assert t.mean_score == -math.inf
+                assert t.fold_scores == []
+                assert t.error == "ValueError('boom')"
+            else:
+                assert t.error is None
         assert result.best_trial.params["x"] <= 0.5
+
+    def test_other_exceptions_propagate(self):
+        def broken(p, tr, va):
+            raise TypeError("not a trial failure")
+
+        with pytest.raises(TypeError, match="not a trial failure"):
+            random_search(self.space(), 3, broken, use_cv=False)
 
     def test_cv_aggregates_folds(self):
         calls = []

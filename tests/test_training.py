@@ -1,3 +1,6 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from anmf.adversarial import assemble_adversarial, default_omega
 from anmf.core import DimensionMismatch, SparsityParams, as_array, init_exemplar
 from anmf.training import (
     TrainSpec,
+    TrainState,
     grad_parts,
     objective,
     train_semisupervised,
@@ -15,6 +19,7 @@ from anmf.training import (
 from oracles import plain_nmf_trajectory, triple_loop_product
 
 P0 = SparsityParams(0.0, 0.0)
+REFERENCE_RUNS = Path(__file__).parent / "data" / "train_smu_reference.npz"
 
 
 def make_spec(**kw):
@@ -22,6 +27,43 @@ def make_spec(**kw):
     kw.setdefault("epochs", 10)
     kw.setdefault("batch_size", 1000)
     return TrainSpec(**kw)
+
+
+def method_runs():
+    """train_smu at gamma = 1 on one seeded data set, once per method.
+
+    Returns {method: TrainState}. REFERENCE_RUNS holds these states as
+    computed before the objective was expanded into m x d and d x d
+    products, written by
+    np.savez_compressed(REFERENCE_RUNS, **run_arrays(method_runs())).
+    """
+    rng = np.random.default_rng(21)
+    U = [rng.random((8, 14)), rng.random((8, 12))]
+    adv = [rng.random((8, 16)), rng.random((8, 11))]
+    sup_sources = [rng.random((8, 9)), rng.random((8, 9))]
+    sup = (sup_sources, sup_sources[0] + sup_sources[1])
+    taus = {"nmf": {}, "anmf": {"tau_A": 0.2}, "dnmf": {"tau_S": 1.0}, "danmf": {"tau_A": 0.2, "tau_S": 0.5}}
+    return {
+        method: train_smu(
+            U, make_spec(d=3, epochs=4, batch_size=5, seed=7, sparsity=SparsityParams(0.01, 0.02), **kw),
+            adversarial=adv, supervised=sup,
+        )
+        for method, kw in taus.items()
+    }
+
+
+def run_arrays(states):
+    """Flatten method_runs' states to the named arrays REFERENCE_RUNS stores."""
+    out = {}
+    for method, st in states.items():
+        out[f"{method}/history"] = np.asarray(st.history)
+        for kind in ("bases", "latents_true", "latents_adv"):
+            for i, x in enumerate(getattr(st, kind)):
+                if x is not None:
+                    out[f"{method}/{kind}/{i}"] = as_array(x)
+        if st.latents_sup is not None:
+            out[f"{method}/latents_sup"] = as_array(st.latents_sup)
+    return out
 
 
 @pytest.fixture
@@ -240,6 +282,18 @@ class TestTrainSmu:
         assert len(state.history) == 3
         assert len(calls) == 3 * 2 * 3  # epochs x sources x batches
 
+    def test_matches_saved_run(self):
+        # bases and latents bitwise; the history, recorded with the direct
+        # ||D - W L||^2, within rounding
+        now = run_arrays(method_runs())
+        with np.load(REFERENCE_RUNS) as saved:
+            assert sorted(now) == sorted(saved.files)
+            for key, x in now.items():
+                if key.endswith("/history"):
+                    np.testing.assert_allclose(x, saved[key], rtol=1e-12, atol=0)
+                else:
+                    np.testing.assert_array_equal(x, saved[key], err_msg=key)
+
     @pytest.mark.parametrize("true_given", [True, False])
     def test_dnmf_initializes_from_true_data_else_supervised(self, true_given):
         rng = np.random.default_rng(12)
@@ -328,34 +382,87 @@ class TestObjective:
         sup_sources = [rng.random((4, 3)), rng.random((4, 3))]
         sup = (sup_sources, sup_sources[0] + sup_sources[1])
         adv_sets = [rng.random((4, 7)), rng.random((4, 7))]
-        spec = make_spec(
-            d=d, tau_A=0.3, tau_S=0.4, gamma=[1.5, 0.5], epochs=2, batch_size=3, seed=0,
-            sparsity=SparsityParams(0.01, 0.02),
-        )
-        state = train_smu(U, spec, adversarial=adv_sets, supervised=sup)
-        per_source, total = objective(state, U, spec, adversarial=adv_sets, supervised=sup)
 
         def frob2(A):
             return sum(A[i, j] ** 2 for i in range(A.shape[0]) for j in range(A.shape[1]))
 
-        w_true = 1 - spec.tau_S
-        w_adv = w_true * spec.tau_A
+        # gamma_i weighs source i's supervised term only, as in the basis step
+        for gamma in ([1.5, 0.5], [1.7, 0.6]):
+            spec = make_spec(
+                d=d, tau_A=0.3, tau_S=0.4, gamma=gamma, epochs=2, batch_size=3, seed=0,
+                sparsity=SparsityParams(0.01, 0.02),
+            )
+            state = train_smu(U, spec, adversarial=adv_sets, supervised=sup)
+            per_source, total = objective(state, U, spec, adversarial=adv_sets, supervised=sup)
+            w_true = 1 - spec.tau_S
+            w_adv = w_true * spec.tau_A
+            dims = spec.dims(2)
+            row = 0
+            for i in range(2):
+                W = as_array(state.bases[i])
+                H = as_array(state.latents_true[i])
+                Hh = as_array(state.latents_adv[i])
+                Hs = as_array(state.latents_sup)[row : row + dims[i]]
+                row += dims[i]
+                f = spec.sparsity.mu_W * np.sum(np.abs(W))
+                f += w_true * frob2(U[i] - W @ H) / U[i].shape[1]
+                f -= w_adv * frob2(adv_sets[i] - W @ Hh) / adv_sets[i].shape[1]
+                f += spec.tau_S * gamma[i] * frob2(sup_sources[i] - W @ Hs) / sup[1].shape[1]
+                assert abs(per_source[i] - f) < 1e-10
+            assert abs(total - (per_source[0] + per_source[1])) < 1e-12
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("d", [3, [3, 5]], ids=["d3", "d3_5"])
+    def test_expansion_matches_direct_form(self, d, order):
+        # the history's fits, from m x d and d x d products, against the
+        # direct ||D - W L||^2; the adversarial weight is negative
+        tau_A, tau_S, gamma, mu_W = 0.4, 0.3, [1.7, 0.6], 0.01
+        spec = make_spec(d=d, tau_A=tau_A, tau_S=tau_S, gamma=gamma, sparsity=SparsityParams(mu_W, 0.02))
         dims = spec.dims(2)
-        row = 0
-        for i in range(2):
-            W = as_array(state.bases[i])
-            H = as_array(state.latents_true[i])
-            Hh = as_array(state.latents_adv[i])
-            Hs = as_array(state.latents_sup)[row : row + dims[i]]
-            row += dims[i]
-            f = spec.sparsity.mu_W * np.sum(np.abs(W))
-            f += w_true * frob2(U[i] - W @ H) / U[i].shape[1]
-            f -= w_adv * frob2(adv_sets[i] - W @ Hh) / adv_sets[i].shape[1]
-            f += spec.tau_S * frob2(sup_sources[i] - W @ Hs) / sup[1].shape[1]
-            assert abs(per_source[i] - f) < 1e-10
-        # the objective must match the shuffled state pairing, so compare
-        # against the library's own aggregate too
-        assert abs(total - np.dot([1.5, 0.5], per_source)) < 1e-12
+        cols = {"true_data": (40, 33), "adversarial": (57, 21), "supervised": (25, 25)}
+        rng = np.random.default_rng(10)
+        for _ in range(3):
+            W = [rng.random((20, k)) for k in dims]
+            D = {t: [np.asarray(rng.random((20, n)), order=order) for n in ns] for t, ns in cols.items()}
+            L = {t: [np.asarray(rng.random((k, n)), order=order) for k, n in zip(dims, ns)] for t, ns in cols.items()}
+            got = training._objective_arrays(
+                W, D, L, training._term_weights(spec, 2), mu_W, training._sq_norms(D)
+            )
+            for i in range(2):
+                scale = {"true_data": 1 - tau_S, "adversarial": -(1 - tau_S) * tau_A, "supervised": tau_S * gamma[i]}
+                ref = mu_W * np.sum(np.abs(W[i]))
+                for t in cols:
+                    ref += scale[t] * np.linalg.norm(D[t][i] - W[i] @ L[t][i]) ** 2 / cols[t][i]
+                np.testing.assert_allclose(got[i], ref, rtol=1e-12)
+
+    def test_near_perfect_fit_falls_back_to_direct_form(self):
+        # the expansion loses ~1e-16 ||D||^2 to rounding, more than these fits
+        rng = np.random.default_rng(12)
+        W, L = [rng.random((30, 4))], {"true_data": [rng.random((4, 50))]}
+        weight = training._term_weights(make_spec(d=4), 1)
+        for noise in (0.0, 1e-9):
+            D = {"true_data": [W[0] @ L["true_data"][0] + noise * rng.random((30, 50))]}
+            got = training._objective_arrays(W, D, L, weight, 0.0, training._sq_norms(D))
+            direct = np.linalg.norm(D["true_data"][0] - W[0] @ L["true_data"][0]) ** 2 / 50
+            np.testing.assert_allclose(got, [direct], rtol=1e-12, atol=0)
+
+    def test_forms_no_m_by_n_array(self):
+        # at the train benchmark's sizes the objective's working memory
+        # stays below a single m x N float64 array
+        m, n, d = 257, 5000, 64
+        rng = np.random.default_rng(11)
+        U = rng.random((m, n))
+        state = TrainState(bases=[rng.random((m, d))], latents_true=[rng.random((d, n))], latents_adv=[None],
+                           latents_sup=None)
+        spec = make_spec(d=d)
+        tracemalloc.start()
+        try:
+            per_source, _ = objective(state, [U], spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert per_source[0] * n > 1e-8 * np.linalg.norm(U) ** 2  # no direct-form fallback
+        assert peak < U.nbytes
 
 
 class TestSemiSupervised:
