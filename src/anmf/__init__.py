@@ -1,18 +1,15 @@
 """NMF-family single-channel source separation toolkit."""
 
 from .adversarial import (
-    AdversarialSet,
     OmegaWeights,
     WeightModel,
     assemble_adversarial,
     compute_beta,
     default_omega,
-    naive_invert,
 )
 from .core import (
     Basis,
     DimensionMismatch,
-    Latents,
     SparsityParams,
     cone_distance,
     init_exemplar,

@@ -6,13 +6,11 @@ second-moment gain beta of the naive inversion, and per-block alpha
 scalings that fold the mixture weights into the stored columns.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import as_array
-
-MIX = "mix"
 
 
 @dataclass
@@ -61,18 +59,8 @@ class WeightModel:
         return rng.dirichlet(self.concentration, size=size)
 
 
-def naive_invert(v, a):
-    """Naive inversion of a mix: component i is (a_i / sum_j a_j^2) * v."""
-    v = as_array(v)
-    a = np.asarray(a, dtype=float)
-    denom = float(np.sum(a**2))
-    if denom == 0.0:
-        raise ValueError("all-zero mixing weights cannot be inverted")
-    return [(a_i / denom) * v for a_i in a]
-
-
 def compute_beta(wm, i, seed=0):
-    """Second moment of the naive-inversion gain for source i.
+    """Second moment of source i's naive-inversion gain a_i / sum_j a_j^2.
 
     Deterministic mode returns (a_i / sum_j a_j^2)^2 exactly; Dirichlet
     mode estimates the same statistic by seeded Monte-Carlo over
@@ -125,28 +113,6 @@ def default_omega(counts, n_mix):
     return OmegaWeights(omega, residual)
 
 
-@dataclass
-class Segment:
-    """Provenance of one block of an adversarial matrix."""
-
-    origin: object  # source index or MIX
-    start: int
-    stop: int
-    alpha: float
-
-
-@dataclass
-class AdversarialSet:
-    """Assembled, alpha-scaled adversarial matrix for one source."""
-
-    matrix: np.ndarray
-    segments: list = field(default_factory=list)
-
-    @property
-    def n_columns(self):
-        return self.matrix.shape[1]
-
-
 def _snap_unit(x):
     # Count-derived weights should give exact unit scalings; absorb the
     # float roundoff of omega * N_hat / N_j so alpha = 1 blocks are stored
@@ -159,7 +125,7 @@ def assemble_adversarial(i, sources, mixes, om, beta_i):
 
     Concatenates alpha_j * U_j for j != i and alpha_V * V column-wise,
     with alpha_j = sqrt(omega_ij * N_hat_i / N_j) and
-    alpha_V = sqrt(residual_i * N_hat_i * beta_i / N_V).
+    alpha_V = sqrt(residual_i * N_hat_i * beta_i / N_V), into a new array.
     """
     arrays = [as_array(u) for u in sources]
     v = as_array(mixes) if mixes is not None else None
@@ -174,7 +140,7 @@ def assemble_adversarial(i, sources, mixes, om, beta_i):
     if n_hat == 0:
         raise ValueError(f"no adversarial data available for source {i}")
 
-    blocks, segments, pos = [], [], 0
+    blocks = []
     for j, u in enumerate(arrays):
         if j == i:
             continue
@@ -187,16 +153,12 @@ def assemble_adversarial(i, sources, mixes, om, beta_i):
             continue
         alpha = float(np.sqrt(_snap_unit(w * n_hat / counts[j])))
         blocks.append(u if alpha == 1.0 else alpha * u)
-        segments.append(Segment(j, pos, pos + counts[j], alpha))
-        pos += counts[j]
     res = float(om.residual[i])
     if res > 0 and n_mix == 0:
         raise ValueError(f"residual[{i}] > 0 but no mix data present")
     if res > 0 and n_mix > 0:
         alpha_v = float(np.sqrt(_snap_unit(res * n_hat / n_mix) * beta_i))
         blocks.append(v if alpha_v == 1.0 else alpha_v * v)
-        segments.append(Segment(MIX, pos, pos + n_mix, alpha_v))
-        pos += n_mix
     if not blocks:
         raise ValueError(f"adversarial set for source {i} is empty")
-    return AdversarialSet(np.concatenate(blocks, axis=1), segments)
+    return np.concatenate(blocks, axis=1)

@@ -98,17 +98,6 @@ def build_train_spec(train_cfg, method=None, seed=None, overrides=None):
     )
 
 
-def _assemble_adversarial(sources, mixes, wm, seed):
-    counts = [u.shape[1] for u in sources]
-    n_mix = mixes.shape[1] if mixes is not None else 0
-    om = adv.default_omega(counts, n_mix)
-    sets = []
-    for i in range(len(sources)):
-        beta_i = adv.compute_beta(wm, i, seed=[seed, 77, i]) if n_mix else 0.0
-        sets.append(adv.assemble_adversarial(i, sources, mixes, om, beta_i))
-    return sets
-
-
 def train_with_method(method, sources, mixes, supervised, spec, wm):
     """Run the training pipeline for one method.
 
@@ -125,13 +114,17 @@ def train_with_method(method, sources, mixes, supervised, spec, wm):
             d=spec.dims(s_known + 1)[:s_known], tau_A=spec.tau_A, tau_S=0.0, sparsity=spec.sparsity,
             epochs=spec.epochs, batch_size=spec.batch_size, seed=spec.seed, init=spec.init,
         )
-    sets = _assemble_adversarial(sources, mixes, wm, spec.seed) if train_spec.tau_A > 0 else None
+    sets = None
+    if train_spec.tau_A > 0:
+        n_mix = mixes.shape[1] if mixes is not None else 0
+        om = adv.default_omega([u.shape[1] for u in sources], n_mix)
+        betas = [adv.compute_beta(wm, i, seed=[spec.seed, 77, i]) if n_mix else 0.0 for i in range(len(sources))]
+        sets = [adv.assemble_adversarial(i, sources, mixes, om, beta) for i, beta in enumerate(betas)]
     sup = supervised if train_spec.tau_S > 0 else None
     state = train_smu(sources, train_spec, adversarial=sets, supervised=sup)
-    bases = [as_array(b) for b in state.bases]
     if method == "semi":
-        bases.append(train_semisupervised(mixes, bases, spec))
-    return bases, state.history
+        state.bases.append(train_semisupervised(mixes, state.bases, spec))
+    return state.bases, state.history
 
 
 def _per_column_scores(estimates, references, metric, peak):
@@ -336,17 +329,24 @@ def cmd_tune(args):
     payload = {
         "best": result.best,
         "trials": [
-            {"params": t.params, "fold_scores": t.fold_scores, "mean_score": t.mean_score, "error": t.error}
+            {"params": t.params, "fold_scores": [_json_score(x) for x in t.fold_scores],
+             "mean_score": _json_score(t.mean_score), "error": t.error}
             for t in result.trials
         ],
     }
-    (out / "tune_result.json").write_text(json.dumps(payload, indent=2))
+    (out / "tune_result.json").write_text(json.dumps(payload, indent=2, allow_nan=False))
     # retrain the winner on all data and persist it
     best_spec = build_train_spec(base_train_cfg, method, seed, overrides=result.best_trial.params)
     supervised = (sup_sources, sup_mix) if best_spec.tau_S > 0 else None
     bases, history = train_with_method(method, sources or None, mixes, supervised, best_spec, wm)
     aio.save_bundle(out / "best_model", bases, _spec_echo(best_spec), history, {"method": method})
     return 0
+
+
+def _json_score(x):
+    # strict JSON has no infinities: a non-finite score, such as a failed
+    # trial's -inf, is written as null
+    return x if math.isfinite(x) else None
 
 
 def _parse_space(block):
@@ -384,6 +384,9 @@ def cmd_eval(args):
 
 
 def cmd_features(args):
+    for flag in ("--input-prefix", "--output") if args.inverse else ("--input", "--output-prefix"):
+        if getattr(args, flag[2:].replace("-", "_")) is None:
+            raise CliError(f"features needs {flag}")
     if args.inverse:
         cfg_data = json.loads(Path(args.input_prefix + ".cfg.json").read_text())
         cfg = feat.StftConfig(**{k: cfg_data[k] for k in ("n_fft", "hop", "window", "sample_rate")})

@@ -1,14 +1,12 @@
 """Core NMF primitives.
 
-Containers for bases and latent variables, plus the multiplicative latent
-update, the non-negative least-squares solver built on it, cone distance,
-basis initialization and column normalization that everything else builds
-on.
+The multiplicative latent update, the non-negative least-squares solver
+built on it, cone distance, basis initialization and column normalization
+that everything else builds on.
 
-All numerical kernels accept either the container types defined here or
-plain numpy arrays, and return plain arrays. The containers are used at
-pipeline boundaries (training state, model persistence); the kernels stay
-array-in/array-out like any other numpy code.
+Every kernel takes and returns plain numpy arrays. The one container,
+Basis, is the type of a loaded model bundle's bases (io.load_bundle
+builds it); the kernels accept it in place of an array.
 """
 
 from dataclasses import dataclass
@@ -70,17 +68,6 @@ class Basis:
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=float)
         _check_nonneg(self.entries, "basis")
-
-
-@dataclass
-class Latents:
-    """Non-negative d x N matrix of activation coefficients."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        _check_nonneg(self.entries, "latents")
 
 
 def _latent_step(H, num, G, n, p, out=None, denom=None):

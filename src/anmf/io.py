@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .adversarial import WeightModel
-from .core import Basis, as_array
+from .core import Basis, _check_nonneg, as_array
 
 MATRIX_MAGIC = b"ANMF"
 MATRIX_VERSION = 1
@@ -168,10 +168,13 @@ class ModelBundle:
 
 
 def save_bundle(directory, bases, train_spec=None, history=None, metadata=None):
-    """Persist bases and a JSON manifest into a directory."""
+    """Persist bases and a JSON manifest into a directory; a NaN, inf or
+    negative basis raises a ValueError before anything is written."""
+    arrays = [as_array(b) for b in bases]
+    for i, a in enumerate(arrays):
+        _check_nonneg(a, f"basis {i}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    arrays = [as_array(b) for b in bases]
     manifest = {
         "format_version": 1,
         "n_sources": len(arrays),
@@ -184,7 +187,6 @@ def save_bundle(directory, bases, train_spec=None, history=None, metadata=None):
     for i, a in enumerate(arrays):
         write_matrix(directory / f"basis_{i:03d}.anmf", a)
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return ModelBundle([Basis(a) for a in arrays], manifest)
 
 
 def load_bundle(directory):

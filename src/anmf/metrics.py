@@ -29,7 +29,8 @@ def si_sdr(estimate, reference):
     The reference is rescaled by its optimal projection coefficient
     alpha = <estimate, reference> / ||reference||^2 before comparing, so
     the value is invariant to rescalings of the reference. An estimate
-    proportional to the reference gives +inf.
+    proportional to the reference gives +inf; one with no component along
+    the reference (all zero, or orthogonal to it) gives -inf.
     """
     estimate = as_array(estimate).ravel()
     reference = as_array(reference).ravel()
@@ -38,15 +39,19 @@ def si_sdr(estimate, reference):
         raise ValueError("si_sdr needs a nonzero reference")
     alpha = float(np.dot(estimate, reference)) / ref_energy
     target = alpha * reference
+    target_energy = float(np.dot(target, target))
+    if target_energy == 0.0:
+        return -math.inf
     noise = float(np.dot(target - estimate, target - estimate))
     if noise == 0.0:
         return math.inf
-    return 10.0 * math.log10(float(np.dot(target, target)) / noise)
+    return 10.0 * math.log10(target_energy / noise)
 
 
 def cap_scores(scores, cap=SENTINEL_CAP_DB):
-    """Replace +inf sentinels by a finite cap so medians stay finite."""
-    return [min(s, cap) for s in scores]
+    """Clip scores to [-cap, cap], so that the +-inf sentinels keep medians
+    and weighted means finite."""
+    return [min(max(s, -cap), cap) for s in scores]
 
 
 def weighted_score(per_source_scores, weights):

@@ -34,10 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    Basis,
     DimensionMismatch,
-    Latents,
     SparsityParams,
+    _check_nonneg,
     as_array,
     init_exemplar,
     init_random,
@@ -99,10 +98,12 @@ class TrainSpec:
 
 @dataclass
 class TrainState:
-    """Everything produced by a training run.
+    """Everything produced by a training run, as plain arrays.
 
-    The latents are in the column order of the last epoch's shuffle, not
-    that of the data as given; an inactive term's latents are None.
+    bases holds one m x d_i array per source, latents_true and latents_adv
+    one d_i x N array per source (None for an inactive term), latents_sup
+    the stacked supervised latents or None. The latents are in the column
+    order of the last epoch's shuffle, not that of the data as given.
     """
 
     bases: list
@@ -169,10 +170,13 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
         true_data: list of per-source sample matrices (entries may be
             None when tau_S = 1 and only supervised data is used).
         spec: TrainSpec.
-        adversarial: list of per-source adversarial matrices or
-            AdversarialSet objects; required when tau_A > 0.
+        adversarial: list of per-source adversarial matrices, such as
+            assemble_adversarial returns; required when tau_A > 0.
         supervised: (per-source ground-truth matrices, mixed matrix);
             required when tau_S > 0.
+
+    Every active term's data, and the supervised mix, must be finite and
+    non-negative; a ValueError names the term that is not.
 
     Bases start from each source's true data, or its supervised data when
     none is given. Each epoch shuffles every active term's data jointly
@@ -205,9 +209,12 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
             raise ValueError(f"{name} term is active but its data is missing")
         if len(sets) != s:
             raise ValueError(f"{name} data must cover every source")
-        data[name] = [as_array(getattr(x, "matrix", x)) for x in sets]
+        data[name] = [as_array(x) for x in sets]
+        for i, x in enumerate(data[name]):
+            _check_nonneg(x, f"{name} data of source {i}")
     if "supervised" in data:
         Vsup = as_array(supervised[1])
+        _check_nonneg(Vsup, "supervised mix")
         if any(u.shape[1] != Vsup.shape[1] for u in data["supervised"]):
             raise ValueError("supervised sources and mix must have the same column count")
 
@@ -277,14 +284,11 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
             normalize_source(i)
         history.append(float(np.sum(_objective_arrays(W, data, L, weight, p.mu_W, sq_norms))))
 
-    def latents(name):
-        return [Latents(h) for h in L[name]] if name in L else [None] * s
-
     return TrainState(
-        bases=[Basis(w) for w in W],
-        latents_true=latents("true_data"),
-        latents_adv=latents("adversarial"),
-        latents_sup=Latents(np.concatenate(L["supervised"])) if "supervised" in L else None,
+        bases=W,
+        latents_true=L.get("true_data", [None] * s),
+        latents_adv=L.get("adversarial", [None] * s),
+        latents_sup=np.concatenate(L["supervised"]) if "supervised" in L else None,
         history=history,
     )
 
@@ -341,7 +345,7 @@ def objective(state, true_data, spec, adversarial=None, supervised=None):
     D, L = {}, {}
     for name, (sets, lats) in terms.items():
         if np.any(np.multiply(*weight[name])) and sets is not None and all(x is not None for x in [*sets, *lats]):
-            D[name] = [as_array(getattr(x, "matrix", x)) for x in sets]
+            D[name] = [as_array(x) for x in sets]
             L[name] = [as_array(h) for h in lats]
     per_source = _objective_arrays(W, D, L, weight, spec.sparsity.mu_W, _sq_norms(D))
     return per_source, float(np.sum(per_source))

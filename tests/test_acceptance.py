@@ -121,8 +121,8 @@ def test_criterion_05_adversarial_assembly():
     beta = 0.37
     out = assemble_adversarial(0, sources, mixes, om, beta)
     expected = np.concatenate([sources[1], sources[2], np.sqrt(beta) * mixes], axis=1)
-    assert np.array_equal(out.matrix[:, :12], expected[:, :12])  # bitwise alpha = 1 blocks
-    assert np.allclose(out.matrix, expected, rtol=1e-15)
+    assert np.array_equal(out[:, :12], expected[:, :12])  # bitwise alpha = 1 blocks
+    assert np.allclose(out, expected, rtol=1e-15)
 
     for trial in range(20):
         trng = np.random.default_rng([1, trial])

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from anmf.adversarial import (
-    MIX,
     OmegaWeights,
     WeightModel,
     assemble_adversarial,
     compute_beta,
     default_omega,
-    naive_invert,
 )
 
 
@@ -29,37 +27,35 @@ class TestWeightModel:
 
 
 class TestNaiveInvert:
+    """The naive inversion of a mix v = sum_j a_j u_j estimates source i as
+    g_i v, g_i = a_i / sum_j a_j^2; compute_beta returns g_i^2."""
+
+    @staticmethod
+    def gains(a):
+        wm = WeightModel(values=a)
+        return np.sqrt([compute_beta(wm, i) for i in range(len(a))])
+
     def test_degenerate_weight(self):
-        v = np.array([1.0, 2.0, 3.0])
-        parts = naive_invert(v, [1.0, 0.0])
-        assert np.array_equal(parts[0], v)
-        assert np.array_equal(parts[1], np.zeros(3))
+        assert np.array_equal(self.gains([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
 
     def test_equal_weights(self):
-        v = np.array([2.0, 4.0])
-        parts = naive_invert(v, [0.5, 0.5])
-        # 0.5 / (0.25 + 0.25) = 1
-        assert np.allclose(parts[0], v)
-        assert np.allclose(parts[1], v)
+        # 0.25 / (3 * 0.25^2 + 0.25^2) = 1
+        assert np.allclose(self.gains([0.25] * 4), 1.0, rtol=1e-15)
 
     def test_unequal_weights(self):
-        v = np.array([1.0, 1.0])
-        parts = naive_invert(v, [0.6, 0.4])
-        assert np.allclose(parts[0], (0.6 / 0.52) * v)
-        assert np.allclose(parts[1], (0.4 / 0.52) * v)
+        assert np.allclose(self.gains([0.6, 0.4]), [0.6 / 0.52, 0.4 / 0.52], rtol=1e-15)
 
     def test_all_zero_rejected(self):
+        # all-zero weights have no gain; the weight model refuses them
         with pytest.raises(ValueError):
-            naive_invert(np.ones(2), [0.0, 0.0])
+            WeightModel(values=[0.0, 0.0])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_forward_mix_reconstructs(self, seed):
+        # sum_i a_i g_i v = v: the inverted parts remix to the mix
         rng = np.random.default_rng(seed)
         a = rng.dirichlet([1.0, 1.0, 1.0])
-        v = rng.random(6)
-        parts = naive_invert(v, a)
-        recon = sum(a_i * p for a_i, p in zip(a, parts))
-        assert np.allclose(recon, v, rtol=1e-12)
+        assert abs(np.dot(a, self.gains(a)) - 1.0) < 1e-12
 
 
 class TestComputeBeta:
@@ -128,19 +124,15 @@ class TestAssemble:
         beta = 0.7
         out = assemble_adversarial(0, sources, mixes, om, beta)
         expected = np.concatenate([sources[1], sources[2], np.sqrt(beta) * mixes], axis=1)
-        assert np.array_equal(out.matrix, expected)
-        assert out.n_columns == 7 + 3 + 6
-        origins = [s.origin for s in out.segments]
-        assert origins == [1, 2, MIX]
-        assert out.segments[0].alpha == 1.0
-        assert out.segments[1].alpha == 1.0
+        # sources 1 and 2 at alpha = 1, then the mix at sqrt(beta)
+        assert np.array_equal(out, expected)
 
     def test_unit_scalings_bitwise(self):
         rng = np.random.default_rng(1)
         sources = [rng.random((3, 4)), rng.random((3, 4))]
         om = OmegaWeights(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
         out = assemble_adversarial(0, sources, None, om, 1.0)
-        assert np.array_equal(out.matrix, sources[1])
+        assert np.array_equal(out, sources[1])
 
     def test_alpha_formula(self):
         rng = np.random.default_rng(2)
@@ -148,7 +140,13 @@ class TestAssemble:
         om = OmegaWeights(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
         out = assemble_adversarial(0, sources, None, om, 1.0)
         # alpha_2 = sqrt(1 * 4 / 4) = 1
-        assert out.segments[0].alpha == 1.0
+        assert np.array_equal(out, sources[1])
+        # alpha_1 = sqrt(0.5 * 6 / 2), alpha_V = sqrt(0.5 * 6 * 0.8 / 4)
+        mixes = rng.random((3, 4))
+        om = OmegaWeights(np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([0.5, 0.5]))
+        out = assemble_adversarial(1, sources, mixes, om, 0.8)
+        assert np.array_equal(out[:, :2], np.sqrt(0.5 * 6 / 2) * sources[0])
+        assert np.array_equal(out[:, 2:], np.sqrt(0.5 * 6 / 4 * 0.8) * mixes)
 
     def test_weight_on_missing_data_rejected(self):
         sources = [np.ones((3, 2)), np.zeros((3, 0))]
@@ -157,16 +155,16 @@ class TestAssemble:
             assemble_adversarial(0, sources, np.ones((3, 2)), om, 1.0)
 
     def test_segments_partition_columns(self):
+        # one block per contributing dataset, in order: others, then mix
         rng = np.random.default_rng(3)
-        sources = [rng.random((4, 5)), rng.random((4, 7))]
+        sources = [rng.random((4, 5)), rng.random((4, 7)), rng.random((4, 3))]
         mixes = rng.random((4, 2))
-        om = default_omega([5, 7], 2)
+        om = default_omega([5, 7, 3], 2)
         out = assemble_adversarial(1, sources, mixes, om, 0.5)
-        edges = [(s.start, s.stop) for s in out.segments]
-        assert edges[0][0] == 0
-        assert edges[-1][1] == out.n_columns
-        for (_, stop), (start, _) in zip(edges, edges[1:]):
-            assert stop == start
+        assert out.shape == (4, 5 + 3 + 2)
+        assert np.array_equal(out[:, :5], sources[0])
+        assert np.array_equal(out[:, 5:8], sources[2])
+        assert np.allclose(out[:, 8:], np.sqrt(0.5) * mixes, rtol=1e-15)
 
     def test_scale_bookkeeping(self):
         rng = np.random.default_rng(4)
@@ -174,13 +172,9 @@ class TestAssemble:
         mixes = rng.random((3, 4))
         om = OmegaWeights(np.array([[0.0, 0.3], [0.3, 0.0]]), np.array([0.7, 0.7]))
         out = assemble_adversarial(0, sources, mixes, om, 0.9)
-        for seg in out.segments:
-            origin = mixes if seg.origin == MIX else sources[seg.origin]
-            block = out.matrix[:, seg.start : seg.stop]
-            if seg.alpha == 1.0:
-                assert np.array_equal(block, origin)
-            else:
-                assert np.allclose(block / seg.alpha, origin, rtol=1e-15)
+        # N_hat = 8: alpha_1 = sqrt(0.3 * 8 / 4), alpha_V = sqrt(0.7 * 8 * 0.9 / 4)
+        for block, origin, alpha in ((out[:, :4], sources[1], np.sqrt(0.6)), (out[:, 4:], mixes, np.sqrt(1.26))):
+            assert np.allclose(block / alpha, origin, rtol=1e-15)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_result_owns_its_memory_in_input_layout(self, order):
@@ -192,8 +186,8 @@ class TestAssemble:
         kept = [u.copy() for u in sources] + [mixes.copy()]
         single = OmegaWeights(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), np.zeros(3))
         for out in (
-            assemble_adversarial(0, sources, mixes, default_omega([5, 5, 5], 6), 1.0).matrix,
-            assemble_adversarial(0, sources, None, single, 1.0).matrix,
+            assemble_adversarial(0, sources, mixes, default_omega([5, 5, 5], 6), 1.0),
+            assemble_adversarial(0, sources, None, single, 1.0),
         ):
             assert out.flags.owndata
             assert out.flags.f_contiguous if order == "F" else out.flags.c_contiguous

@@ -52,6 +52,12 @@ class TestBuildTrainSpec:
 
 
 class TestScoreSeparation:
+    def test_degenerate_estimate_keeps_score_finite(self):
+        # an all-zero estimate has SI-SDR -inf; capped, a zero weight on it
+        # still gives a finite weighted score (0 * -inf would be NaN)
+        ref = np.random.default_rng(1).random((4, 3))
+        assert score_separation([np.zeros((4, 3)), ref], [ref, ref], "sisdr", [0.0, 1.0]) == 100.0
+
     def test_weighted_median(self):
         est = [np.zeros((4, 3)), np.zeros((4, 3))]
         ref = [np.zeros((4, 3)), np.full((4, 3), 0.5)]
@@ -317,11 +323,16 @@ class TestErrors:
             "output": str(out),
         })
         assert run_cli(["tune", "--config", cfg]) == 0
-        trials = json.loads((out / "tune_result.json").read_text())["trials"]
+
+        def strict(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        trials = json.loads((out / "tune_result.json").read_text(), parse_constant=strict)["trials"]
         assert {t["params"]["batch_size"] for t in trials} == {0, 5}
         for t in trials:
             if t["params"]["batch_size"] == 0:
                 assert t["error"].startswith("ValueError(") and "batch_size" in t["error"]
+                assert t["mean_score"] is None
             else:
                 assert t["error"] is None and len(t["fold_scores"]) == 1
 
@@ -352,6 +363,16 @@ class TestErrors:
         argv = ["features", "--inverse", "--input-prefix", prefix, "--output", str(tmp_path / "y.wav")]
         assert run_cli(argv) == 1
         assert "feat.mag.anmf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["features", "--output-prefix", "f"], "--input"),
+        (["features", "--input", "x.wav"], "--output-prefix"),
+        (["features", "--inverse", "--output", "y.wav"], "--input-prefix"),
+        (["features", "--inverse", "--input-prefix", "f"], "--output"),
+    ])
+    def test_features_names_missing_flag(self, argv, missing, capsys):
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err.rstrip().endswith(f"needs {missing}")
 
     @pytest.mark.parametrize("argv, flag", [
         (["separate", "--model", "m", "--input", "x", "--output-dir", "o"], ["--seed", "1"]),

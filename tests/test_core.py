@@ -4,7 +4,6 @@ import pytest
 from anmf.core import (
     Basis,
     DimensionMismatch,
-    Latents,
     SparsityParams,
     as_array,
     cone_distance,
@@ -23,10 +22,8 @@ class TestContainers:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             Basis(np.array([[1.0, -0.1]]))
-        with pytest.raises(ValueError):
-            Latents(np.array([[-1.0]]))
 
-    @pytest.mark.parametrize("container", [Basis, Latents])
+    @pytest.mark.parametrize("container", [Basis])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, container, bad):
         with pytest.raises(ValueError, match="finite"):

@@ -197,6 +197,14 @@ class TestBundle:
         for a, b in zip(bundle.bases, bases):
             assert np.array_equal(a.entries, b)
 
+    @pytest.mark.parametrize("bad", [np.nan, -1.0], ids=["nan", "negative"])
+    def test_bad_basis_rejected_before_writing(self, tmp_path, bad):
+        worse = np.ones((4, 2))
+        worse[1, 1] = bad
+        with pytest.raises(ValueError, match="basis 1"):
+            save_bundle(tmp_path / "model", [np.ones((4, 2)), worse])
+        assert not (tmp_path / "model").exists()
+
     def test_dimension_check(self, tmp_path):
         save_bundle(tmp_path / "model", [np.random.default_rng(7).random((4, 2))])
         write_matrix(tmp_path / "model" / "basis_000.anmf", np.ones((4, 3)))

@@ -66,10 +66,19 @@ class TestSiSdr:
         with pytest.raises(ValueError):
             si_sdr(np.ones(3), np.zeros(3))
 
+    def test_zero_estimate_scores_neg_inf(self):
+        assert si_sdr(np.zeros(3), np.array([1.0, 2.0, 3.0])) == -math.inf
+
+    def test_orthogonal_estimate_scores_neg_inf(self):
+        assert si_sdr(np.array([1.0, -1.0, 0.0]), np.array([1.0, 1.0, 5.0])) == -math.inf
+
 
 class TestAggregation:
     def test_cap_scores(self):
         assert cap_scores([math.inf, 50.0, 120.0]) == [100.0, 50.0, 100.0]
+
+    def test_cap_scores_floor(self):
+        assert cap_scores([-math.inf, -50.0, -120.0]) == [-100.0, -50.0, -100.0]
 
     def test_weighted_score(self):
         assert weighted_score([10.0, 20.0], [0.25, 0.75]) == 17.5

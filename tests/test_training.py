@@ -320,6 +320,32 @@ class TestTrainSmu:
         with pytest.raises(ValueError, match="supervised"):
             train_smu(U, make_spec(d=2, tau_S=0.5, epochs=1))
 
+    ENTRY_TERMS = ("true_data data of source 1", "adversarial data of source 1",
+                   "supervised data of source 1", "supervised mix")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("term", ENTRY_TERMS, ids=["true_data", "adversarial", "supervised", "mix"])
+    def test_bad_entries_in_active_term_named(self, term, bad):
+        # random init and no epochs: only the entry check reads the data
+        rng = np.random.default_rng(13)
+        U = [rng.random((4, 5)), rng.random((4, 6))]
+        adv_sets = [rng.random((4, 7)), rng.random((4, 3))]
+        sup_sources = [rng.random((4, 4)), rng.random((4, 4))]
+        mix = sup_sources[0] + sup_sources[1]
+        data = dict(zip(self.ENTRY_TERMS, (U[1], adv_sets[1], sup_sources[1], mix)))
+        data[term][2, 2] = bad
+        spec = make_spec(d=2, tau_A=0.3, tau_S=0.5, epochs=0, init="random")
+        with pytest.raises(ValueError, match=term):
+            train_smu(U, spec, adversarial=adv_sets, supervised=(sup_sources, mix))
+
+    def test_inactive_term_data_unchecked(self):
+        # tau_A = tau_S = 0: the adversarial and supervised data are not read
+        U = [np.random.default_rng(14).random((4, 5))]
+        spec = make_spec(d=2, epochs=1, init="random")
+        state = train_smu(U, spec, adversarial=[np.full((4, 3), -1.0)],
+                          supervised=([np.full((4, 3), np.nan)], np.full((4, 3), np.inf)))
+        assert np.all(np.isfinite(as_array(state.bases[0]))) and state.latents_adv == [None]
+
     def test_anmf_objective_improves_on_separable_data(self):
         # two sources with disjoint supports; regression baseline run
         rng = np.random.default_rng(0)
@@ -355,8 +381,8 @@ class TestObjective:
         U = W @ H
         spec = make_spec(d=2, epochs=0)
         state = train_smu([U], spec)
-        state.bases[0].entries = W
-        state.latents_true[0].entries = H
+        state.bases[0] = W
+        state.latents_true[0] = H
         per_source, total = objective(state, [U], spec)
         assert per_source[0] < 1e-20
         assert total < 1e-20
@@ -368,10 +394,10 @@ class TestObjective:
         spec = make_spec(d=2, tau_A=50.0, epochs=0)
         state = train_smu([rng.random((4, 5))], spec, adversarial=[Uhat])
         # adversarial data nearly perfectly fitted, true data poorly
-        state.bases[0].entries = W
-        state.latents_true[0].entries = np.zeros((2, 5))
+        state.bases[0] = W
+        state.latents_true[0] = np.zeros((2, 5))
         h_hat = np.linalg.lstsq(W, Uhat, rcond=None)[0]
-        state.latents_adv[0].entries = np.maximum(h_hat, 0)
+        state.latents_adv[0] = np.maximum(h_hat, 0)
         per_source, _ = objective(state, [rng.random((4, 5))], spec, adversarial=[Uhat])
         assert per_source[0] < 0
 
