@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -109,11 +110,10 @@ def train_with_method(method, sources, mixes, supervised, spec, wm):
         # the known sources train first (adversarially when tau_A > 0, with
         # the mixes and the other sources as adversarial data); the unknown
         # source's basis is then fitted from the mixes alone
-        s_known = len(sources)
-        train_spec = TrainSpec(
-            d=spec.dims(s_known + 1)[:s_known], tau_A=spec.tau_A, tau_S=0.0, sparsity=spec.sparsity,
-            epochs=spec.epochs, batch_size=spec.batch_size, seed=spec.seed, init=spec.init,
-        )
+        for block, value in (("data.sources", sources), ("data.mixes", mixes)):
+            if value is None:
+                raise CliError(f"semi needs {block}")
+        train_spec = replace(spec, d=spec.dims(len(sources) + 1)[:-1], tau_S=0.0, gamma=None)
     sets = None
     if train_spec.tau_A > 0:
         n_mix = mixes.shape[1] if mixes is not None else 0
@@ -128,23 +128,17 @@ def train_with_method(method, sources, mixes, supervised, spec, wm):
 
 
 def _per_column_scores(estimates, references, metric, peak):
-    """metric per column for one source; returns a list of floats."""
+    """metric per column for one source, capped by metrics.cap_scores;
+    returns a list of floats."""
     est, ref = as_array(estimates), as_array(references)
-    out = []
-    for k in range(est.shape[1]):
-        if metric == "psnr":
-            out.append(amet.psnr(est[:, k], ref[:, k], peak))
-        else:
-            out.append(amet.si_sdr(est[:, k], ref[:, k]))
-    return out
+    score = (lambda e, r: amet.psnr(e, r, peak)) if metric == "psnr" else amet.si_sdr
+    return amet.cap_scores([score(est[:, k], ref[:, k]) for k in range(est.shape[1])])
 
 
-def score_separation(filtered, references, metric, weights, peak=1.0, cap=amet.SENTINEL_CAP_DB):
-    """Weighted mean over sources of the per-source median column score."""
-    medians = []
-    for est, ref in zip(filtered, references):
-        scores = amet.cap_scores(_per_column_scores(est, ref, metric, peak), cap)
-        medians.append(float(np.median(scores)))
+def score_separation(filtered, references, metric, weights, peak=1.0):
+    """Weighted mean over sources of the per-source median of the capped
+    column scores."""
+    medians = [float(np.median(_per_column_scores(e, r, metric, peak))) for e, r in zip(filtered, references)]
     return amet.weighted_score(medians, weights)
 
 
@@ -156,20 +150,11 @@ def _write_metrics_csv(path, rows):
 
 
 def _spec_echo(spec):
-    return {
-        "d": spec.d if np.isscalar(spec.d) else list(spec.d),
-        "tau_A": spec.tau_A,
-        "tau_S": spec.tau_S,
-        "gamma": None if spec.gamma is None else list(spec.gamma),
-        "mu_W": spec.sparsity.mu_W,
-        "mu_H": spec.sparsity.mu_H,
-        "eps": spec.sparsity.eps,
-        "epochs": spec.epochs,
-        "batch_size": spec.batch_size,
-        "seed": spec.seed,
-        "init": spec.init,
-        "sample_anchor": spec.sample_anchor,
-    }
+    # every TrainSpec field in order, with sparsity's fields in its place
+    echo = {}
+    for name, value in asdict(spec).items():
+        echo.update(value if name == "sparsity" else {name: value})
+    return echo
 
 
 # ---------------------------------------------------------------- commands
@@ -199,8 +184,10 @@ def _config_method(cfg):
     return method
 
 
-def cmd_train(args):
-    cfg = _load_config(args)
+def _training_inputs(args, cfg):
+    """The method, sources (None when there are none), mixes (or None),
+    supervised (sources, mix) pair (or None) and weight model of a train
+    or tune config."""
     method = _config_method(cfg)
     clamp = cfg.get("clamp_negatives", False) or args.clamp_negatives
     data = cfg.get("data", {})
@@ -213,10 +200,19 @@ def cmd_train(args):
             [aio.load_data_matrix(p, clamp) for p in sup["sources"]],
             aio.load_data_matrix(sup["mix"], clamp),
         )
+    return method, sources or None, mixes, supervised, _weight_model(cfg, max(len(sources), 2))
+
+
+def _train_and_save(out, method, sources, mixes, supervised, spec, wm):
+    bases, history = train_with_method(method, sources, mixes, supervised, spec, wm)
+    aio.save_bundle(out, bases, _spec_echo(spec), history, {"method": method})
+
+
+def cmd_train(args):
+    cfg = _load_config(args)
+    method, sources, mixes, supervised, wm = _training_inputs(args, cfg)
     spec = build_train_spec(cfg.get("train"), method, args.seed)
-    wm = _weight_model(cfg, len(sources) or 2)
-    bases, history = train_with_method(method, sources or None, mixes, supervised, spec, wm)
-    aio.save_bundle(cfg["output"], bases, _spec_echo(spec), history, {"method": method})
+    _train_and_save(cfg["output"], method, sources, mixes, supervised, spec, wm)
     return 0
 
 
@@ -237,8 +233,8 @@ def cmd_separate(args):
         refs = [aio.load_data_matrix(r, clamp) for r in args.references]
         rows = []
         for i, (est, ref) in enumerate(zip(estimates, refs)):
-            for k, v in enumerate(_per_column_scores(est, ref, args.metric, args.peak)):
-                rows.append([k, i, args.metric, min(v, amet.SENTINEL_CAP_DB)])
+            scores = _per_column_scores(est, ref, args.metric, args.peak)
+            rows.extend([k, i, args.metric, v] for k, v in enumerate(scores))
         _write_metrics_csv(out_dir / "metrics.csv", rows)
     return 0
 
@@ -268,28 +264,18 @@ def cmd_denoise(args):
     if args.reference:
         ref, _ = aio.load_wav(args.reference)
         n = min(len(ref), len(speech))
-        score = amet.si_sdr(speech[:n], ref[:n])
-        noisy = amet.si_sdr(samples[:n], ref[:n])
-        _write_metrics_csv(
-            Path(args.output).with_suffix(".csv"),
-            [[0, 0, "sisdr", min(score, amet.SENTINEL_CAP_DB)],
-             [0, "input", "sisdr", min(noisy, amet.SENTINEL_CAP_DB)]],
-        )
+        scores = amet.cap_scores([amet.si_sdr(x[:n], ref[:n]) for x in (speech, samples)])
+        rows = [[0, label, "sisdr", v] for label, v in zip((0, "input"), scores)]
+        _write_metrics_csv(Path(args.output).with_suffix(".csv"), rows)
     return 0
 
 
 def cmd_tune(args):
     cfg = _load_config(args)
-    method = _config_method(cfg)
-    clamp = cfg.get("clamp_negatives", False) or args.clamp_negatives
-    data = cfg.get("data", {})
-    sources = [aio.load_data_matrix(p, clamp) for p in data.get("sources", [])]
-    mixes = aio.load_data_matrix(data["mixes"], clamp) if data.get("mixes") else None
-    sup = data.get("supervised")
-    if not sup:
+    method, sources, mixes, supervised, wm = _training_inputs(args, cfg)
+    if supervised is None:
         raise CliError("the tune config needs a data.supervised block (sources and mix) to score trials on")
-    sup_sources = [aio.load_data_matrix(p, clamp) for p in sup["sources"]]
-    sup_mix = aio.load_data_matrix(sup["mix"], clamp)
+    sup_sources, sup_mix = supervised
     metric = cfg.get("metric", "psnr")
     mweights = cfg.get("metric_weights") or [1.0 / len(sup_sources)] * len(sup_sources)
     peak = float(cfg.get("peak", 1.0))
@@ -298,20 +284,15 @@ def cmd_tune(args):
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     use_cv = method in ("dnmf", "danmf")
     base_train_cfg = cfg.get("train", {})
-    wm = _weight_model(cfg, max(len(sources), 2))
 
     def evaluate(params, train_idx, val_idx):
         spec = build_train_spec(base_train_cfg, method, seed, overrides=params)
         if train_idx is not None:
-            supervised = ([u[:, train_idx] for u in sup_sources], sup_mix[:, train_idx])
+            train = ([u[:, train_idx] for u in sup_sources], sup_mix[:, train_idx])
             val = ([u[:, val_idx] for u in sup_sources], sup_mix[:, val_idx])
         else:
-            supervised = ([u for u in sup_sources], sup_mix)
-            val = supervised
-        needs_sup = spec.tau_S > 0
-        bases, _ = train_with_method(
-            method, sources or None, mixes, supervised if needs_sup else None, spec, wm
-        )
+            train = val = supervised
+        bases, _ = train_with_method(method, sources, mixes, train, spec, wm)
         result = separate(val[1], bases, SparsityParams(mu_H=spec.sparsity.mu_H))
         return score_separation(result.filtered, val[0], metric, mweights, peak)
 
@@ -337,9 +318,7 @@ def cmd_tune(args):
     (out / "tune_result.json").write_text(json.dumps(payload, indent=2, allow_nan=False))
     # retrain the winner on all data and persist it
     best_spec = build_train_spec(base_train_cfg, method, seed, overrides=result.best_trial.params)
-    supervised = (sup_sources, sup_mix) if best_spec.tau_S > 0 else None
-    bases, history = train_with_method(method, sources or None, mixes, supervised, best_spec, wm)
-    aio.save_bundle(out / "best_model", bases, _spec_echo(best_spec), history, {"method": method})
+    _train_and_save(out / "best_model", method, sources, mixes, supervised, best_spec, wm)
     return 0
 
 
@@ -372,7 +351,7 @@ def cmd_eval(args):
     for i, (e, r) in enumerate(zip(args.estimates, args.references)):
         est = aio.load_data_matrix(e, True)
         ref = aio.load_data_matrix(r, True)
-        scores = amet.cap_scores(_per_column_scores(est, ref, args.metric, args.peak))
+        scores = _per_column_scores(est, ref, args.metric, args.peak)
         all_scores[i] = scores
         rows.extend([k, i, args.metric, v] for k, v in enumerate(scores))
     seed = args.seed if args.seed is not None else 0

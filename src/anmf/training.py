@@ -12,7 +12,9 @@ and the basis step treats them alike (grad_parts): the Gram product
 W L L^T goes to the denominator of the multiplicative update and the data
 product D L^T to the numerator, each scaled by |weight| / N and swapped
 for the subtracted adversarial term; update_basis divides the blended
-sums.
+sums. train_semisupervised fits one unknown source's basis from mixes
+alone, next to frozen known bases, with the same update_latents,
+grad_parts and update_basis steps.
 
 The recorded objective is taken from m x d and d x d products: each fit
 is expanded as ||D - W L||^2 = ||D||^2 + <W, W (L L^T) - 2 D L^T>, with
@@ -352,11 +354,14 @@ def objective(state, true_data, spec, adversarial=None, supervised=None):
 
 
 def train_semisupervised(V, pretrained, spec):
-    """Fit the last source's basis from mixed data alone.
+    """Fit one unknown source's basis W_s from mixed data V alone.
 
-    The pretrained bases stay frozen; only the new basis and all latent
-    variables are updated against the residual model sum_j W_j H_j. The
-    latent dimension of the new basis is the last entry of spec.d.
+    The pretrained bases stay frozen and are never written. W_s has the
+    last entry of spec.d as its latent dimension. Each epoch normalizes
+    W_s, updates all stacked latents jointly against Wcat = [pretrained,
+    W_s] (a Jacobi step, as for train_smu's supervised term, not a sweep
+    over sources), steps W_s with its columns of grad_parts(Wcat, V, H, 1)
+    and normalizes again. No m x N array is formed.
 
     Returns:
         The fitted basis as an array.
@@ -369,19 +374,15 @@ def train_semisupervised(V, pretrained, spec):
     dims = spec.dims(s)
     p = spec.sparsity
     n_v = V.shape[1]
+    k = sum(dims[:-1])  # W_s's first column in Wcat and first row in H
     W_s = _init_basis(spec, V, dims[-1], [spec.seed, 1, s - 1])
-    bases = frozen + [W_s]
-    H = [np.ones((dims[i], n_v)) for i in range(s)]
+    H = np.ones((k + dims[-1], n_v))
 
     for _ in range(spec.epochs):
-        bases[-1], (H[-1],) = normalize_columns(bases[-1], [H[-1]], p.eps)
-        model = sum(bases[i] @ H[i] for i in range(s))
-        for i in range(s):
-            num = bases[i].T @ V / n_v
-            den = bases[i].T @ model / n_v + p.mu_H + p.eps
-            H_new = H[i] * num / den
-            model = model + bases[i] @ (H_new - H[i])
-            H[i] = H_new
-        bases[-1] = update_basis(bases[-1], model @ H[-1].T / n_v, V @ H[-1].T / n_v, p.mu_W, p.eps)
-        bases[-1], (H[-1],) = normalize_columns(bases[-1], [H[-1]], p.eps)
-    return bases[-1]
+        W_s, (H[k:],) = normalize_columns(W_s, [H[k:]], p.eps)
+        Wcat = np.concatenate(frozen + [W_s], axis=1)
+        H = update_latents(H, Wcat, V, p, n_scale=n_v)
+        den, num = grad_parts(Wcat, V, H, 1.0)
+        W_s = update_basis(W_s, den[:, k:], num[:, k:], p.mu_W, p.eps)
+        W_s, (H[k:],) = normalize_columns(W_s, [H[k:]], p.eps)
+    return W_s

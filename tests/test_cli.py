@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from anmf.cli import build_train_spec, run_cli, score_separation
-from anmf.io import load_bundle, read_matrix, write_matrix, write_wav
+from anmf.io import load_bundle, read_matrix, save_bundle, write_matrix, write_wav
 
 
 def write_config(tmp_path, name, cfg):
@@ -192,6 +192,43 @@ class TestPipeline:
         per_sample = [float(r[3]) for r in rows[1:] if r[0] not in ("median", "bootstrap_se")]
         assert all(v == 100.0 for v in per_sample)
 
+    def test_separate_caps_sentinel(self, tmp_path):
+        # an all-zero mix column gives an all-zero estimate, whose SI-SDR is
+        # -inf; metrics.csv holds the floor -100, as eval writes
+        rng = np.random.default_rng(5)
+        save_bundle(tmp_path / "model", [rng.random((4, 2)), rng.random((4, 2))])
+        mix = rng.random((4, 3))
+        mix[:, 1] = 0.0
+        write_matrix(tmp_path / "mix.anmf", mix)
+        refs = make_sources(tmp_path, rng, m=4, n=3)
+        assert run_cli(["separate", "--model", str(tmp_path / "model"), "--input", str(tmp_path / "mix.anmf"),
+                        "--output-dir", str(tmp_path / "sep"), "--metric", "sisdr", "--references", *refs]) == 0
+        with open(tmp_path / "sep" / "metrics.csv") as f:
+            values = {(r[0], r[1]): float(r[3]) for r in list(csv.reader(f))[1:]}
+        assert values[("1", "0")] == values[("1", "1")] == -100.0
+        assert all(-100.0 <= v <= 100.0 for v in values.values())
+
+    def test_semi_bundle(self, tmp_path):
+        rng = np.random.default_rng(6)
+        src_paths = make_sources(tmp_path, rng, s=2)
+        write_matrix(tmp_path / "mix.anmf", rng.random((8, 25)))
+
+        def train(method, name, **train_cfg):
+            cfg = {"method": method, "data": {"sources": src_paths[:1], "mixes": str(tmp_path / "mix.anmf")},
+                   "train": {"epochs": 15, "batch_size": 10, **train_cfg}, "output": str(tmp_path / name)}
+            assert run_cli(["train", "--config", write_config(tmp_path, name + ".json", cfg), "--seed", "4"]) == 0
+            return cfg, load_bundle(tmp_path / name)
+
+        cfg, bundle = train("semi", "semi", d=[3, 2], gamma=[1.0, 2.0])
+        bases = [b.entries for b in bundle.bases]
+        assert [b.shape for b in bases] == [(8, 3), (8, 2)]
+        for b in bases:
+            np.testing.assert_allclose(np.linalg.norm(b, axis=0), 1.0, rtol=1e-12)
+        # at tau_A = 0 the known source trains exactly as plain nmf does
+        _, nmf = train("nmf", "nmf", d=3)
+        assert np.array_equal(bases[0], nmf.bases[0].entries)
+        assert build_train_spec(bundle.manifest["train_spec"], "semi") == build_train_spec(cfg["train"], "semi", 4)
+
     def test_denoise_wav(self, tmp_path):
         rng = np.random.default_rng(3)
         t = np.arange(4096) / 16000.0
@@ -201,7 +238,6 @@ class TestPipeline:
         write_wav(tmp_path / "clean.wav", clean, 16000)
         # train a small basis on the clean magnitude
         from anmf.features import StftConfig, stft
-        from anmf.io import save_bundle
 
         spec = stft(clean, StftConfig())
         from anmf.training import TrainSpec, train_smu
@@ -282,6 +318,17 @@ class TestErrors:
             )
             == 1
         )
+
+    @pytest.mark.parametrize("missing", ["sources", "mixes"])
+    def test_semi_names_missing_data(self, tmp_path, missing, capsys):
+        rng = np.random.default_rng(0)
+        write_matrix(tmp_path / "mix.anmf", rng.random((8, 20)))
+        data = {"sources": make_sources(tmp_path, rng, s=1), "mixes": str(tmp_path / "mix.anmf")}
+        del data[missing]
+        cfg = write_config(tmp_path, "semi.json", {"method": "semi", "data": data, "train": {"d": [2, 2]},
+                                                   "output": str(tmp_path / "model")})
+        assert run_cli(["train", "--config", cfg]) == 1
+        assert capsys.readouterr().err.rstrip().endswith(f"semi needs data.{missing}")
 
     def test_tune_needs_supervised_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "tune.json", {

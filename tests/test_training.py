@@ -6,7 +6,7 @@ import pytest
 
 import anmf.training as training
 from anmf.adversarial import assemble_adversarial, default_omega
-from anmf.core import DimensionMismatch, SparsityParams, as_array, init_exemplar
+from anmf.core import DimensionMismatch, SparsityParams, as_array, init_exemplar, update_latents
 from anmf.training import (
     TrainSpec,
     TrainState,
@@ -525,3 +525,46 @@ class TestSemiSupervised:
     def test_empty_mix_rejected(self):
         with pytest.raises(ValueError):
             train_semisupervised(np.zeros((4, 0)), [np.ones((4, 2))], make_spec(d=2))
+
+    def test_forms_no_m_by_n_array(self):
+        # 257 x 4000 mix, d = [32, 16]: the working memory stays below one
+        # m x N float64 array
+        rng = np.random.default_rng(12)
+        V = rng.random((257, 4000))
+        frozen = rng.random((257, 32))
+        spec = make_spec(d=[32, 16], epochs=2, seed=1)
+        tracemalloc.start()
+        try:
+            train_semisupervised(V, [frozen], spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < V.nbytes
+
+    def test_one_latent_and_one_basis_step_per_epoch(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        frozen = [rng.random((7, 3)), rng.random((7, 2))]
+        kept = [f.copy() for f in frozen]
+        V = rng.random((7, 25))
+        latent_calls, basis_calls = [], []
+
+        def spy_latents(H, W, U, p=None, n_scale=1.0):
+            latent_calls.append(as_array(W).copy())
+            return update_latents(H, W, U, p, n_scale)
+
+        def spy_update(W, den, num, mu_W, eps):
+            basis_calls.append(as_array(W).copy())
+            return update_basis(W, den, num, mu_W, eps)
+
+        monkeypatch.setattr(training, "update_latents", spy_latents)
+        monkeypatch.setattr(training, "update_basis", spy_update)
+        W_s = train_semisupervised(V, frozen, make_spec(d=[3, 2, 4], epochs=3, seed=2))
+        assert len(latent_calls) == len(basis_calls) == 3
+        for Wcat, W_step in zip(latent_calls, basis_calls):
+            # the latent step runs on [frozen bases, W_s], the basis step on W_s
+            assert Wcat.shape == (7, 9) and W_step.shape == (7, 4)
+            assert np.array_equal(Wcat[:, :5], np.concatenate(kept, axis=1))
+            assert np.array_equal(Wcat[:, 5:], W_step)
+        assert W_s.shape == (7, 4)
+        for f, k in zip(frozen, kept):
+            assert np.array_equal(f, k)
