@@ -21,10 +21,21 @@ from . import features as feat
 from . import io as aio
 from . import metrics as amet
 from .core import SparsityParams, as_array
-from .separation import project_denoise, separate, wiener_mask
+from .separation import fit_sources, project_denoise, separate, wiener_mask
 from .training import TrainSpec, train_semisupervised, train_smu
 
-METHODS = ("nmf", "enmf", "anmf", "dnmf", "danmf", "semi")
+# method -> (train values it forces, defaults it puts under the train
+# block); everything else falls back to TrainSpec's own defaults
+METHODS = {
+    "nmf": ({"tau_A": 0.0, "tau_S": 0.0}, {}),
+    "enmf": ({"tau_A": 0.0, "tau_S": 0.0, "epochs": 0, "init": "exemplar"}, {}),
+    "anmf": ({"tau_S": 0.0}, {"tau_A": 0.1}),
+    "dnmf": ({"tau_A": 0.0, "tau_S": 1.0}, {"sample_anchor": "supervised"}),
+    "danmf": ({}, {"tau_A": 0.1, "tau_S": 0.5}),
+    "semi": ({"tau_S": 0.0}, {}),
+}
+_CASTS = {**dict.fromkeys(("tau_A", "tau_S", "mu_W", "mu_H", "eps"), float),
+          **dict.fromkeys(("epochs", "batch_size", "seed"), int)}
 CSV_HEADER = ["sample_index", "source", "metric", "value"]
 
 
@@ -55,48 +66,29 @@ def _weight_model(cfg, n_sources):
     )
 
 
-def build_train_spec(train_cfg, method=None, seed=None, overrides=None):
-    """Assemble a TrainSpec from the config's train block.
+def build_train_spec(train_cfg, method, seed=None, overrides=None):
+    """Assemble a TrainSpec for a method from the config's train block.
 
-    Method consistency is enforced: nmf and enmf force tau_A = tau_S = 0,
-    anmf forces tau_S = 0, dnmf forces tau_S = 1.
+    Values are taken, each from the first that has it, from the method's
+    forced values in METHODS, the seed argument, the tuning overrides,
+    the train block, the method's defaults and TrainSpec's own defaults.
+    A key outside a bundle's train_spec keys is a CliError; so are anmf
+    with tau_A <= 0 and danmf with tau_S outside (0, 1).
     """
-    cfg = dict(train_cfg or {})
-    cfg.update(overrides or {})
-    sparsity = SparsityParams(
-        mu_W=float(cfg.get("mu_W", 1e-10)),
-        mu_H=float(cfg.get("mu_H", 1e-10)),
-        eps=float(cfg.get("eps", 1e-12)),
-    )
-    tau_A = float(cfg.get("tau_A", 0.1 if method in ("anmf", "danmf") else 0.0))
-    tau_S = float(cfg.get("tau_S", 0.5 if method == "danmf" else 0.0))
-    epochs = int(cfg.get("epochs", 200))
-    if method in ("nmf", "enmf", "semi"):
-        tau_A = float(cfg.get("tau_A", 0.0)) if method == "semi" else 0.0
-        tau_S = 0.0
-    if method == "enmf":
-        epochs = 0
-    if method == "anmf":
-        tau_S = 0.0
-        if tau_A <= 0:
-            raise CliError("anmf needs tau_A > 0")
-    if method == "dnmf":
-        tau_S = 1.0
-        tau_A = 0.0
-    if method == "danmf" and not 0.0 < tau_S < 1.0:
+    forced, defaults = METHODS[method]
+    seeded = {} if seed is None else {"seed": seed}
+    cfg = {**defaults, **(train_cfg or {}), **(overrides or {}), **seeded, **forced}
+    unknown = sorted(set(cfg) - set(_spec_echo(TrainSpec())))
+    if unknown:
+        raise CliError(f"unknown train keys: {', '.join(unknown)}")
+    cfg = {k: _CASTS[k](v) if k in _CASTS else v for k, v in cfg.items()}
+    if method == "anmf" and cfg["tau_A"] <= 0:
+        raise CliError("anmf needs tau_A > 0")
+    if method == "danmf" and not 0.0 < cfg["tau_S"] < 1.0:
         raise CliError("danmf needs tau_S in (0, 1)")
-    return TrainSpec(
-        d=cfg.get("d", 16),
-        tau_A=tau_A,
-        tau_S=tau_S,
-        gamma=cfg.get("gamma"),
-        sparsity=sparsity,
-        epochs=epochs,
-        batch_size=int(cfg.get("batch_size", 100)),
-        seed=int(seed if seed is not None else cfg.get("seed", 0)),
-        init="exemplar" if method == "enmf" else cfg.get("init", "exemplar"),
-        sample_anchor=cfg.get("sample_anchor", "supervised" if method == "dnmf" else "true_data"),
-    )
+    spec = TrainSpec()
+    sparsity = replace(spec.sparsity, **{k: cfg.pop(k) for k in ("mu_W", "mu_H", "eps") if k in cfg})
+    return replace(spec, sparsity=sparsity, **cfg)
 
 
 def train_with_method(method, sources, mixes, supervised, spec, wm):
@@ -113,15 +105,14 @@ def train_with_method(method, sources, mixes, supervised, spec, wm):
         for block, value in (("data.sources", sources), ("data.mixes", mixes)):
             if value is None:
                 raise CliError(f"semi needs {block}")
-        train_spec = replace(spec, d=spec.dims(len(sources) + 1)[:-1], tau_S=0.0, gamma=None)
+        train_spec = replace(spec, d=spec.dims(len(sources) + 1)[:-1], gamma=None)
     sets = None
     if train_spec.tau_A > 0:
         n_mix = mixes.shape[1] if mixes is not None else 0
         om = adv.default_omega([u.shape[1] for u in sources], n_mix)
         betas = [adv.compute_beta(wm, i, seed=[spec.seed, 77, i]) if n_mix else 0.0 for i in range(len(sources))]
         sets = [adv.assemble_adversarial(i, sources, mixes, om, beta) for i, beta in enumerate(betas)]
-    sup = supervised if train_spec.tau_S > 0 else None
-    state = train_smu(sources, train_spec, adversarial=sets, supervised=sup)
+    state = train_smu(sources, train_spec, adversarial=sets, supervised=supervised)
     if method == "semi":
         state.bases.append(train_semisupervised(mixes, state.bases, spec))
     return state.bases, state.history
@@ -241,18 +232,22 @@ def cmd_separate(args):
 
 def cmd_denoise(args):
     bundle = aio.load_bundle(args.model)
+    # one basis has nothing to separate the speech from: its mask is 1
+    mode = args.mode or ("project" if len(bundle.bases) == 1 else "separate")
+    if mode == "separate" and len(bundle.bases) == 1:
+        raise CliError("denoise --mode separate needs a bundle of two or more bases")
     samples, rate = aio.load_wav(args.input)
     cfg = feat.StftConfig(n_fft=args.n_fft, hop=args.hop, sample_rate=rate)
     spec = feat.stft(samples, cfg)
     p = SparsityParams(mu_H=float(args.mu_h))
-    if args.mode == "project":
+    if mode == "project":
         # projection denoising: project the mixed magnitude onto the
         # speech basis; the unexplained remainder acts as the noise
         # magnitude for the soft mask
         mags = [project_denoise(spec.magnitude, bundle.bases[0], p, max_iter=args.max_iter)]
         mags.append(np.maximum(spec.magnitude - mags[0], 0.0))
     else:
-        mags = separate(spec.magnitude, bundle.bases, p, max_iter=args.max_iter).raw
+        _, mags = fit_sources(spec.magnitude, bundle.bases, p, max_iter=args.max_iter)
     # soft-mask synthesis of the speech signal alone: the speech mask
     # multiplies the mix in place, and the magnitudes are dropped before
     # the inverse transform to bound peak memory
@@ -282,7 +277,6 @@ def cmd_tune(args):
     tuning = cfg["tuning"]
     space = _parse_space(tuning["space"])
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    use_cv = method in ("dnmf", "danmf")
     base_train_cfg = cfg.get("train", {})
 
     def evaluate(params, train_idx, val_idx):
@@ -303,7 +297,8 @@ def cmd_tune(args):
         folds=int(tuning.get("folds", 5)),
         n=sup_mix.shape[1],
         seed=seed,
-        use_cv=use_cv,
+        # the supervised data score every trial; split them when training reads them too
+        use_cv=METHODS[method][0].get("tau_S") != 0.0,
     )
     out = Path(cfg["output"])
     out.mkdir(parents=True, exist_ok=True)
@@ -424,7 +419,7 @@ def _build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--reference", default=None)
-    p.add_argument("--mode", choices=("project", "separate"), default="separate")
+    p.add_argument("--mode", choices=("project", "separate"), help="default: project for one basis, else separate")
     p.add_argument("--n-fft", type=int, default=512)
     p.add_argument("--hop", type=int, default=128)
     p.add_argument("--mu-h", type=float, default=1e-10)

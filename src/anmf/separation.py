@@ -22,16 +22,12 @@ class SeparationResult:
     filtered: list
 
 
-def separate(V, bases, p=None, max_iter=500, tol=1e-8):
-    """Separate the columns of V against a list of bases.
-
-    Minimizes ||V - [W_1 ... W_S] h||_F^2 + mu_H |h|_1 over h >= 0 with
-    solve_nnls, splits the solution into per-source blocks and
-    Wiener-filters the raw reconstructions. The stopping test is taken
-    over the whole block of columns, so when tol ends the run early a
-    column's latents depend on the other columns solved with it.
-    """
-    p = p or SparsityParams()
+def fit_sources(V, bases, p=None, max_iter=500, tol=1e-8):
+    """Per-source latents h_i and raw reconstructions W_i h_i of the
+    columns of V: solve_nnls minimizes ||V - [W_1 ... W_S] h||_F^2 +
+    mu_H |h|_1 over h >= 0. The stopping test is taken over the whole block
+    of columns, so when tol ends the run early a column's latents depend on
+    the other columns solved with it."""
     V = as_array(V)
     W = [as_array(b) for b in bases]
     m = V.shape[0]
@@ -42,7 +38,14 @@ def separate(V, bases, p=None, max_iter=500, tol=1e-8):
 
     offsets = np.cumsum([0] + [w.shape[1] for w in W])
     latents = [h[offsets[i] : offsets[i + 1]] for i in range(len(W))]
-    raw = [W[i] @ latents[i] for i in range(len(W))]
+    return latents, [W[i] @ latents[i] for i in range(len(W))]
+
+
+def separate(V, bases, p=None, max_iter=500, tol=1e-8):
+    """Separate the columns of V against a list of bases: fit_sources,
+    then Wiener-filter the raw reconstructions so that they sum to V."""
+    p = p or SparsityParams()
+    latents, raw = fit_sources(V, bases, p, max_iter, tol)
     return SeparationResult(latents, raw, wiener_filter(V, raw, p.eps))
 
 

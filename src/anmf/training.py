@@ -159,6 +159,34 @@ def _term_weights(spec, n_sources):
     }
 
 
+def _term_table(spec, true_data, adversarial, supervised):
+    """(weight, data, mix): _term_weights' table, each active term's
+    per-source arrays in ANCHORS order, and the supervised mix or None.
+    An inactive term's data is not read; an active term's must cover every
+    source and be finite and non-negative, or a ValueError names the term.
+    """
+    s = len(true_data)
+    weight = _term_weights(spec, s)
+    data = {}
+    for name, sets in zip(ANCHORS, (true_data, adversarial, supervised[0] if supervised is not None else None)):
+        if not np.any(np.multiply(*weight[name])):
+            continue
+        if sets is None or any(x is None for x in sets):
+            raise ValueError(f"{name} term is active but its data is missing")
+        if len(sets) != s:
+            raise ValueError(f"{name} data must cover every source")
+        data[name] = [as_array(x) for x in sets]
+        for i, x in enumerate(data[name]):
+            _check_nonneg(x, f"{name} data of source {i}")
+    mix = None
+    if "supervised" in data:
+        mix = as_array(supervised[1])
+        _check_nonneg(mix, "supervised mix")
+        if any(u.shape[1] != mix.shape[1] for u in data["supervised"]):
+            raise ValueError("supervised sources and mix must have the same column count")
+    return weight, data, mix
+
+
 def _init_basis(spec, source, d, seed):
     if spec.init == "exemplar":
         return init_exemplar(source, d, seed)
@@ -177,8 +205,8 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
         supervised: (per-source ground-truth matrices, mixed matrix);
             required when tau_S > 0.
 
-    Every active term's data, and the supervised mix, must be finite and
-    non-negative; a ValueError names the term that is not.
+    An active term's data (and the supervised mix) must be given for every
+    source, finite and non-negative, or a ValueError names the term.
 
     Bases start from each source's true data, or its supervised data when
     none is given. Each epoch shuffles every active term's data jointly
@@ -202,23 +230,7 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
         true_data = [None] * len(supervised[0])
     s = len(true_data)
     U = [as_array(u) if u is not None else None for u in true_data]
-    weight = _term_weights(spec, s)
-    data = {}  # active term -> per-source data, in ANCHORS order
-    for name, sets in zip(ANCHORS, (U, adversarial, supervised[0] if supervised is not None else None)):
-        if not np.any(np.multiply(*weight[name])):
-            continue
-        if sets is None or any(x is None for x in sets):
-            raise ValueError(f"{name} term is active but its data is missing")
-        if len(sets) != s:
-            raise ValueError(f"{name} data must cover every source")
-        data[name] = [as_array(x) for x in sets]
-        for i, x in enumerate(data[name]):
-            _check_nonneg(x, f"{name} data of source {i}")
-    if "supervised" in data:
-        Vsup = as_array(supervised[1])
-        _check_nonneg(Vsup, "supervised mix")
-        if any(u.shape[1] != Vsup.shape[1] for u in data["supervised"]):
-            raise ValueError("supervised sources and mix must have the same column count")
+    weight, data, Vsup = _term_table(spec, U, adversarial, supervised)
 
     dims = spec.dims(s)
     sq_norms = _sq_norms(data)
@@ -324,31 +336,20 @@ def _objective_arrays(W, D, L, weight, mu_W, sq_norms):
 def objective(state, true_data, spec, adversarial=None, supervised=None):
     """Per-source training objective for an existing state.
 
-    A term enters when its weight is nonzero and its data and latents are
-    given; source i's supervised term is weighted by gamma_i, as in the
-    basis step. The state's latents, in the column order of the last
-    epoch's shuffle, are paired with the data as given, so after a
-    shuffled epoch the total differs from the last history entry.
+    Its terms and their data checks are train_smu's (true_data may be None
+    when that term is inactive); source i's supervised term is weighted by
+    gamma_i, as in the basis step. The state's latents, in the column
+    order of the last epoch's shuffle, are paired with the data as given,
+    so after a shuffled epoch the total differs from the last history entry.
 
     Returns (per_source, total) where total is the sum over sources.
     """
     W = [as_array(b) for b in state.bases]
-    s = len(W)
-    row0 = np.cumsum([0] + [w.shape[1] for w in W])
-    sup_latents = [None] * s
-    if state.latents_sup is not None:
-        sup_latents = [as_array(state.latents_sup)[row0[i] : row0[i + 1]] for i in range(s)]
-    weight = _term_weights(spec, s)
-    terms = {
-        "true_data": (true_data, state.latents_true),
-        "adversarial": (adversarial, state.latents_adv),
-        "supervised": (supervised[0] if supervised is not None else None, sup_latents),
-    }
-    D, L = {}, {}
-    for name, (sets, lats) in terms.items():
-        if np.any(np.multiply(*weight[name])) and sets is not None and all(x is not None for x in [*sets, *lats]):
-            D[name] = [as_array(x) for x in sets]
-            L[name] = [as_array(h) for h in lats]
+    weight, D, _ = _term_table(spec, [None] * len(W) if true_data is None else true_data, adversarial, supervised)
+    latents = {"true_data": state.latents_true, "adversarial": state.latents_adv}
+    if "supervised" in D:
+        latents["supervised"] = np.split(as_array(state.latents_sup), np.cumsum([w.shape[1] for w in W])[:-1])
+    L = {name: [as_array(h) for h in latents[name]] for name in D}
     per_source = _objective_arrays(W, D, L, weight, spec.sparsity.mu_W, _sq_norms(D))
     return per_source, float(np.sum(per_source))
 

@@ -4,8 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from anmf.cli import build_train_spec, run_cli, score_separation
-from anmf.io import load_bundle, read_matrix, save_bundle, write_matrix, write_wav
+import anmf.separation
+from anmf.adversarial import WeightModel, assemble_adversarial, compute_beta, default_omega
+from anmf.cli import CliError, build_train_spec, run_cli, score_separation
+from anmf.core import SparsityParams
+from anmf.features import StftConfig, istft, stft
+from anmf.io import load_bundle, load_wav, read_matrix, save_bundle, write_matrix, write_wav
+from anmf.separation import separate, wiener_mask
+from anmf.training import TrainSpec, train_smu
 
 
 def write_config(tmp_path, name, cfg):
@@ -14,11 +20,11 @@ def write_config(tmp_path, name, cfg):
     return str(p)
 
 
-def make_sources(tmp_path, rng, m=8, n=30, s=2):
+def make_sources(tmp_path, rng, m=8, n=30, s=2, prefix="src"):
     paths = []
     for i in range(s):
         mat = rng.random((m, n))
-        p = tmp_path / f"src_{i}.anmf"
+        p = tmp_path / f"{prefix}_{i}.anmf"
         write_matrix(p, mat)
         paths.append(str(p))
     return paths
@@ -49,6 +55,18 @@ class TestBuildTrainSpec:
 
     def test_seed_argument_beats_config(self):
         assert build_train_spec({"seed": 3}, "nmf", seed=9).seed == 9
+
+    def test_unset_keys_take_trainspec_defaults(self):
+        assert build_train_spec({}, "nmf") == TrainSpec()
+        assert build_train_spec(None, "semi", overrides={"tau_A": 0.2}) == TrainSpec(tau_A=0.2)
+
+    @pytest.mark.parametrize("block, overrides, named", [
+        ({"tau_s": 0.9, "epoch": 5}, None, "epoch, tau_s"),
+        ({"mu_H": 1e-3}, {"mu_h": 1e-5}, "mu_h"),
+    ], ids=["block", "overrides"])
+    def test_misspelt_keys_rejected(self, block, overrides, named):
+        with pytest.raises(CliError, match=f"unknown train keys: {named}$"):
+            build_train_spec(block, "danmf", overrides=overrides)
 
 
 class TestScoreSeparation:
@@ -271,6 +289,120 @@ class TestPipeline:
         scores = {r[1]: float(r[3]) for r in rows[1:]}
         assert scores["0"] > scores["input"]
 
+    @pytest.mark.parametrize("method, taus", [("anmf", {"tau_A": 0.2}), ("danmf", {"tau_A": 0.2, "tau_S": 0.4})])
+    def test_adversarial_bundle_matches_library(self, tmp_path, method, taus):
+        # the CLI's adversarial sets are default_omega, compute_beta seeded
+        # [seed, 77, i] and assemble_adversarial, as the library builds them
+        rng = np.random.default_rng(7)
+        src_paths = make_sources(tmp_path, rng)
+        sup_paths = make_sources(tmp_path, rng, n=12, prefix="sup")
+        sources, sup_sources = [read_matrix(p) for p in src_paths], [read_matrix(p) for p in sup_paths]
+        write_matrix(tmp_path / "mix.anmf", rng.random((8, 25)))
+        write_matrix(tmp_path / "sup_mix.anmf", sum(sup_sources))
+        # read back, so the arrays have the layout the CLI reads them in
+        mix = read_matrix(tmp_path / "mix.anmf")
+        wm = {"mode": "dirichlet", "concentration": [1.0, 2.0], "mc_samples": 500}
+        cfg = write_config(tmp_path, "train.json", {
+            "method": method, "weight_model": wm,
+            "data": {"sources": src_paths, "mixes": str(tmp_path / "mix.anmf"),
+                     "supervised": {"sources": sup_paths, "mix": str(tmp_path / "sup_mix.anmf")}},
+            "train": {"d": 3, "epochs": 6, "batch_size": 10, **taus},
+            "output": str(tmp_path / "model"),
+        })
+        assert run_cli(["train", "--config", cfg, "--seed", "5"]) == 0
+        bundle = load_bundle(tmp_path / "model")
+
+        model = WeightModel(mode="dirichlet", concentration=[1.0, 2.0], mc_samples=500)
+        om = default_omega([u.shape[1] for u in sources], mix.shape[1])
+        sets = [assemble_adversarial(i, sources, mix, om, compute_beta(model, i, seed=[5, 77, i])) for i in range(2)]
+        spec = TrainSpec(d=3, epochs=6, batch_size=10, seed=5, **taus)
+        state = train_smu(sources, spec, adversarial=sets, supervised=(sup_sources, sum(sup_sources)))
+        for got, want in zip(bundle.bases, state.bases):
+            assert np.array_equal(got.entries, want)
+        assert bundle.manifest["history"] == state.history
+
+    def test_dnmf_trains_from_supervised_data_alone(self, tmp_path):
+        rng = np.random.default_rng(8)
+        sup_paths = make_sources(tmp_path, rng, n=12, prefix="sup")
+        sup_sources = [read_matrix(p) for p in sup_paths]
+        write_matrix(tmp_path / "sup_mix.anmf", sum(sup_sources))
+        cfg = write_config(tmp_path, "train.json", {
+            "method": "dnmf",
+            "data": {"supervised": {"sources": sup_paths, "mix": str(tmp_path / "sup_mix.anmf")}},
+            "train": {"d": 3, "epochs": 5, "batch_size": 5},
+            "output": str(tmp_path / "model"),
+        })
+        assert run_cli(["train", "--config", cfg, "--seed", "2"]) == 0
+        bundle = load_bundle(tmp_path / "model")
+        spec = TrainSpec(d=3, tau_S=1.0, epochs=5, batch_size=5, seed=2, sample_anchor="supervised")
+        state = train_smu(None, spec, supervised=(sup_sources, sum(sup_sources)))
+        for got, want in zip(bundle.bases, state.bases):
+            assert np.array_equal(got.entries, want)
+        assert bundle.manifest["history"] == state.history
+
+    def test_tune_cross_validates_dnmf(self, tmp_path):
+        rng = np.random.default_rng(9)
+        sup = make_sources(tmp_path, rng, n=12, prefix="sup")
+        write_matrix(tmp_path / "sup_mix.anmf", sum(read_matrix(p) for p in sup))
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "tune.json", {
+            "method": "dnmf",
+            "data": {"supervised": {"sources": sup, "mix": str(tmp_path / "sup_mix.anmf")}},
+            "train": {"d": 2, "epochs": 3, "batch_size": 4},
+            "tuning": {"trials": 3, "folds": 3, "space": {
+                "mu_W": {"type": "log_uniform", "lo": 1e-6, "hi": 1e-2},
+                "mu_H": {"type": "uniform", "lo": 0.0, "hi": 1e-3},
+            }},
+            "output": str(out),
+        })
+        assert run_cli(["tune", "--config", cfg, "--seed", "3"]) == 0
+        trials = json.loads((out / "tune_result.json").read_text())["trials"]
+        assert len(trials) == 3
+        for t in trials:
+            assert t["error"] is None and len(t["fold_scores"]) == 3
+            assert 1e-6 <= t["params"]["mu_W"] <= 1e-2 and 0.0 <= t["params"]["mu_H"] <= 1e-3
+        assert load_bundle(out / "best_model").manifest["metadata"]["method"] == "dnmf"
+
+    @staticmethod
+    def _tone(tmp_path):
+        # a 440 Hz tone in white noise at 16 kHz, its clean reference, and a basis
+        # trained on the clean magnitude
+        rng = np.random.default_rng(10)
+        t = np.arange(8192) / 16000.0
+        clean = 0.4 * np.sin(2 * np.pi * 440.0 * t)
+        write_wav(tmp_path / "noisy.wav", clean + 0.05 * rng.standard_normal(len(t)), 16000)
+        write_wav(tmp_path / "clean.wav", clean, 16000)
+        spec = TrainSpec(d=4, epochs=30, seed=0, sparsity=SparsityParams(0, 0))
+        return train_smu([stft(clean, StftConfig()).magnitude], spec).bases[0]
+
+    def test_denoise_default_mode_projects_one_basis(self, tmp_path):
+        save_bundle(tmp_path / "model", [self._tone(tmp_path)])
+        assert run_cli(["denoise", "--model", str(tmp_path / "model"), "--input", str(tmp_path / "noisy.wav"),
+                        "--output", str(tmp_path / "out.wav"), "--reference", str(tmp_path / "clean.wav")]) == 0
+        with open(tmp_path / "out.csv") as f:
+            scores = {r[1]: float(r[3]) for r in list(csv.reader(f))[1:]}
+        assert scores["0"] > scores["input"] + 1.0
+
+    def test_denoise_separate_masks_raw_fits_without_filtering(self, tmp_path, monkeypatch):
+        bases = [self._tone(tmp_path), np.random.default_rng(11).random((257, 3))]
+        save_bundle(tmp_path / "model", bases)
+        # the speech mask from separate's raw reconstructions, applied to
+        # the mix spectrum: what denoise --mode separate has always written
+        samples, rate = load_wav(tmp_path / "noisy.wav")
+        spec = stft(samples, StftConfig(sample_rate=rate))
+        raw = separate(spec.magnitude, bases, SparsityParams(mu_H=1e-10), max_iter=40).raw
+        spec.apply_gain(wiener_mask(raw[0], sum(raw), 2))
+        write_wav(tmp_path / "want.wav", istft(spec, length=len(samples)), rate)
+
+        calls = []
+        monkeypatch.setattr(anmf.separation, "wiener_filter", lambda *a: calls.append(a))
+        argv = ["denoise", "--model", str(tmp_path / "model"), "--input", str(tmp_path / "noisy.wav"),
+                "--max-iter", "40", "--output"]
+        for name, mode in (("explicit.wav", ["--mode", "separate"]), ("default.wav", [])):
+            assert run_cli(argv + [str(tmp_path / name)] + mode) == 0
+            assert (tmp_path / name).read_bytes() == (tmp_path / "want.wav").read_bytes()
+        assert calls == []
+
     def test_features_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
         x = np.clip(0.2 * rng.standard_normal(2048), -0.99, 0.99)
@@ -398,6 +530,43 @@ class TestErrors:
         assert run_cli(["tune", "--config", cfg]) == 1
         assert "unknown method 'pca'" in capsys.readouterr().err
         assert not (out / "tune_result.json").exists()
+
+    @pytest.mark.parametrize("tau_S", [0.0, 1.0])
+    def test_danmf_needs_tau_S_inside_unit_interval(self, tmp_path, tau_S, capsys):
+        cfg = write_config(tmp_path, "train.json", {
+            "method": "danmf",
+            "data": {"sources": make_sources(tmp_path, np.random.default_rng(0))},
+            "train": {"d": 2, "epochs": 1, "tau_S": tau_S},
+            "output": str(tmp_path / "model"),
+        })
+        assert run_cli(["train", "--config", cfg]) == 1
+        assert capsys.readouterr().err.rstrip().endswith("danmf needs tau_S in (0, 1)")
+        assert not (tmp_path / "model").exists()
+
+    def test_tune_rejects_misspelt_space_key(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        sup = make_sources(tmp_path, rng, n=12, prefix="sup")
+        write_matrix(tmp_path / "sup_mix.anmf", sum(read_matrix(p) for p in sup))
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "tune.json", {
+            "method": "nmf",
+            "data": {"sources": make_sources(tmp_path, rng),
+                     "supervised": {"sources": sup, "mix": str(tmp_path / "sup_mix.anmf")}},
+            "train": {"d": 2, "epochs": 1},
+            "tuning": {"trials": 2, "space": {"mu_h": {"type": "log_uniform", "lo": 1e-6, "hi": 1e-2}}},
+            "output": str(out),
+        })
+        assert run_cli(["tune", "--config", cfg]) == 1
+        assert "unknown train keys: mu_h" in capsys.readouterr().err
+        assert not (out / "tune_result.json").exists()
+
+    def test_denoise_separate_needs_two_bases(self, tmp_path, capsys):
+        save_bundle(tmp_path / "model", [np.ones((257, 2))])
+        write_wav(tmp_path / "x.wav", np.zeros(1024), 16000)
+        assert run_cli(["denoise", "--model", str(tmp_path / "model"), "--input", str(tmp_path / "x.wav"),
+                        "--output", str(tmp_path / "y.wav"), "--mode", "separate"]) == 1
+        assert "needs a bundle of two or more bases" in capsys.readouterr().err
+        assert not (tmp_path / "y.wav").exists()
 
     def test_features_inverse_rejects_non_finite(self, tmp_path, capsys):
         prefix = str(tmp_path / "feat")

@@ -401,6 +401,18 @@ class TestObjective:
         per_source, _ = objective(state, [rng.random((4, 5))], spec, adversarial=[Uhat])
         assert per_source[0] < 0
 
+    def test_missing_active_term_named(self):
+        # the terms are train_smu's: an active term without data is an error
+        rng = np.random.default_rng(15)
+        U = [rng.random((4, 5))]
+        state = train_smu(U, make_spec(d=2, epochs=1))
+        with pytest.raises(ValueError, match="adversarial term is active but its data is missing"):
+            objective(state, U, make_spec(d=2, tau_A=0.5))
+        with pytest.raises(ValueError, match="supervised term is active but its data is missing"):
+            objective(state, U, make_spec(d=2, tau_S=0.5))
+        with pytest.raises(ValueError, match="true_data term is active"):
+            objective(state, None, make_spec(d=2))
+
     @pytest.mark.parametrize("d", [2, [2, 3]], ids=["d2", "d2_3"])
     def test_matches_scalar_loop(self, d):
         rng = np.random.default_rng(8)
