@@ -108,6 +108,8 @@ def train_with_method(method, sources, mixes, supervised, spec, wm):
         train_spec = replace(spec, d=spec.dims(len(sources) + 1)[:-1], gamma=None)
     sets = None
     if train_spec.tau_A > 0:
+        if sources is None:
+            raise CliError(f"{method} needs data.sources")
         n_mix = mixes.shape[1] if mixes is not None else 0
         om = adv.default_omega([u.shape[1] for u in sources], n_mix)
         betas = [adv.compute_beta(wm, i, seed=[spec.seed, 77, i]) if n_mix else 0.0 for i in range(len(sources))]

@@ -101,7 +101,10 @@ def update_latents(H, W, U, p=None, n_scale=1.0):
         raise DimensionMismatch("update_latents basis", W.shape, U.shape)
     if H.shape[1] != U.shape[1]:
         raise DimensionMismatch("update_latents latents", H.shape, U.shape)
-    return _latent_step(H, W.T @ U / n_scale, W.T @ W, n_scale, p)
+    # the W.T U product is scaled in place and then takes the result
+    num = W.T @ U
+    num /= n_scale
+    return _latent_step(H, num, W.T @ W, n_scale, p, out=num)
 
 
 def solve_nnls(V, W, p=None, max_iter=500, tol=1e-8):

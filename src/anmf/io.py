@@ -39,6 +39,7 @@ def write_matrix(path, matrix):
 
 def read_matrix(path):
     """Read a matrix file written by write_matrix; bit-exact round trip.
+    The result is a writable column-major array, the file's own layout.
     NaN or inf entries are a FormatError naming the file."""
     data = Path(path).read_bytes()
     if len(data) < 24 or data[:4] != MATRIX_MAGIC:
@@ -49,11 +50,12 @@ def read_matrix(path):
     expected = 24 + rows * cols * 8
     if len(data) != expected:
         raise FormatError(f"{path}: payload truncated ({len(data)} bytes, expected {expected})")
-    payload = np.frombuffer(data[24:], dtype="<f8")
+    payload = np.frombuffer(data, dtype="<f8", offset=24).reshape((rows, cols), order="F")
     bad = np.count_nonzero(~np.isfinite(payload))
     if bad:
         raise FormatError(f"{path}: {bad} non-finite (NaN or inf) entries")
-    return payload.reshape((rows, cols), order="F").astype(float)
+    # one writable, column-major copy in native byte order
+    return np.array(payload, dtype=float, order="F")
 
 
 def load_idx_images(path):

@@ -18,10 +18,9 @@ grad_parts and update_basis steps.
 
 The recorded objective is taken from m x d and d x d products: each fit
 is expanded as ||D - W L||^2 = ||D||^2 + <W, W (L L^T) - 2 D L^T>, with
-||D||^2 computed once per run because a column shuffle leaves it
-unchanged. Where the expansion cancels to at
-most 1e-8 ||D||^2, rounding could dominate it, and the fit is computed
-directly instead.
+||D||^2 computed once per run, since the data never change. Where the
+expansion cancels to at most 1e-8 ||D||^2, rounding could dominate it,
+and the fit is computed directly instead.
 
 Randomness is derived from the master seed as follows: the epoch shuffle
 stream is ``default_rng([seed, 0])``, the exemplar/random initialization
@@ -105,7 +104,9 @@ class TrainState:
     bases holds one m x d_i array per source, latents_true and latents_adv
     one d_i x N array per source (None for an inactive term), latents_sup
     the stacked supervised latents or None. The latents are in the column
-    order of the last epoch's shuffle, not that of the data as given.
+    order of the last epoch's shuffle, not that of the data as given:
+    column j belongs to the data column that the composed shuffles moved
+    to position j.
     """
 
     bases: list
@@ -129,8 +130,11 @@ def grad_parts(W, U, H, weight):
         raise ValueError("gradient term has no columns")
     if W.shape[0] != U.shape[0] or W.shape[1] != H.shape[0] or n != H.shape[1]:
         raise DimensionMismatch("grad_parts", W.shape, U.shape)
-    gram = abs(weight) * (W @ (H @ H.T)) / n
-    data = abs(weight) * (U @ H.T) / n
+    gram = W @ (H @ H.T)
+    data = U @ H.T
+    for part in (gram, data):
+        part *= abs(weight)
+        part /= n
     return (data, gram) if weight < 0 else (gram, data)
 
 
@@ -209,17 +213,19 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
     source, finite and non-negative, or a ValueError names the term.
 
     Bases start from each source's true data, or its supervised data when
-    none is given. Each epoch shuffles every active term's data jointly
-    with its latent columns, updates the supervised latents, then per
-    source normalizes the basis, updates that source's other latents and
-    runs the batched basis update; all bases and latents are normalized
-    at the end of the epoch. One term (the sample anchor) is fully covered
-    by the batches; the other active terms are resampled with replacement
-    to the same batch count. A batch's basis step sums each active term's
-    gradient parts, scaled by the term's weight (gamma_i for the
-    supervised term) and then by its tau_S blend. The recorded history is
-    the total objective after each epoch, the sum over sources of what
-    those steps descend.
+    none is given. Data and latents keep their given column order: each
+    epoch shuffles every active term by composing a new permutation into
+    the column order its data and latents share, and batches gather their
+    columns through it. Each epoch then updates the supervised latents,
+    then per source normalizes the basis, updates that source's other
+    latents and runs the batched basis update; all bases and latents are
+    normalized at the end of the epoch. One term (the sample anchor) is
+    fully covered by the batches; the other active terms are resampled
+    with replacement to the same batch count. A batch's basis step sums
+    each active term's gradient parts, scaled by the term's weight
+    (gamma_i for the supervised term) and then by its tau_S blend. The
+    recorded history is the total objective after each epoch, the sum over
+    sources of what those steps descend.
 
     Returns:
         TrainState with final bases, latents and objective history.
@@ -241,6 +247,7 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
         for i in range(s)
     ]
     L = {name: [np.ones((dims[i], x.shape[1])) for i, x in enumerate(sets)] for name, sets in data.items()}
+    order = {name: [np.arange(x.shape[1]) for x in sets] for name, sets in data.items()}
     per_source = [name for name in data if name != "supervised"]
     anchor = spec.sample_anchor if spec.sample_anchor in data else next(iter(data))
     shuffle_rng = np.random.default_rng([spec.seed, 0])
@@ -253,32 +260,31 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
             L[name][i] = h
 
     def term_batch(name, i, b, n_batches):
-        x, h = data[name][i], L[name][i]
+        # a batch of the term's columns in this epoch's shuffled order
+        x, h, o = data[name][i], L[name][i], order[name][i]
         n = x.shape[1]
         if name == anchor:
-            sl = slice(b * spec.batch_size, min((b + 1) * spec.batch_size, n))
-            return x[:, sl], h[:, sl]
-        if n_batches == 1:
-            return x, h
-        take = max(1, math.ceil(n / n_batches))
-        idx = samp_rng[i].integers(0, n, size=take)
-        return x[:, idx], h[:, idx]
+            cols = o[b * spec.batch_size : (b + 1) * spec.batch_size]
+        elif n_batches == 1:
+            cols = o
+        else:
+            cols = o[samp_rng[i].integers(0, n, size=max(1, math.ceil(n / n_batches)))]
+        return x[:, cols], h[:, cols]
 
     for _ in range(spec.epochs):
-        # joint column shuffles: one permutation per source and per-source
-        # term, then one shared by the supervised sources, their stacked
-        # latents and the mix
+        # column shuffles, composed into each term's order: one permutation
+        # per source and per-source term, then one shared by the supervised
+        # sources, their latents and the mix
         for i in range(s):
             for name in per_source:
-                perm = shuffle_rng.permutation(data[name][i].shape[1])
-                data[name][i], L[name][i] = data[name][i][:, perm], L[name][i][:, perm]
+                o = order[name][i]
+                order[name][i] = o[shuffle_rng.permutation(len(o))]
         if "supervised" in data:
-            perm = shuffle_rng.permutation(Vsup.shape[1])
-            Vsup = Vsup[:, perm]
-            data["supervised"] = [u[:, perm] for u in data["supervised"]]
-            # pop, so the old row blocks are freed before the joint update
-            Hsup = np.concatenate(L.pop("supervised"))[:, perm]
-            Hsup = update_latents(Hsup, np.concatenate(W, axis=1), Vsup, p, n_scale=Vsup.shape[1])
+            o = order["supervised"][0]
+            order["supervised"] = [o[shuffle_rng.permutation(len(o))]] * s
+            # the old row blocks are freed once concatenated, before the joint update
+            Hsup = update_latents(np.concatenate(L.pop("supervised")), np.concatenate(W, axis=1), Vsup, p,
+                                  n_scale=Vsup.shape[1])
             L["supervised"] = [Hsup[row0[i] : row0[i + 1]] for i in range(s)]
 
         for i in range(s):
@@ -287,22 +293,32 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
                 L[name][i] = update_latents(L[name][i], W[i], data[name][i], p, n_scale=data[name][i].shape[1])
             n_batches = max(1, math.ceil(data[anchor][i].shape[1] / spec.batch_size))
             for b in range(n_batches):
-                den = num = 0.0
+                den = num = None
                 for name in data:
                     blend, w = weight[name]
                     g_den, g_num = grad_parts(W[i], *term_batch(name, i, b, n_batches), w[i])
-                    den, num = den + blend * g_den, num + blend * g_num
+                    g_den *= blend
+                    g_num *= blend
+                    if den is None:
+                        den, num = g_den, g_num
+                    else:
+                        den += g_den
+                        num += g_num
                 W[i] = update_basis(W[i], den, num, p.mu_W, p.eps)
 
         for i in range(s):
             normalize_source(i)
         history.append(float(np.sum(_objective_arrays(W, data, L, weight, p.mu_W, sq_norms))))
 
+    # the latents into the last epoch's column order, one array at a time
+    for name in per_source:
+        for i in range(s):
+            L[name][i] = L[name][i][:, order[name][i]]
     return TrainState(
         bases=W,
         latents_true=L.get("true_data", [None] * s),
         latents_adv=L.get("adversarial", [None] * s),
-        latents_sup=np.concatenate(L["supervised"]) if "supervised" in L else None,
+        latents_sup=np.concatenate(L["supervised"])[:, order["supervised"][0]] if "supervised" in L else None,
         history=history,
     )
 

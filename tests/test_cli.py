@@ -462,6 +462,22 @@ class TestErrors:
         assert run_cli(["train", "--config", cfg]) == 1
         assert capsys.readouterr().err.rstrip().endswith(f"semi needs data.{missing}")
 
+    @pytest.mark.parametrize("method", ["anmf", "danmf"])
+    def test_adversarial_methods_name_missing_sources(self, tmp_path, method, capsys):
+        # the adversarial data are built from the sources; supervised data alone is not enough
+        rng = np.random.default_rng(0)
+        sup = make_sources(tmp_path, rng, n=12, prefix="sup")
+        write_matrix(tmp_path / "sup_mix.anmf", sum(read_matrix(p) for p in sup))
+        cfg = write_config(tmp_path, "train.json", {
+            "method": method,
+            "data": {"supervised": {"sources": sup, "mix": str(tmp_path / "sup_mix.anmf")}},
+            "train": {"d": 2, "epochs": 1},
+            "output": str(tmp_path / "model"),
+        })
+        assert run_cli(["train", "--config", cfg]) == 1
+        assert capsys.readouterr().err.rstrip().endswith(f"{method} needs data.sources")
+        assert not (tmp_path / "model").exists()
+
     def test_tune_needs_supervised_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "tune.json", {
             "method": "nmf",

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,22 @@ class TestMatrixFile:
         p = tmp_path / "m.anmf"
         write_matrix(p, mat)
         assert np.array_equal(read_matrix(p), mat)
+
+    def test_read_is_writable_and_column_major(self, tmp_path):
+        # training's bitwise results depend on the input layout, so the file's
+        # column-major order is kept
+        p = tmp_path / "m.anmf"
+        write_matrix(p, np.random.default_rng(1).random((60, 400)))
+        tracemalloc.start()
+        try:
+            mat = read_matrix(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mat.flags.writeable and mat.flags.f_contiguous and mat.flags.owndata
+        assert mat.dtype == np.float64 and mat.dtype.isnative
+        # the file's bytes and the one array made from them, no third copy
+        assert peak < 2.5 * mat.nbytes
 
     def test_header_layout(self, tmp_path):
         p = tmp_path / "m.anmf"

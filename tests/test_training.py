@@ -20,6 +20,7 @@ from oracles import plain_nmf_trajectory, triple_loop_product
 
 P0 = SparsityParams(0.0, 0.0)
 REFERENCE_RUNS = Path(__file__).parent / "data" / "train_smu_reference.npz"
+MINIBATCH_RUN = Path(__file__).parent / "data" / "train_smu_minibatch_reference.npz"
 
 
 def make_spec(**kw):
@@ -64,6 +65,37 @@ def run_arrays(states):
         if st.latents_sup is not None:
             out[f"{method}/latents_sup"] = as_array(st.latents_sup)
     return out
+
+
+def minibatch_run():
+    """A seeded danmf train_smu run in several batches per epoch: the
+    true-data anchor is sliced into batches of 7 and the adversarial and
+    supervised terms are resampled to the same batch count.
+
+    MINIBATCH_RUN holds its arrays as computed while train_smu still
+    copied every term's data and latents into shuffled order each epoch,
+    written by np.savez_compressed(MINIBATCH_RUN, **run_arrays({"danmf": minibatch_run()})).
+    """
+    rng = np.random.default_rng(40)
+    U = [rng.random((8, 40)), rng.random((8, 40))]
+    adv = [rng.random((8, 40)), rng.random((8, 40))]
+    sup_sources = [rng.random((8, 40)), rng.random((8, 40))]
+    sup = (sup_sources, sup_sources[0] + sup_sources[1])
+    spec = make_spec(d=3, tau_A=0.2, tau_S=0.5, epochs=4, batch_size=7, seed=11,
+                     sparsity=SparsityParams(0.01, 0.02))
+    return train_smu(U, spec, adversarial=adv, supervised=sup)
+
+
+def assert_matches_saved(now, path):
+    """run_arrays output against a saved run: bases and latents bitwise,
+    the history within rounding."""
+    with np.load(path) as saved:
+        assert sorted(now) == sorted(saved.files)
+        for key, x in now.items():
+            if key.endswith("/history"):
+                np.testing.assert_allclose(x, saved[key], rtol=1e-12, atol=0)
+            else:
+                np.testing.assert_array_equal(x, saved[key], err_msg=key)
 
 
 @pytest.fixture
@@ -283,16 +315,33 @@ class TestTrainSmu:
         assert len(calls) == 3 * 2 * 3  # epochs x sources x batches
 
     def test_matches_saved_run(self):
-        # bases and latents bitwise; the history, recorded with the direct
-        # ||D - W L||^2, within rounding
-        now = run_arrays(method_runs())
-        with np.load(REFERENCE_RUNS) as saved:
-            assert sorted(now) == sorted(saved.files)
-            for key, x in now.items():
-                if key.endswith("/history"):
-                    np.testing.assert_allclose(x, saved[key], rtol=1e-12, atol=0)
-                else:
-                    np.testing.assert_array_equal(x, saved[key], err_msg=key)
+        # the history was recorded with the direct ||D - W L||^2
+        assert_matches_saved(run_arrays(method_runs()), REFERENCE_RUNS)
+
+    def test_matches_saved_minibatch_run(self):
+        # batches gather through each term's column order, and match the
+        # run that copied the data into shuffled order
+        assert_matches_saved(run_arrays({"danmf": minibatch_run()}), MINIBATCH_RUN)
+
+    def test_epochs_copy_no_data(self):
+        # the data stay where they are: the peak working memory of a run at
+        # the train benchmark's m and d is a small multiple of the latents
+        # it returns, not a shuffled copy of every term per epoch
+        rng = np.random.default_rng(17)
+        m, d = 257, 32
+        U = [rng.random((m, 2000)) for _ in range(2)]
+        adv = [rng.random((m, 2500)) for _ in range(2)]
+        sup_sources = [rng.random((m, 500)) for _ in range(2)]
+        sup = (sup_sources, sup_sources[0] + sup_sources[1])
+        spec = make_spec(d=d, tau_A=0.1, tau_S=0.5, epochs=2, batch_size=100, seed=3)
+        tracemalloc.start()
+        try:
+            state = train_smu(U, spec, adversarial=adv, supervised=sup)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        latent_bytes = sum(h.nbytes for h in state.latents_true + state.latents_adv) + state.latents_sup.nbytes
+        assert peak < 4 * latent_bytes
 
     @pytest.mark.parametrize("true_given", [True, False])
     def test_dnmf_initializes_from_true_data_else_supervised(self, true_given):
