@@ -3,6 +3,7 @@
 from .adversarial import (
     OmegaWeights,
     WeightModel,
+    adversarial_sets,
     assemble_adversarial,
     compute_beta,
     default_omega,

@@ -128,7 +128,40 @@ def assemble_adversarial(i, sources, mixes, om, beta_i):
     alpha_V = sqrt(residual_i * N_hat_i * beta_i / N_V), into a new array.
     """
     arrays = [as_array(u) for u in sources]
+    return _assemble(i, arrays, as_array(mixes) if mixes is not None else None, om, beta_i)[0]
+
+
+def adversarial_sets(sources, mixes, wm, seed=0):
+    """Every source's adversarial set, built once, and each source's
+    training data.
+
+    Set i is assemble_adversarial's for source i under default_omega, with
+    beta_i = compute_beta(wm, i, seed=[seed, 77, i]), or 0 without mixes.
+    default_omega stores the other sources at alpha = 1, so source j's
+    training data is a view of its first such block: the same values in
+    the same layout, and the loaded array can be freed. A source that no
+    set stores unscaled (one source, or omega 0) keeps its own array.
+
+    Returns:
+        (sets, true_data): per-source lists; the given lists are unchanged.
+    """
+    arrays = [as_array(u) for u in sources]
     v = as_array(mixes) if mixes is not None else None
+    n_mix = v.shape[1] if v is not None else 0
+    om = default_omega([u.shape[1] for u in arrays], n_mix)
+    sets, true_data = [], list(arrays)
+    for i in range(len(arrays)):
+        beta = compute_beta(wm, i, seed=[seed, 77, i]) if n_mix else 0.0
+        out, unit = _assemble(i, arrays, v, om, beta)
+        sets.append(out)
+        for j, view in unit.items():
+            if true_data[j] is arrays[j]:
+                true_data[j] = view
+    return sets, true_data
+
+
+def _assemble(i, arrays, v, om, beta_i):
+    # source i's set, and a view of it per source j stored at alpha = 1
     m_rows = {a.shape[0] for a in arrays if a.size}
     if v is not None and v.size:
         m_rows.add(v.shape[0])
@@ -140,7 +173,7 @@ def assemble_adversarial(i, sources, mixes, om, beta_i):
     if n_hat == 0:
         raise ValueError(f"no adversarial data available for source {i}")
 
-    blocks = []
+    blocks, unit_starts, col = [], {}, 0
     for j, u in enumerate(arrays):
         if j == i:
             continue
@@ -152,7 +185,10 @@ def assemble_adversarial(i, sources, mixes, om, beta_i):
         if w == 0:
             continue
         alpha = float(np.sqrt(_snap_unit(w * n_hat / counts[j])))
+        if alpha == 1.0:
+            unit_starts[j] = col
         blocks.append(u if alpha == 1.0 else alpha * u)
+        col += counts[j]
     res = float(om.residual[i])
     if res > 0 and n_mix == 0:
         raise ValueError(f"residual[{i}] > 0 but no mix data present")
@@ -161,4 +197,5 @@ def assemble_adversarial(i, sources, mixes, om, beta_i):
         blocks.append(v if alpha_v == 1.0 else alpha_v * v)
     if not blocks:
         raise ValueError(f"adversarial set for source {i} is empty")
-    return np.concatenate(blocks, axis=1)
+    out = np.concatenate(blocks, axis=1)
+    return out, {j: out[:, c : c + counts[j]] for j, c in unit_starts.items()}

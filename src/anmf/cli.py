@@ -91,8 +91,8 @@ def build_train_spec(train_cfg, method, seed=None, overrides=None):
     return replace(spec, sparsity=sparsity, **cfg)
 
 
-def train_with_method(method, sources, mixes, supervised, spec, wm):
-    """Run the training pipeline for one method.
+def train_with_method(method, sources, sets, mixes, supervised, spec):
+    """Run the training pipeline for one method on _training_inputs' data.
 
     Returns:
         (bases, history): list of basis arrays and per-epoch objectives.
@@ -106,14 +106,6 @@ def train_with_method(method, sources, mixes, supervised, spec, wm):
             if value is None:
                 raise CliError(f"semi needs {block}")
         train_spec = replace(spec, d=spec.dims(len(sources) + 1)[:-1], gamma=None)
-    sets = None
-    if train_spec.tau_A > 0:
-        if sources is None:
-            raise CliError(f"{method} needs data.sources")
-        n_mix = mixes.shape[1] if mixes is not None else 0
-        om = adv.default_omega([u.shape[1] for u in sources], n_mix)
-        betas = [adv.compute_beta(wm, i, seed=[spec.seed, 77, i]) if n_mix else 0.0 for i in range(len(sources))]
-        sets = [adv.assemble_adversarial(i, sources, mixes, om, beta) for i, beta in enumerate(betas)]
     state = train_smu(sources, train_spec, adversarial=sets, supervised=supervised)
     if method == "semi":
         state.bases.append(train_semisupervised(mixes, state.bases, spec))
@@ -177,14 +169,18 @@ def _config_method(cfg):
     return method
 
 
-def _training_inputs(args, cfg):
-    """The method, sources (None when there are none), mixes (or None),
-    supervised (sources, mix) pair (or None) and weight model of a train
-    or tune config."""
-    method = _config_method(cfg)
+def _training_inputs(args, cfg, method, seed, adversarial):
+    """The sources, adversarial sets, mixes and supervised (sources, mix)
+    pair of a train or tune config, each None when there is none.
+
+    With adversarial true, the sets are built here, once, with betas
+    seeded [seed, 77, i] (adversarial.adversarial_sets): each source is
+    then a view of its unscaled copy in another source's set, so the loaded
+    arrays are not kept, and the mixes are kept only for semi.
+    """
     clamp = cfg.get("clamp_negatives", False) or args.clamp_negatives
     data = cfg.get("data", {})
-    sources = [aio.load_data_matrix(p, clamp) for p in data.get("sources", [])]
+    sources = [aio.load_data_matrix(p, clamp) for p in data.get("sources", [])] or None
     mixes = aio.load_data_matrix(data["mixes"], clamp) if data.get("mixes") else None
     supervised = None
     if data.get("supervised"):
@@ -193,19 +189,29 @@ def _training_inputs(args, cfg):
             [aio.load_data_matrix(p, clamp) for p in sup["sources"]],
             aio.load_data_matrix(sup["mix"], clamp),
         )
-    return method, sources or None, mixes, supervised, _weight_model(cfg, max(len(sources), 2))
+    sets = None
+    if adversarial:
+        if sources is None:
+            raise CliError(f"{method} needs data.sources")
+        wm = _weight_model(cfg, max(len(sources), 2))
+        sets, sources = adv.adversarial_sets(sources, mixes, wm, seed)
+        if method != "semi":
+            mixes = None
+    return sources, sets, mixes, supervised
 
 
-def _train_and_save(out, method, sources, mixes, supervised, spec, wm):
-    bases, history = train_with_method(method, sources, mixes, supervised, spec, wm)
+def _train_and_save(out, method, data, spec):
+    bases, history = train_with_method(method, *data, spec)
     aio.save_bundle(out, bases, _spec_echo(spec), history, {"method": method})
 
 
 def cmd_train(args):
     cfg = _load_config(args)
-    method, sources, mixes, supervised, wm = _training_inputs(args, cfg)
+    method = _config_method(cfg)
+    # the spec comes first: whether the adversarial sets are built, and their betas' seed, are read from it
     spec = build_train_spec(cfg.get("train"), method, args.seed)
-    _train_and_save(cfg["output"], method, sources, mixes, supervised, spec, wm)
+    data = _training_inputs(args, cfg, method, spec.seed, spec.tau_A > 0)
+    _train_and_save(cfg["output"], method, data, spec)
     return 0
 
 
@@ -269,17 +275,24 @@ def cmd_denoise(args):
 
 def cmd_tune(args):
     cfg = _load_config(args)
-    method, sources, mixes, supervised, wm = _training_inputs(args, cfg)
+    method = _config_method(cfg)
+    tuning = cfg["tuning"]
+    space = _parse_space(tuning["space"])
+    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    base_train_cfg = cfg.get("train", {})
+    # trials change neither the data, the weight model nor the seed, so one
+    # build of the adversarial sets serves every trial and fold; it is made
+    # when the train block or the search can give tau_A > 0
+    untuned = build_train_spec({k: v for k, v in base_train_cfg.items() if k not in space.params}, method, seed)
+    tuned_tau_A = "tau_A" in space.params and "tau_A" not in METHODS[method][0]
+    data = _training_inputs(args, cfg, method, seed, untuned.tau_A > 0 or tuned_tau_A)
+    sources, sets, mixes, supervised = data
     if supervised is None:
         raise CliError("the tune config needs a data.supervised block (sources and mix) to score trials on")
     sup_sources, sup_mix = supervised
     metric = cfg.get("metric", "psnr")
     mweights = cfg.get("metric_weights") or [1.0 / len(sup_sources)] * len(sup_sources)
     peak = float(cfg.get("peak", 1.0))
-    tuning = cfg["tuning"]
-    space = _parse_space(tuning["space"])
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    base_train_cfg = cfg.get("train", {})
 
     def evaluate(params, train_idx, val_idx):
         spec = build_train_spec(base_train_cfg, method, seed, overrides=params)
@@ -288,7 +301,7 @@ def cmd_tune(args):
             val = ([u[:, val_idx] for u in sup_sources], sup_mix[:, val_idx])
         else:
             train = val = supervised
-        bases, _ = train_with_method(method, sources, mixes, train, spec, wm)
+        bases, _ = train_with_method(method, sources, sets, mixes, train, spec)
         result = separate(val[1], bases, SparsityParams(mu_H=spec.sparsity.mu_H))
         return score_separation(result.filtered, val[0], metric, mweights, peak)
 
@@ -315,7 +328,7 @@ def cmd_tune(args):
     (out / "tune_result.json").write_text(json.dumps(payload, indent=2, allow_nan=False))
     # retrain the winner on all data and persist it
     best_spec = build_train_spec(base_train_cfg, method, seed, overrides=result.best_trial.params)
-    _train_and_save(out / "best_model", method, sources, mixes, supervised, best_spec, wm)
+    _train_and_save(out / "best_model", method, data, best_spec)
     return 0
 
 

@@ -33,10 +33,14 @@ def as_array(x):
 
 
 def _check_nonneg(a, name):
-    if not np.all(np.isfinite(a)):
+    # one min/max pair: NaN, +inf and -inf all show in it, before the sign is read
+    if not a.size:
+        return
+    lo, hi = np.min(a), np.max(a)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"{name} must be finite, found NaN or inf entries")
-    if a.size and np.min(a) < 0:
-        raise ValueError(f"{name} must be non-negative, found min {np.min(a)}")
+    if lo < 0:
+        raise ValueError(f"{name} must be non-negative, found min {lo}")
 
 
 @dataclass

@@ -5,7 +5,9 @@ synthetic mixing, and model bundle persistence.
 """
 
 import json
+import os
 import struct
+import sys
 import wave
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -39,23 +41,36 @@ def write_matrix(path, matrix):
 
 def read_matrix(path):
     """Read a matrix file written by write_matrix; bit-exact round trip.
-    The result is a writable column-major array, the file's own layout.
-    NaN or inf entries are a FormatError naming the file."""
-    data = Path(path).read_bytes()
-    if len(data) < 24 or data[:4] != MATRIX_MAGIC:
-        raise FormatError(f"{path}: not a matrix file (bad magic)")
-    version, rows, cols = struct.unpack("<IQQ", data[4:24])
-    if version != MATRIX_VERSION:
-        raise FormatError(f"{path}: unsupported matrix file version {version}")
-    expected = 24 + rows * cols * 8
-    if len(data) != expected:
-        raise FormatError(f"{path}: payload truncated ({len(data)} bytes, expected {expected})")
-    payload = np.frombuffer(data, dtype="<f8", offset=24).reshape((rows, cols), order="F")
-    bad = np.count_nonzero(~np.isfinite(payload))
-    if bad:
-        raise FormatError(f"{path}: {bad} non-finite (NaN or inf) entries")
-    # one writable, column-major copy in native byte order
-    return np.array(payload, dtype=float, order="F")
+
+    The header and the file size are checked before anything is allocated,
+    so a corrupt header cannot request a huge array; the payload is then
+    read straight into the result, with no second copy of the file. The
+    result is a writable, native float64 array in the file's column-major
+    layout that owns its memory. NaN or inf entries are a FormatError
+    naming the file.
+    """
+    with open(path, "rb") as f:
+        head = f.read(24)
+        if len(head) < 24 or head[:4] != MATRIX_MAGIC:
+            raise FormatError(f"{path}: not a matrix file (bad magic)")
+        version, rows, cols = struct.unpack("<IQQ", head[4:])
+        if version != MATRIX_VERSION:
+            raise FormatError(f"{path}: unsupported matrix file version {version}")
+        size = os.fstat(f.fileno()).st_size
+        expected = 24 + rows * cols * 8
+        if size != expected:
+            raise FormatError(f"{path}: payload truncated ({size} bytes, expected {expected})")
+        mat = np.empty((rows, cols), order="F")
+        # the transpose is the same memory in C order, which readinto needs
+        got = f.readinto(mat.T)
+        if got != expected - 24:
+            raise FormatError(f"{path}: payload truncated ({24 + got} bytes read, expected {expected})")
+    if sys.byteorder == "big":
+        mat.byteswap(inplace=True)
+    # one min/max pair shows NaN, +inf and -inf; the entries are counted only for the message
+    if mat.size and not (np.isfinite(mat.min()) and np.isfinite(mat.max())):
+        raise FormatError(f"{path}: {np.count_nonzero(~np.isfinite(mat))} non-finite (NaN or inf) entries")
+    return mat
 
 
 def load_idx_images(path):
@@ -118,7 +133,7 @@ def load_data_matrix(path, clamp_negatives=False):
     if mat.size and np.min(mat) < 0:
         if not clamp_negatives:
             raise FormatError(f"{path}: negative entries (pass --clamp-negatives to clamp to 0)")
-        mat = np.maximum(mat, 0.0)
+        np.maximum(mat, 0.0, out=mat)
     return mat
 
 

@@ -1,11 +1,14 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import anmf.adversarial
+import anmf.cli
 import anmf.separation
-from anmf.adversarial import WeightModel, assemble_adversarial, compute_beta, default_omega
+from anmf.adversarial import WeightModel, adversarial_sets, assemble_adversarial, compute_beta, default_omega
 from anmf.cli import CliError, build_train_spec, run_cli, score_separation
 from anmf.core import SparsityParams
 from anmf.features import StftConfig, istft, stft
@@ -422,6 +425,143 @@ class TestPipeline:
         n = min(len(x), len(y))
         # one quantization round trip of error
         assert np.max(np.abs(y[:n] - x[:n])) <= 1.0 / 32768.0 + 1e-9
+
+
+class TestTrainingInputs:
+    """anmf train holds each input once: the sources train from their
+    unscaled copies in the adversarial sets, built once and only when read."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        # record the data every train_smu call of the CLI is given
+        calls = []
+
+        def spy(true_data, spec, adversarial=None, supervised=None):
+            calls.append((true_data, adversarial))
+            return train_smu(true_data, spec, adversarial=adversarial, supervised=supervised)
+
+        monkeypatch.setattr(anmf.cli, "train_smu", spy)
+        return calls
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return adversarial_sets(*args, **kwargs)
+
+        monkeypatch.setattr(anmf.adversarial, "adversarial_sets", counted)
+        return builds
+
+    @staticmethod
+    def _supervised(tmp_path, rng):
+        sup = make_sources(tmp_path, rng, n=12, prefix="sup")
+        write_matrix(tmp_path / "sup_mix.anmf", sum(read_matrix(p) for p in sup))
+        return {"sources": sup, "mix": str(tmp_path / "sup_mix.anmf")}
+
+    @pytest.mark.parametrize("with_mix", [True, False])
+    @pytest.mark.parametrize("n_sources", [1, 2, 3])
+    def test_sources_are_views_into_the_sets(self, tmp_path, monkeypatch, n_sources, with_mix, capsys):
+        rng = np.random.default_rng(11)
+        src_paths = []
+        for i in range(n_sources):
+            write_matrix(tmp_path / f"src_{i}.anmf", rng.random((8, 20 + 7 * i)))
+            src_paths.append(str(tmp_path / f"src_{i}.anmf"))
+        data = {"sources": src_paths}
+        if with_mix:
+            write_matrix(tmp_path / "mix.anmf", rng.random((8, 25)))
+            data["mixes"] = str(tmp_path / "mix.anmf")
+        cfg = write_config(tmp_path, "train.json", {"method": "anmf", "data": data,
+                                                    "train": {"d": 2, "epochs": 1, "batch_size": 10},
+                                                    "output": str(tmp_path / "model")})
+        calls = self._spy(monkeypatch)
+        rc = run_cli(["train", "--config", cfg, "--seed", "4"])
+        if n_sources == 1 and not with_mix:
+            # one source and no mixes leave nothing to build its set from
+            assert rc == 1 and "no adversarial data available for source 0" in capsys.readouterr().err
+            return
+        assert rc == 0
+        [(true_data, sets)] = calls
+        loaded = [read_matrix(p) for p in src_paths]
+        mix = read_matrix(data["mixes"]) if with_mix else None
+        om = default_omega([u.shape[1] for u in loaded], mix.shape[1] if with_mix else 0)
+        wm = WeightModel.equal(max(n_sources, 2))
+        for i, got in enumerate(sets):
+            beta = compute_beta(wm, i, seed=[4, 77, i]) if with_mix else 0.0
+            want = assemble_adversarial(i, loaded, mix, om, beta)
+            assert np.array_equal(got, want) and got.flags.f_contiguous
+        for u, x in zip(true_data, loaded):
+            assert np.array_equal(u, x) and u.flags.f_contiguous
+            assert sum(np.shares_memory(u, got) for got in sets) == (0 if n_sources == 1 else 1)
+
+    @pytest.mark.parametrize("method, train", [("nmf", {}), ("enmf", {}), ("dnmf", {}), ("danmf", {"tau_A": 0.0})])
+    def test_no_sets_without_adversarial_term(self, tmp_path, monkeypatch, method, train):
+        rng = np.random.default_rng(12)
+        cfg = write_config(tmp_path, "train.json", {
+            "method": method,
+            "data": {"sources": make_sources(tmp_path, rng), "mixes": make_sources(tmp_path, rng, s=1, prefix="mix")[0],
+                     "supervised": self._supervised(tmp_path, rng)},
+            "train": {"d": 2, "epochs": 1, **train},
+            "output": str(tmp_path / "model"),
+        })
+        builds = self._count_builds(monkeypatch)
+        calls = self._spy(monkeypatch)
+        assert run_cli(["train", "--config", cfg]) == 0
+        [(true_data, sets)] = calls
+        assert builds == [] and sets is None
+        assert all(u.flags.owndata for u in true_data)
+
+    @pytest.mark.parametrize("method, builds_expected", [("danmf", 1), ("nmf", 0)])
+    def test_tune_builds_the_sets_once(self, tmp_path, monkeypatch, method, builds_expected):
+        rng = np.random.default_rng(13)
+        cfg = write_config(tmp_path, "tune.json", {
+            "method": method,
+            "data": {"sources": make_sources(tmp_path, rng), "supervised": self._supervised(tmp_path, rng)},
+            "train": {"d": 2, "epochs": 2, "batch_size": 5},
+            "tuning": {"trials": 2, "folds": 2, "space": {"tau_A": {"type": "uniform", "lo": 0.05, "hi": 0.2}}},
+            "output": str(tmp_path / "out"),
+        })
+        builds = self._count_builds(monkeypatch)
+        calls = self._spy(monkeypatch)
+        assert run_cli(["tune", "--config", cfg]) == 0
+        assert len(builds) == builds_expected
+        # every trial, fold and the final retrain read the same arrays
+        assert len(calls) == (2 * 2 + 1 if method == "danmf" else 2 + 1)
+        for true_data, sets in calls[1:]:
+            assert all(u is v for u, v in zip(true_data, calls[0][0]))
+            assert sets is calls[0][1]
+
+    def test_train_peak_memory_bound(self, tmp_path):
+        # a two-source danmf run at m = 257: 2 x 2000 source, 500 mix and
+        # 2 x 250 supervised columns, d = 32, one epoch
+        rng = np.random.default_rng(14)
+
+        def matrix(name, n):
+            write_matrix(tmp_path / name, rng.random((257, n)))
+            return str(tmp_path / name)
+
+        src = [matrix(f"src_{i}.anmf", 2000) for i in range(2)]
+        sup = [matrix(f"sup_{i}.anmf", 250) for i in range(2)]
+        paths = src + sup + [matrix("mix.anmf", 500), matrix("sup_mix.anmf", 250)]
+        payload = 8 * 257 * (2 * 2000 + 2 * 250 + 500 + 250)
+        cfg = write_config(tmp_path, "train.json", {
+            "method": "danmf",
+            "data": {"sources": src, "mixes": paths[4], "supervised": {"sources": sup, "mix": paths[5]}},
+            "train": {"d": 32, "epochs": 1},
+            "output": str(tmp_path / "model"),
+        })
+        tracemalloc.start()
+        try:
+            rc = run_cli(["train", "--config", cfg])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        # the loaded inputs next to the sets built from them are about 1.97 x
+        # the payload; a second copy of the sources kept through training
+        # would reach about 2.4 x
+        assert peak < 2.2 * payload
 
 
 class TestErrors:

@@ -27,6 +27,13 @@ class TestMatrixFile:
         write_matrix(p, mat)
         assert np.array_equal(read_matrix(p), mat)
 
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0)])
+    def test_empty_round_trip(self, tmp_path, shape):
+        p = tmp_path / "m.anmf"
+        write_matrix(p, np.ones(shape))
+        mat = read_matrix(p)
+        assert mat.shape == shape and mat.flags.f_contiguous and mat.flags.owndata
+
     def test_read_is_writable_and_column_major(self, tmp_path):
         # training's bitwise results depend on the input layout, so the file's
         # column-major order is kept
@@ -40,8 +47,8 @@ class TestMatrixFile:
             tracemalloc.stop()
         assert mat.flags.writeable and mat.flags.f_contiguous and mat.flags.owndata
         assert mat.dtype == np.float64 and mat.dtype.isnative
-        # the file's bytes and the one array made from them, no third copy
-        assert peak < 2.5 * mat.nbytes
+        # the payload is read straight into the one array it fills
+        assert peak < 1.5 * mat.nbytes
 
     def test_header_layout(self, tmp_path):
         p = tmp_path / "m.anmf"
@@ -77,6 +84,23 @@ class TestMatrixFile:
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(FormatError):
             read_matrix(p)
+
+    def test_oversized_header_checked_before_reading(self, tmp_path):
+        # a header claiming far more columns than the file holds is rejected
+        # from the file size, before the payload is read or an array allocated
+        p = tmp_path / "m.anmf"
+        write_matrix(p, np.ones((257, 500)))
+        data = bytearray(p.read_bytes())
+        data[4:24] = struct.pack("<IQQ", 1, 257, 10**12)
+        p.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="payload truncated"):
+                read_matrix(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestIdx:
