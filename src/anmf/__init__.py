@@ -1,13 +1,6 @@
 """NMF-family single-channel source separation toolkit."""
 
-from .adversarial import (
-    OmegaWeights,
-    WeightModel,
-    adversarial_sets,
-    assemble_adversarial,
-    compute_beta,
-    default_omega,
-)
+from .adversarial import WeightModel, adversarial_sets, compute_beta
 from .core import (
     Basis,
     DimensionMismatch,

@@ -1,9 +1,8 @@
 """Assembly of adversarial datasets.
 
-For each source i the adversarial matrix is built from the other sources'
-samples and naively inverted mixes, with mixture weights omega, the
-second-moment gain beta of the naive inversion, and per-block alpha
-scalings that fold the mixture weights into the stored columns.
+Source i's adversarial matrix is the other sources' samples followed by
+the naively inverted mixes, whose columns are scaled by sqrt(beta_i), the
+root second moment of the naive inversion's gain under the weight model.
 """
 
 from dataclasses import dataclass
@@ -50,6 +49,11 @@ class WeightModel:
         """Deterministic equal weights 1/S, the default model."""
         return cls(values=np.full(n_sources, 1.0 / n_sources))
 
+    @property
+    def n_sources(self):
+        """Number of sources S the model weighs."""
+        return len(self.values if self.mode == "deterministic" else self.concentration)
+
     def sample(self, rng, size=None):
         """Draw weight vectors; shape (S,) or (size, S)."""
         if self.mode == "deterministic":
@@ -64,8 +68,10 @@ def compute_beta(wm, i, seed=0):
 
     Deterministic mode returns (a_i / sum_j a_j^2)^2 exactly; Dirichlet
     mode estimates the same statistic by seeded Monte-Carlo over
-    wm.mc_samples draws.
+    wm.mc_samples draws. A source index outside the model is a ValueError.
     """
+    if not 0 <= i < wm.n_sources:
+        raise ValueError(f"weight model has {wm.n_sources} sources, no source {i}")
     if wm.mode == "deterministic":
         a = wm.values
         return float((a[i] / np.sum(a**2)) ** 2)
@@ -75,127 +81,40 @@ def compute_beta(wm, i, seed=0):
     return float(np.mean(gains**2))
 
 
-@dataclass
-class OmegaWeights:
-    """Mixture weights of the adversarial distribution.
-
-    omega[i, j] is the weight of source j's data in source i's
-    adversarial set (diagonal unused); residual[i] is the weight of the
-    naively inverted mix data, 1 - sum_{j != i} omega[i, j].
-    """
-
-    omega: np.ndarray
-    residual: np.ndarray
-
-    def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=float)
-        self.residual = np.asarray(self.residual, dtype=float)
-        off = self.omega.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.any(off < 0) or np.any(self.residual < -1e-12):
-            raise ValueError("omega weights must be non-negative")
-
-
-def default_omega(counts, n_mix):
-    """Count-proportional omega: omega_ij = N_j / (N_V + sum_{k != i} N_k)."""
-    counts = np.asarray(counts, dtype=float)
-    s = len(counts)
-    omega = np.zeros((s, s))
-    residual = np.zeros(s)
-    for i in range(s):
-        n_hat = n_mix + counts.sum() - counts[i]
-        if n_hat <= 0:
-            raise ValueError(f"no adversarial data available for source {i}")
-        for j in range(s):
-            if j != i:
-                omega[i, j] = counts[j] / n_hat
-        residual[i] = n_mix / n_hat
-    return OmegaWeights(omega, residual)
-
-
-def _snap_unit(x):
-    # Count-derived weights should give exact unit scalings; absorb the
-    # float roundoff of omega * N_hat / N_j so alpha = 1 blocks are stored
-    # bitwise-identically to their origin.
-    return 1.0 if abs(x - 1.0) < 1e-12 else x
-
-
-def assemble_adversarial(i, sources, mixes, om, beta_i):
-    """Build the adversarial matrix for source i.
-
-    Concatenates alpha_j * U_j for j != i and alpha_V * V column-wise,
-    with alpha_j = sqrt(omega_ij * N_hat_i / N_j) and
-    alpha_V = sqrt(residual_i * N_hat_i * beta_i / N_V), into a new array.
-    """
-    arrays = [as_array(u) for u in sources]
-    return _assemble(i, arrays, as_array(mixes) if mixes is not None else None, om, beta_i)[0]
-
-
 def adversarial_sets(sources, mixes, wm, seed=0):
     """Every source's adversarial set, built once, and each source's
     training data.
 
-    Set i is assemble_adversarial's for source i under default_omega, with
-    beta_i = compute_beta(wm, i, seed=[seed, 77, i]), or 0 without mixes.
-    default_omega stores the other sources at alpha = 1, so source j's
-    training data is a view of its first such block: the same values in
-    the same layout, and the loaded array can be freed. A source that no
-    set stores unscaled (one source, or omega 0) keeps its own array.
+    Set i is the other sources with columns, in order, then the mixes
+    times sqrt(beta_i), beta_i = compute_beta(wm, i, seed=[seed, 77, i]).
+    Each set is a new array in the inputs' layout; the mix block is scaled
+    in place. Source j's training data is a view of its block in the first
+    other source's set: the same values in the same layout, so the loaded
+    array can be freed. A source that no set holds (one source, or no
+    columns) keeps its own array.
 
     Returns:
         (sets, true_data): per-source lists; the given lists are unchanged.
     """
     arrays = [as_array(u) for u in sources]
     v = as_array(mixes) if mixes is not None else None
-    n_mix = v.shape[1] if v is not None else 0
-    om = default_omega([u.shape[1] for u in arrays], n_mix)
-    sets, true_data = [], list(arrays)
-    for i in range(len(arrays)):
-        beta = compute_beta(wm, i, seed=[seed, 77, i]) if n_mix else 0.0
-        out, unit = _assemble(i, arrays, v, om, beta)
-        sets.append(out)
-        for j, view in unit.items():
-            if true_data[j] is arrays[j]:
-                true_data[j] = view
-    return sets, true_data
-
-
-def _assemble(i, arrays, v, om, beta_i):
-    # source i's set, and a view of it per source j stored at alpha = 1
-    m_rows = {a.shape[0] for a in arrays if a.size}
-    if v is not None and v.size:
-        m_rows.add(v.shape[0])
+    mix = [v] if v is not None and v.shape[1] else []
+    m_rows = {a.shape[0] for a in arrays + mix if a.size}
     if len(m_rows) > 1:
         raise ValueError(f"row counts differ across datasets: {sorted(m_rows)}")
-    counts = [a.shape[1] for a in arrays]
-    n_mix = v.shape[1] if v is not None else 0
-    n_hat = n_mix + sum(c for j, c in enumerate(counts) if j != i)
-    if n_hat == 0:
-        raise ValueError(f"no adversarial data available for source {i}")
-
-    blocks, unit_starts, col = [], {}, 0
-    for j, u in enumerate(arrays):
-        if j == i:
-            continue
-        w = om.omega[i, j]
-        if counts[j] == 0:
-            if w > 0:
-                raise ValueError(f"omega[{i},{j}] > 0 but source {j} has no data")
-            continue
-        if w == 0:
-            continue
-        alpha = float(np.sqrt(_snap_unit(w * n_hat / counts[j])))
-        if alpha == 1.0:
-            unit_starts[j] = col
-        blocks.append(u if alpha == 1.0 else alpha * u)
-        col += counts[j]
-    res = float(om.residual[i])
-    if res > 0 and n_mix == 0:
-        raise ValueError(f"residual[{i}] > 0 but no mix data present")
-    if res > 0 and n_mix > 0:
-        alpha_v = float(np.sqrt(_snap_unit(res * n_hat / n_mix) * beta_i))
-        blocks.append(v if alpha_v == 1.0 else alpha_v * v)
-    if not blocks:
-        raise ValueError(f"adversarial set for source {i} is empty")
-    out = np.concatenate(blocks, axis=1)
-    return out, {j: out[:, c : c + counts[j]] for j, c in unit_starts.items()}
+    sets, true_data = [], list(arrays)
+    for i in range(len(arrays)):
+        others = [j for j, a in enumerate(arrays) if j != i and a.shape[1]]
+        if not others and not mix:
+            raise ValueError(f"no adversarial data available for source {i}")
+        out = np.concatenate([arrays[j] for j in others] + mix, axis=1)
+        if mix:
+            out[:, -v.shape[1] :] *= np.sqrt(compute_beta(wm, i, seed=[seed, 77, i]))
+        col = 0
+        for j in others:
+            n = arrays[j].shape[1]
+            if true_data[j] is arrays[j]:
+                true_data[j] = out[:, col : col + n]
+            col += n
+        sets.append(out)
+    return sets, true_data

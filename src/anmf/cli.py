@@ -217,6 +217,8 @@ def cmd_train(args):
 
 def cmd_separate(args):
     bundle = aio.load_bundle(args.model)
+    if args.references is not None and len(args.references) != len(bundle.bases):
+        raise CliError(f"need one reference per basis: {len(bundle.bases)} bases, {len(args.references)} references")
     clamp = args.clamp_negatives
     V = aio.load_data_matrix(args.input, clamp)
     p = SparsityParams(mu_H=float(args.mu_h), eps=1e-12)
@@ -292,6 +294,11 @@ def cmd_tune(args):
     sup_sources, sup_mix = supervised
     metric = cfg.get("metric", "psnr")
     mweights = cfg.get("metric_weights") or [1.0 / len(sup_sources)] * len(sup_sources)
+    try:
+        # every trial's score applies this check; a failure here would fail them all
+        amet.weighted_score([0.0] * len(sup_sources), mweights)
+    except ValueError as e:
+        raise CliError(f"metric_weights: {e}") from None
     peak = float(cfg.get("peak", 1.0))
 
     def evaluate(params, train_idx, val_idx):

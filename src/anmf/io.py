@@ -170,6 +170,8 @@ def mix_synthetic(sources, wm=None, snr_db=None, seed=0):
         truth = [signal.copy(), scaled]
         return signal + scaled, truth, weights
     wm = wm or WeightModel.equal(s)
+    if wm.n_sources != s:
+        raise ValueError(f"weight model has {wm.n_sources} sources, the data {s}")
     rng = np.random.default_rng(seed)
     weights = wm.sample(rng, size=n).T  # S x N
     truth = [arrays[i] * weights[i] for i in range(s)]

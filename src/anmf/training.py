@@ -205,7 +205,7 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
             None when tau_S = 1 and only supervised data is used).
         spec: TrainSpec.
         adversarial: list of per-source adversarial matrices, such as
-            assemble_adversarial returns; required when tau_A > 0.
+            adversarial_sets returns; required when tau_A > 0.
         supervised: (per-source ground-truth matrices, mixed matrix);
             required when tau_S > 0.
 

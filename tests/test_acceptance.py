@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import anmf.training as training
-from anmf.adversarial import WeightModel, assemble_adversarial, compute_beta, default_omega
+from anmf.adversarial import WeightModel, adversarial_sets, compute_beta
 from anmf.core import SparsityParams, as_array, cone_distance, update_latents
 from anmf.features import StftConfig, apply_mask, stft, istft
 from anmf.metrics import Choice, SearchSpace, cap_scores, psnr, random_search, si_sdr
@@ -111,18 +111,18 @@ def test_criterion_04_wiener_conservation():
 
 
 def test_criterion_05_adversarial_assembly():
-    """Default omega gives plain concatenation plus sqrt(beta) V (bitwise
-    on alpha = 1 segments); deterministic beta matches hand computation for
-    20 weight vectors."""
+    """Each source's adversarial set is the plain concatenation of the
+    other sources and sqrt(beta) V, bitwise; deterministic beta matches hand
+    computation for 20 weight vectors."""
     rng = np.random.default_rng(0)
     sources = [rng.random((6, 9)), rng.random((6, 7)), rng.random((6, 5))]
     mixes = rng.random((6, 4))
-    om = default_omega([9, 7, 5], 4)
-    beta = 0.37
-    out = assemble_adversarial(0, sources, mixes, om, beta)
-    expected = np.concatenate([sources[1], sources[2], np.sqrt(beta) * mixes], axis=1)
-    assert np.array_equal(out[:, :12], expected[:, :12])  # bitwise alpha = 1 blocks
-    assert np.allclose(out, expected, rtol=1e-15)
+    wm = WeightModel(values=[0.5, 0.3, 0.2])
+    sets, _ = adversarial_sets(sources, mixes, wm, seed=0)
+    for i, out in enumerate(sets):
+        beta = compute_beta(wm, i, seed=[0, 77, i])
+        others = [u for j, u in enumerate(sources) if j != i]
+        assert np.array_equal(out, np.concatenate([*others, np.sqrt(beta) * mixes], axis=1))
 
     for trial in range(20):
         trng = np.random.default_rng([1, trial])
@@ -167,9 +167,8 @@ def _train_and_score(seed, tau_A):
     adv = None
     if tau_A > 0:
         mixes = 0.5 * train[0] + 0.5 * train[1]
-        om = default_omega([u.shape[1] for u in train], mixes.shape[1])
         # equal mixing weights: naive-inversion gain is exactly 1, beta = 1
-        adv = [assemble_adversarial(i, train, mixes, om, 1.0) for i in range(2)]
+        adv = adversarial_sets(train, mixes, WeightModel.equal(2))[0]
     state = train_smu([u.copy() for u in train], spec, adversarial=adv)
     bases = [as_array(b) for b in state.bases]
     V = 0.5 * test[0] + 0.5 * test[1]

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from anmf.adversarial import (
-    OmegaWeights,
-    WeightModel,
-    assemble_adversarial,
-    compute_beta,
-    default_omega,
-)
+from anmf.adversarial import WeightModel, adversarial_sets, compute_beta
+
+
+def concatenation(i, sources, mixes, wm, seed=0):
+    """Source i's set, written out: the other sources with columns, then
+    sqrt(beta_i) times the mixes."""
+    blocks = [u for j, u in enumerate(sources) if j != i and u.shape[1]]
+    if mixes is not None:
+        blocks.append(np.sqrt(compute_beta(wm, i, seed=[seed, 77, i])) * mixes)
+    return np.concatenate(blocks, axis=1)
 
 
 class TestWeightModel:
@@ -69,6 +72,13 @@ class TestComputeBeta:
         assert compute_beta(wm, 0) == 1.0
         assert compute_beta(wm, 1) == 0.0
 
+    @pytest.mark.parametrize("wm", [WeightModel(values=[0.5, 0.5]),
+                                    WeightModel(mode="dirichlet", concentration=[1.0, 1.0], mc_samples=10)])
+    def test_source_outside_model_rejected(self, wm):
+        for i in (2, -1):
+            with pytest.raises(ValueError, match="weight model has 2 sources"):
+                compute_beta(wm, i)
+
     def test_dirichlet_reproducible(self):
         wm = WeightModel(mode="dirichlet", concentration=[1.0, 1.0], mc_samples=1000)
         assert compute_beta(wm, 0, seed=7) == compute_beta(wm, 0, seed=7)
@@ -89,30 +99,48 @@ class TestComputeBeta:
 
 
 class TestDefaultOmega:
+    """The paper's count-proportional omega, omega_ij = N_j / N_hat_i, is
+    what plain concatenation stores: every other source at unit scale, so
+    source j holds N_j of set i's N_hat_i columns and the mix the rest."""
+
     def test_no_mix_data(self):
-        om = default_omega([500, 500], 0)
-        assert om.omega[0, 1] == 1.0
-        assert om.omega[1, 0] == 1.0
-        assert np.all(om.residual == 0.0)
+        rng = np.random.default_rng(6)
+        # a source without columns has omega 0 everywhere: no set holds it
+        sources = [rng.random((3, 50)), rng.random((3, 50)), np.zeros((3, 0))]
+        sets, true_data = adversarial_sets(sources, None, WeightModel.equal(3))
+        assert np.array_equal(sets[0], sources[1])
+        assert np.array_equal(sets[1], sources[0])
+        assert np.array_equal(sets[2], np.concatenate(sources[:2], axis=1))
+        assert true_data[2] is sources[2]
 
     def test_with_mix_data(self):
-        om = default_omega([100, 300], 100)
-        assert om.omega[0, 1] == 300 / 400
-        assert om.residual[0] == 0.25
+        rng = np.random.default_rng(7)
+        sources = [rng.random((3, 100)), rng.random((3, 300))]
+        mixes = rng.random((3, 100))
+        wm = WeightModel(values=[0.6, 0.4])
+        sets, _ = adversarial_sets(sources, mixes, wm, seed=2)
+        # omega_01 = 300 / 400, and the mix takes the residual 100 / 400
+        assert np.array_equal(sets[0][:, :300], sources[1])
+        assert np.array_equal(sets[0][:, 300:], (0.6 / 0.52) * mixes)
+        assert sets[0].shape[1] == 400
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rows_sum_to_one(self, seed):
+        # the block shares N_j / N_hat_i and N_V / N_hat_i of each set sum to one
         rng = np.random.default_rng(seed)
         counts = rng.integers(1, 50, size=4)
         n_mix = int(rng.integers(0, 30))
-        om = default_omega(counts, n_mix)
-        for i in range(4):
-            row = sum(om.omega[i, j] for j in range(4) if j != i) + om.residual[i]
-            assert abs(row - 1.0) < 1e-12
+        sources = [rng.random((3, n)) for n in counts]
+        mixes = rng.random((3, n_mix)) if n_mix else None
+        wm = WeightModel(values=rng.dirichlet(np.ones(4)))
+        sets, _ = adversarial_sets(sources, mixes, wm, seed)
+        for i, out in enumerate(sets):
+            assert out.shape[1] == n_mix + counts.sum() - counts[i]
+            assert np.array_equal(out, concatenation(i, sources, mixes, wm, seed))
 
     def test_empty_adversarial_rejected(self):
-        with pytest.raises(ValueError):
-            default_omega([5, 0], 0)
+        with pytest.raises(ValueError, match="no adversarial data available for source 0"):
+            adversarial_sets([np.ones((3, 5)), np.zeros((3, 0))], None, WeightModel.equal(2))
 
 
 class TestAssemble:
@@ -120,74 +148,39 @@ class TestAssemble:
         rng = np.random.default_rng(0)
         sources = [rng.random((4, 5)), rng.random((4, 7)), rng.random((4, 3))]
         mixes = rng.random((4, 6))
-        om = default_omega([5, 7, 3], 6)
-        beta = 0.7
-        out = assemble_adversarial(0, sources, mixes, om, beta)
-        expected = np.concatenate([sources[1], sources[2], np.sqrt(beta) * mixes], axis=1)
-        # sources 1 and 2 at alpha = 1, then the mix at sqrt(beta)
-        assert np.array_equal(out, expected)
-
-    def test_unit_scalings_bitwise(self):
-        rng = np.random.default_rng(1)
-        sources = [rng.random((3, 4)), rng.random((3, 4))]
-        om = OmegaWeights(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
-        out = assemble_adversarial(0, sources, None, om, 1.0)
-        assert np.array_equal(out, sources[1])
-
-    def test_alpha_formula(self):
-        rng = np.random.default_rng(2)
-        sources = [rng.random((3, 2)), rng.random((3, 4))]
-        om = OmegaWeights(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
-        out = assemble_adversarial(0, sources, None, om, 1.0)
-        # alpha_2 = sqrt(1 * 4 / 4) = 1
-        assert np.array_equal(out, sources[1])
-        # alpha_1 = sqrt(0.5 * 6 / 2), alpha_V = sqrt(0.5 * 6 * 0.8 / 4)
-        mixes = rng.random((3, 4))
-        om = OmegaWeights(np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([0.5, 0.5]))
-        out = assemble_adversarial(1, sources, mixes, om, 0.8)
-        assert np.array_equal(out[:, :2], np.sqrt(0.5 * 6 / 2) * sources[0])
-        assert np.array_equal(out[:, 2:], np.sqrt(0.5 * 6 / 4 * 0.8) * mixes)
-
-    def test_weight_on_missing_data_rejected(self):
-        sources = [np.ones((3, 2)), np.zeros((3, 0))]
-        om = OmegaWeights(np.array([[0.0, 0.5], [1.0, 0.0]]), np.array([0.5, 0.0]))
-        with pytest.raises(ValueError):
-            assemble_adversarial(0, sources, np.ones((3, 2)), om, 1.0)
+        wm = WeightModel(values=[0.5, 0.3, 0.2])
+        sets, _ = adversarial_sets(sources, mixes, wm, seed=3)
+        for i, out in enumerate(sets):
+            assert np.array_equal(out, concatenation(i, sources, mixes, wm, seed=3))
 
     def test_segments_partition_columns(self):
         # one block per contributing dataset, in order: others, then mix
         rng = np.random.default_rng(3)
         sources = [rng.random((4, 5)), rng.random((4, 7)), rng.random((4, 3))]
         mixes = rng.random((4, 2))
-        om = default_omega([5, 7, 3], 2)
-        out = assemble_adversarial(1, sources, mixes, om, 0.5)
+        wm = WeightModel(mode="dirichlet", concentration=[1.0, 2.0, 3.0], mc_samples=100)
+        out = adversarial_sets(sources, mixes, wm)[0][1]
         assert out.shape == (4, 5 + 3 + 2)
         assert np.array_equal(out[:, :5], sources[0])
         assert np.array_equal(out[:, 5:8], sources[2])
-        assert np.allclose(out[:, 8:], np.sqrt(0.5) * mixes, rtol=1e-15)
+        assert np.array_equal(out[:, 8:], np.sqrt(compute_beta(wm, 1, seed=[0, 77, 1])) * mixes)
 
-    def test_scale_bookkeeping(self):
-        rng = np.random.default_rng(4)
-        sources = [rng.random((3, 4)), rng.random((3, 4))]
-        mixes = rng.random((3, 4))
-        om = OmegaWeights(np.array([[0.0, 0.3], [0.3, 0.0]]), np.array([0.7, 0.7]))
-        out = assemble_adversarial(0, sources, mixes, om, 0.9)
-        # N_hat = 8: alpha_1 = sqrt(0.3 * 8 / 4), alpha_V = sqrt(0.7 * 8 * 0.9 / 4)
-        for block, origin, alpha in ((out[:, :4], sources[1], np.sqrt(0.6)), (out[:, 4:], mixes, np.sqrt(1.26))):
-            assert np.allclose(block / alpha, origin, rtol=1e-15)
+    def test_row_counts_must_agree(self):
+        with pytest.raises(ValueError, match=r"row counts differ across datasets: \[3, 4\]"):
+            adversarial_sets([np.ones((3, 2)), np.ones((3, 2))], np.ones((4, 2)), WeightModel.equal(2))
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_result_owns_its_memory_in_input_layout(self, order):
-        # unit blocks go straight into the concatenation: the result is
-        # still a new array, even for a single block, in the inputs' layout
+        # blocks go straight into the concatenation, and the mix block is
+        # scaled there: each set is a new array, even for a single block, in
+        # the inputs' layout
         rng = np.random.default_rng(5)
         sources = [np.asarray(rng.random((4, 5)), order=order) for _ in range(3)]
         mixes = np.asarray(rng.random((4, 6)), order=order)
         kept = [u.copy() for u in sources] + [mixes.copy()]
-        single = OmegaWeights(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), np.zeros(3))
         for out in (
-            assemble_adversarial(0, sources, mixes, default_omega([5, 5, 5], 6), 1.0),
-            assemble_adversarial(0, sources, None, single, 1.0),
+            adversarial_sets(sources, mixes, WeightModel(values=[0.6, 0.3, 0.1]))[0][0],
+            adversarial_sets(sources[:2], None, WeightModel.equal(2))[0][0],
         ):
             assert out.flags.owndata
             assert out.flags.f_contiguous if order == "F" else out.flags.c_contiguous

@@ -8,7 +8,7 @@ import pytest
 import anmf.adversarial
 import anmf.cli
 import anmf.separation
-from anmf.adversarial import WeightModel, adversarial_sets, assemble_adversarial, compute_beta, default_omega
+from anmf.adversarial import WeightModel, adversarial_sets, compute_beta
 from anmf.cli import CliError, build_train_spec, run_cli, score_separation
 from anmf.core import SparsityParams
 from anmf.features import StftConfig, istft, stft
@@ -294,8 +294,8 @@ class TestPipeline:
 
     @pytest.mark.parametrize("method, taus", [("anmf", {"tau_A": 0.2}), ("danmf", {"tau_A": 0.2, "tau_S": 0.4})])
     def test_adversarial_bundle_matches_library(self, tmp_path, method, taus):
-        # the CLI's adversarial sets are default_omega, compute_beta seeded
-        # [seed, 77, i] and assemble_adversarial, as the library builds them
+        # the CLI's adversarial sets are the other source, then the mix times
+        # sqrt(beta_i), with compute_beta seeded [seed, 77, i]
         rng = np.random.default_rng(7)
         src_paths = make_sources(tmp_path, rng)
         sup_paths = make_sources(tmp_path, rng, n=12, prefix="sup")
@@ -316,8 +316,8 @@ class TestPipeline:
         bundle = load_bundle(tmp_path / "model")
 
         model = WeightModel(mode="dirichlet", concentration=[1.0, 2.0], mc_samples=500)
-        om = default_omega([u.shape[1] for u in sources], mix.shape[1])
-        sets = [assemble_adversarial(i, sources, mix, om, compute_beta(model, i, seed=[5, 77, i])) for i in range(2)]
+        sets = [np.concatenate([sources[1 - i], np.sqrt(compute_beta(model, i, seed=[5, 77, i])) * mix], axis=1)
+                for i in range(2)]
         spec = TrainSpec(d=3, epochs=6, batch_size=10, seed=5, **taus)
         state = train_smu(sources, spec, adversarial=sets, supervised=(sup_sources, sum(sup_sources)))
         for got, want in zip(bundle.bases, state.bases):
@@ -485,11 +485,12 @@ class TestTrainingInputs:
         [(true_data, sets)] = calls
         loaded = [read_matrix(p) for p in src_paths]
         mix = read_matrix(data["mixes"]) if with_mix else None
-        om = default_omega([u.shape[1] for u in loaded], mix.shape[1] if with_mix else 0)
         wm = WeightModel.equal(max(n_sources, 2))
         for i, got in enumerate(sets):
-            beta = compute_beta(wm, i, seed=[4, 77, i]) if with_mix else 0.0
-            want = assemble_adversarial(i, loaded, mix, om, beta)
+            blocks = [u for j, u in enumerate(loaded) if j != i]
+            if with_mix:
+                blocks.append(np.sqrt(compute_beta(wm, i, seed=[4, 77, i])) * mix)
+            want = np.concatenate(blocks, axis=1)
             assert np.array_equal(got, want) and got.flags.f_contiguous
         for u, x in zip(true_data, loaded):
             assert np.array_equal(u, x) and u.flags.f_contiguous
@@ -698,6 +699,59 @@ class TestErrors:
         assert run_cli(["train", "--config", cfg]) == 1
         assert capsys.readouterr().err.rstrip().endswith("danmf needs tau_S in (0, 1)")
         assert not (tmp_path / "model").exists()
+
+    def test_train_weight_model_too_small(self, tmp_path, capsys):
+        # 3 sources with mixes need beta_2, which a 2-weight model does not have
+        rng = np.random.default_rng(0)
+        write_matrix(tmp_path / "mix.anmf", rng.random((8, 20)))
+        cfg = write_config(tmp_path, "train.json", {
+            "method": "anmf", "weight_model": {"values": [0.5, 0.5]},
+            "data": {"sources": make_sources(tmp_path, rng, s=3), "mixes": str(tmp_path / "mix.anmf")},
+            "train": {"d": 2, "epochs": 1},
+            "output": str(tmp_path / "model"),
+        })
+        assert run_cli(["train", "--config", cfg]) == 1
+        assert "anmf: error: weight model has 2 sources, no source 2" in capsys.readouterr().err
+        assert not (tmp_path / "model").exists()
+
+    def test_mix_weight_model_size_must_match(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "mix.json", {
+            "sources": make_sources(tmp_path, np.random.default_rng(0)),
+            "weight_model": {"values": [0.2, 0.3, 0.5]},
+            "output": {"mix": str(tmp_path / "mix.anmf")},
+        })
+        assert run_cli(["mix", "--config", cfg]) == 1
+        assert "anmf: error: weight model has 3 sources, the data 2" in capsys.readouterr().err
+        assert not (tmp_path / "mix.anmf").exists()
+
+    def test_separate_needs_one_reference_per_basis(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        save_bundle(tmp_path / "model", [rng.random((8, 2)), rng.random((8, 2))])
+        write_matrix(tmp_path / "mix.anmf", rng.random((8, 5)))
+        refs = make_sources(tmp_path, rng, n=5, s=1)
+        assert run_cli(["separate", "--model", str(tmp_path / "model"), "--input", str(tmp_path / "mix.anmf"),
+                        "--output-dir", str(tmp_path / "sep"), "--references", *refs]) == 1
+        assert "anmf: error: need one reference per basis: 2 bases, 1 references" in capsys.readouterr().err
+        assert not (tmp_path / "sep").exists()
+
+    @pytest.mark.parametrize("weights, why", [([1.0], "equal length"), ([0.7, 0.7], "simplex")])
+    def test_tune_rejects_metric_weights_before_trials(self, tmp_path, weights, why, capsys):
+        rng = np.random.default_rng(0)
+        sup = make_sources(tmp_path, rng, n=12, prefix="sup")
+        write_matrix(tmp_path / "sup_mix.anmf", sum(read_matrix(p) for p in sup))
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "tune.json", {
+            "method": "nmf", "metric_weights": weights,
+            "data": {"sources": make_sources(tmp_path, rng),
+                     "supervised": {"sources": sup, "mix": str(tmp_path / "sup_mix.anmf")}},
+            "train": {"d": 2, "epochs": 1},
+            "tuning": {"trials": 2, "space": {}},
+            "output": str(out),
+        })
+        assert run_cli(["tune", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "anmf: error: metric_weights: " in err and why in err
+        assert not out.exists()
 
     def test_tune_rejects_misspelt_space_key(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

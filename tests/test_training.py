@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import anmf.training as training
-from anmf.adversarial import assemble_adversarial, default_omega
+from anmf.adversarial import WeightModel, adversarial_sets
 from anmf.core import DimensionMismatch, SparsityParams, as_array, init_exemplar, update_latents
 from anmf.training import (
     TrainSpec,
@@ -193,7 +193,7 @@ class TestUpdateBasis:
         U = [rng.random((5, 8)), rng.random((5, 7))]
         sup_sources = [rng.random((5, 6)), rng.random((5, 6))]
         sup = (sup_sources, sup_sources[0] + sup_sources[1])
-        adv_sets = [assemble_adversarial(i, U, None, default_omega([8, 7], 0), 1.0) for i in range(2)]
+        adv_sets = adversarial_sets(U, None, WeightModel.equal(2))[0]
         spec = make_spec(d=2, tau_A=0.5, tau_S=1.0, epochs=2, batch_size=4, seed=3)
         train_smu(U, spec, adversarial=adv_sets, supervised=sup)
         sup_columns = {tuple(c) for u in sup_sources for c in u.T}
@@ -212,7 +212,7 @@ class TestUpdateBasis:
         U = [rng.random((4, 6)), rng.random((4, 5))]
         sup_sources = [rng.random((4, 3)), rng.random((4, 3))]
         sup = (sup_sources, sup_sources[0] + sup_sources[1])
-        adv_sets = [assemble_adversarial(i, U, sup[1], default_omega([6, 5], 3), 1.0) for i in range(2)]
+        adv_sets = adversarial_sets(U, sup[1], WeightModel.equal(2))[0]
         tau_A, tau_S, gamma, mu_W, eps = 0.2, 0.3, [1.7, 0.6], 0.05, 1e-12
         spec = make_spec(
             d=2, tau_A=tau_A, tau_S=tau_S, gamma=gamma, epochs=1, sparsity=SparsityParams(mu_W, 0.0, eps)
@@ -270,9 +270,7 @@ class TestTrainSmu:
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         U = [rng.random((6, 20)), rng.random((6, 18))]
-        adv_sets = [
-            assemble_adversarial(i, U, None, default_omega([20, 18], 0), 1.0) for i in range(2)
-        ]
+        adv_sets = adversarial_sets(U, None, WeightModel.equal(2))[0]
         spec = make_spec(d=4, tau_A=0.1, epochs=5, batch_size=7, seed=9)
         s1 = train_smu([u.copy() for u in U], spec, adversarial=adv_sets)
         s2 = train_smu([u.copy() for u in U], spec, adversarial=adv_sets)
@@ -285,9 +283,7 @@ class TestTrainSmu:
         U = [rng.random((5, 12)), rng.random((5, 10))]
         sup = ([rng.random((5, 8)), rng.random((5, 8))], None)
         sup = (sup[0], sup[0][0] + sup[0][1])
-        adv_sets = [
-            assemble_adversarial(i, U, sup[1], default_omega([12, 10], 8), 1.0) for i in range(2)
-        ]
+        adv_sets = adversarial_sets(U, sup[1], WeightModel.equal(2))[0]
         spec = make_spec(d=3, tau_A=0.2, tau_S=0.4, epochs=8, batch_size=4, seed=1)
         state = train_smu(U, spec, adversarial=adv_sets, supervised=sup)
         for lst in (state.bases, state.latents_true, state.latents_adv):
@@ -406,9 +402,7 @@ class TestTrainSmu:
             np.maximum(base1 @ rng.random((2, 40)), 0),
             np.maximum(base2 @ rng.random((2, 40)), 0),
         ]
-        adv_sets = [
-            assemble_adversarial(i, U, None, default_omega([40, 40], 0), 1.0) for i in range(2)
-        ]
+        adv_sets = adversarial_sets(U, None, WeightModel.equal(2))[0]
         spec = make_spec(
             d=2, tau_A=0.1, epochs=50, batch_size=40, seed=3,
             sparsity=SparsityParams(1e-10, 1e-10),
