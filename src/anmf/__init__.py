@@ -12,7 +12,7 @@ from .core import (
     solve_nnls,
     update_latents,
 )
-from .features import Spectrogram, StftConfig, apply_mask, istft, stft
+from .features import StftConfig, apply_gain, apply_mask, istft, stft
 from .metrics import (
     Choice,
     LogUniform,

@@ -127,6 +127,11 @@ def score_separation(filtered, references, metric, weights, peak=1.0):
     return amet.weighted_score(medians, weights)
 
 
+def _check_shape(path, mat, other_path, other):
+    if mat.shape != other.shape:
+        raise CliError(f"{path} has shape {mat.shape}, but {other_path} has shape {other.shape}")
+
+
 def _write_metrics_csv(path, rows):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -221,6 +226,11 @@ def cmd_separate(args):
         raise CliError(f"need one reference per basis: {len(bundle.bases)} bases, {len(args.references)} references")
     clamp = args.clamp_negatives
     V = aio.load_data_matrix(args.input, clamp)
+    # the references are checked before any source file is written
+    refs = []
+    for path in args.references or ():
+        refs.append(aio.load_data_matrix(path, clamp))
+        _check_shape(path, refs[-1], args.input, V)
     p = SparsityParams(mu_H=float(args.mu_h), eps=1e-12)
     result = separate(V, bundle.bases, p, max_iter=args.max_iter)
     out_dir = Path(args.output_dir)
@@ -230,8 +240,7 @@ def cmd_separate(args):
         u = np.clip(u, 0.0, args.peak) if args.clip else u
         estimates.append(u)
         aio.write_matrix(out_dir / f"source_{i:03d}.anmf", u)
-    if args.references:
-        refs = [aio.load_data_matrix(r, clamp) for r in args.references]
+    if refs:
         rows = []
         for i, (est, ref) in enumerate(zip(estimates, refs)):
             scores = _per_column_scores(est, ref, args.metric, args.peak)
@@ -247,24 +256,24 @@ def cmd_denoise(args):
     if mode == "separate" and len(bundle.bases) == 1:
         raise CliError("denoise --mode separate needs a bundle of two or more bases")
     samples, rate = aio.load_wav(args.input)
-    cfg = feat.StftConfig(n_fft=args.n_fft, hop=args.hop, sample_rate=rate)
-    spec = feat.stft(samples, cfg)
+    cfg = feat.StftConfig(n_fft=args.n_fft, hop=args.hop)
+    spectrum = feat.stft(samples, cfg)
+    mag = np.abs(spectrum)
     p = SparsityParams(mu_H=float(args.mu_h))
     if mode == "project":
         # projection denoising: project the mixed magnitude onto the
         # speech basis; the unexplained remainder acts as the noise
         # magnitude for the soft mask
-        mags = [project_denoise(spec.magnitude, bundle.bases[0], p, max_iter=args.max_iter)]
-        mags.append(np.maximum(spec.magnitude - mags[0], 0.0))
+        mags = [project_denoise(mag, bundle.bases[0], p, max_iter=args.max_iter)]
+        mags.append(np.maximum(mag - mags[0], 0.0))
     else:
-        _, mags = fit_sources(spec.magnitude, bundle.bases, p, max_iter=args.max_iter)
+        _, mags = fit_sources(mag, bundle.bases, p, max_iter=args.max_iter)
     # soft-mask synthesis of the speech signal alone: the speech mask
-    # multiplies the mix in place, and the magnitudes are dropped before
-    # the inverse transform to bound peak memory
-    mask = wiener_mask(mags[0], sum(mags), len(mags))
-    del mags
-    spec.apply_gain(mask)
-    speech = feat.istft(spec, length=len(samples))
+    # multiplies the mix in place, and the mask and magnitudes are dropped
+    # before the inverse transform to bound peak memory
+    feat.apply_gain(spectrum, wiener_mask(mags[0], sum(mags), len(mags)))
+    del mag, mags
+    speech = feat.istft(spectrum, cfg, length=len(samples))
     aio.write_wav(args.output, speech, rate)
     if args.reference:
         ref, _ = aio.load_wav(args.reference)
@@ -368,6 +377,7 @@ def cmd_eval(args):
     for i, (e, r) in enumerate(zip(args.estimates, args.references)):
         est = aio.load_data_matrix(e, True)
         ref = aio.load_data_matrix(r, True)
+        _check_shape(r, ref, e, est)
         scores = _per_column_scores(est, ref, args.metric, args.peak)
         all_scores[i] = scores
         rows.extend([k, i, args.metric, v] for k, v in enumerate(scores))
@@ -385,25 +395,23 @@ def cmd_features(args):
             raise CliError(f"features needs {flag}")
     if args.inverse:
         cfg_data = json.loads(Path(args.input_prefix + ".cfg.json").read_text())
-        cfg = feat.StftConfig(**{k: cfg_data[k] for k in ("n_fft", "hop", "window", "sample_rate")})
-        mag = aio.read_matrix(args.input_prefix + ".mag.anmf")
-        phase = aio.read_matrix(args.input_prefix + ".phase.anmf")
-        spec = feat.Spectrogram(mag * np.exp(1j * phase), mag, cfg)
-        signal = feat.istft(spec, length=cfg_data.get("length"))
-        aio.write_wav(args.output, signal, cfg.sample_rate)
+        if cfg_data["window"] != "hann":
+            raise CliError(f"unsupported window {cfg_data['window']!r}")
+        cfg = feat.StftConfig(n_fft=cfg_data["n_fft"], hop=cfg_data["hop"])
+        mag_path, phase_path = args.input_prefix + ".mag.anmf", args.input_prefix + ".phase.anmf"
+        mag, phase = aio.read_matrix(mag_path), aio.read_matrix(phase_path)
+        _check_shape(phase_path, phase, mag_path, mag)
+        signal = feat.istft(mag * np.exp(1j * phase), cfg, length=cfg_data.get("length"))
+        aio.write_wav(args.output, signal, cfg_data["sample_rate"])
         return 0
     samples, rate = aio.load_wav(args.input)
-    cfg = feat.StftConfig(n_fft=args.n_fft, hop=args.hop, sample_rate=rate)
-    spec = feat.stft(samples, cfg)
-    aio.write_matrix(args.output_prefix + ".mag.anmf", spec.magnitude)
-    aio.write_matrix(args.output_prefix + ".phase.anmf", spec.phase)
-    Path(args.output_prefix + ".cfg.json").write_text(
-        json.dumps(
-            {"n_fft": cfg.n_fft, "hop": cfg.hop, "window": cfg.window,
-             "sample_rate": cfg.sample_rate, "length": len(samples)},
-            indent=2,
-        )
-    )
+    cfg = feat.StftConfig(n_fft=args.n_fft, hop=args.hop)
+    spectrum = feat.stft(samples, cfg)
+    aio.write_matrix(args.output_prefix + ".mag.anmf", np.abs(spectrum))
+    aio.write_matrix(args.output_prefix + ".phase.anmf", np.angle(spectrum))
+    # the window and rate are recorded for readers of the file; --inverse checks the window
+    meta = {"n_fft": cfg.n_fft, "hop": cfg.hop, "window": "hann", "sample_rate": rate, "length": len(samples)}
+    Path(args.output_prefix + ".cfg.json").write_text(json.dumps(meta, indent=2))
     return 0
 
 

@@ -1,7 +1,8 @@
 """STFT analysis and synthesis for the audio pipeline.
 
-Complex one-sided spectrograms with centered Hann-windowed frames, exact
-overlap-add inversion, and soft-mask synthesis that multiplies a real
+A spectrum is a plain complex one-sided (n_fft/2 + 1) x T array from
+centered Hann-windowed frames; callers take np.abs or np.angle of it. istft
+inverts it by exact overlap-add, and soft-mask synthesis multiplies a real
 Wiener mask per source into the complex mix spectrum.
 """
 
@@ -14,12 +15,10 @@ from .separation import wiener_mask
 
 @dataclass
 class StftConfig:
-    """Transform parameters. Defaults: 512-sample FFT, 75% overlap, Hann."""
+    """Transform parameters. Defaults: 512-sample FFT, 75% overlap."""
 
     n_fft: int = 512
     hop: int = 128
-    window: str = "hann"
-    sample_rate: int = 16000
 
     def __post_init__(self):
         if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
@@ -28,8 +27,6 @@ class StftConfig:
             raise ValueError("hop must lie in (0, n_fft]")
         if self.n_fft % self.hop:
             raise ValueError("hop must divide n_fft for exact reconstruction")
-        if self.window != "hann":
-            raise ValueError(f"unsupported window {self.window!r}")
 
     @property
     def n_bins(self):
@@ -41,40 +38,12 @@ class StftConfig:
         return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / self.n_fft)
 
 
-@dataclass
-class Spectrogram:
-    """One-sided complex spectrum and its magnitude, (n_fft/2 + 1) x T.
-
-    istft inverts spectrum; magnitude stays equal to |spectrum| up to
-    rounding, so a gain applied in place goes to both (apply_gain).
-    """
-
-    spectrum: np.ndarray
-    magnitude: np.ndarray
-    config: StftConfig
-
-    @property
-    def n_frames(self):
-        return self.magnitude.shape[1]
-
-    @property
-    def phase(self):
-        return np.angle(self.spectrum)
-
-    def apply_gain(self, gain):
-        """Multiply a real gain, such as a soft mask, into both arrays in place."""
-        # stft stores the spectrum column-major; a gain in the same layout
-        # is multiplied in without strided reads
-        gain = np.asarray(gain, order="F" if self.spectrum.flags.f_contiguous else "C")
-        self.spectrum *= gain
-        self.magnitude *= gain
-
-
 def stft(signal, cfg=None):
     """Short-time Fourier transform with centered reflection-padded frames.
 
-    The end is padded so that the last frame reaches past the last sample:
-    a signal of n samples gives ceil(n / hop) + 1 frames.
+    Returns the complex one-sided spectrum, column-major. The end is padded
+    so that the last frame reaches past the last sample: a signal of n
+    samples gives ceil(n / hop) + 1 frames.
     """
     cfg = cfg or StftConfig()
     x = np.asarray(signal, dtype=float).ravel()
@@ -83,8 +52,14 @@ def stft(signal, cfg=None):
     pad = cfg.n_fft // 2
     xp = np.pad(x, (pad, pad + (-len(x)) % cfg.hop), mode="reflect")
     frames = np.lib.stride_tricks.sliding_window_view(xp, cfg.n_fft)[:: cfg.hop]
-    spec = np.fft.rfft(frames * cfg.window_samples(), axis=1).T
-    return Spectrogram(spec, np.abs(spec), cfg)
+    return np.fft.rfft(frames * cfg.window_samples(), axis=1).T
+
+
+def apply_gain(spectrum, gain):
+    """Multiply a real gain, such as a soft mask, into spectrum in place."""
+    # stft stores the spectrum column-major; a gain in the same layout
+    # is multiplied in without strided reads
+    spectrum *= np.asarray(gain, order="F" if spectrum.flags.f_contiguous else "C")
 
 
 def _overlap_add(segments, t):
@@ -99,17 +74,19 @@ def _overlap_add(segments, t):
     return out.ravel()
 
 
-def istft(spec, length=None):
+def istft(spectrum, cfg=None, length=None):
     """Inverse transform via overlap-add with window-square normalization.
 
-    With the default configuration this inverts stft exactly. length trims
-    or zero-pads the output; the default is (T - 1) * hop, the original
-    length for signals divisible by the hop.
+    This inverts stft with the same cfg exactly. length trims or zero-pads
+    the output; the default is (T - 1) * hop, the original length for
+    signals divisible by the hop.
     """
-    cfg = spec.config
+    cfg = cfg or StftConfig()
+    if spectrum.shape[0] != cfg.n_bins:
+        raise ValueError(f"spectrum has {spectrum.shape[0]} rows; n_fft {cfg.n_fft} needs {cfg.n_bins}")
     r = cfg.n_fft // cfg.hop
     window = cfg.window_samples()
-    frames = np.fft.irfft(spec.spectrum.T, n=cfg.n_fft, axis=1)
+    frames = np.fft.irfft(spectrum.T, n=cfg.n_fft, axis=1)
     frames *= window
     t = frames.shape[0]
     out = _overlap_add(frames.reshape(t, r, cfg.hop), t)
@@ -124,24 +101,24 @@ def istft(spec, length=None):
     return np.pad(out, (0, length - len(out)))
 
 
-def apply_mask(mix_spec, source_mags, eps=1e-12, length=None):
+def apply_mask(mix_spectrum, source_mags, cfg=None, eps=1e-12, length=None):
     """Soft-mask the mix spectrum and synthesize per-source signals.
 
     Source i gets the real mask wiener_mask(mag_i, sum_j mag_j, S, eps):
     mag_i / sum_j mag_j, an equal split 1/S where the denominator is
     <= eps. Each mask multiplies the complex mix spectrum, and each masked
-    spectrum is inverted separately. The masked spectra sum to the mix
-    spectrum wherever the denominator exceeds eps.
+    spectrum is inverted separately with cfg. The masked spectra sum to the
+    mix spectrum wherever the denominator exceeds eps.
     """
     mags = [np.asarray(m, dtype=float) for m in source_mags]
     for m in mags:
-        if m.shape != mix_spec.magnitude.shape:
-            raise ValueError(f"mask shape {m.shape} does not match spectrogram {mix_spec.magnitude.shape}")
+        if m.shape != mix_spectrum.shape:
+            raise ValueError(f"mask shape {m.shape} does not match spectrogram {mix_spectrum.shape}")
     total = sum(mags)
     parts = []
     for m in mags:
         # np.copy keeps stft's column-major layout for apply_gain
-        part = Spectrogram(np.copy(mix_spec.spectrum), np.copy(mix_spec.magnitude), mix_spec.config)
-        part.apply_gain(wiener_mask(m, total, len(mags), eps))
-        parts.append(istft(part, length))
+        part = np.copy(mix_spectrum)
+        apply_gain(part, wiener_mask(m, total, len(mags), eps))
+        parts.append(istft(part, cfg, length))
     return parts

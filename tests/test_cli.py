@@ -11,7 +11,7 @@ import anmf.separation
 from anmf.adversarial import WeightModel, adversarial_sets, compute_beta
 from anmf.cli import CliError, build_train_spec, run_cli, score_separation
 from anmf.core import SparsityParams
-from anmf.features import StftConfig, istft, stft
+from anmf.features import StftConfig, apply_gain, istft, stft
 from anmf.io import load_bundle, load_wav, read_matrix, save_bundle, write_matrix, write_wav
 from anmf.separation import separate, wiener_mask
 from anmf.training import TrainSpec, train_smu
@@ -265,7 +265,7 @@ class TestPipeline:
         from anmf.core import SparsityParams, as_array
 
         state = train_smu(
-            [spec.magnitude],
+            [np.abs(spec)],
             TrainSpec(d=4, epochs=30, batch_size=100, seed=0, sparsity=SparsityParams(0, 0)),
         )
         save_bundle(tmp_path / "model", [as_array(state.bases[0])])
@@ -376,7 +376,7 @@ class TestPipeline:
         write_wav(tmp_path / "noisy.wav", clean + 0.05 * rng.standard_normal(len(t)), 16000)
         write_wav(tmp_path / "clean.wav", clean, 16000)
         spec = TrainSpec(d=4, epochs=30, seed=0, sparsity=SparsityParams(0, 0))
-        return train_smu([stft(clean, StftConfig()).magnitude], spec).bases[0]
+        return train_smu([np.abs(stft(clean, StftConfig()))], spec).bases[0]
 
     def test_denoise_default_mode_projects_one_basis(self, tmp_path):
         save_bundle(tmp_path / "model", [self._tone(tmp_path)])
@@ -392,9 +392,9 @@ class TestPipeline:
         # the speech mask from separate's raw reconstructions, applied to
         # the mix spectrum: what denoise --mode separate has always written
         samples, rate = load_wav(tmp_path / "noisy.wav")
-        spec = stft(samples, StftConfig(sample_rate=rate))
-        raw = separate(spec.magnitude, bases, SparsityParams(mu_H=1e-10), max_iter=40).raw
-        spec.apply_gain(wiener_mask(raw[0], sum(raw), 2))
+        spec = stft(samples, StftConfig())
+        raw = separate(np.abs(spec), bases, SparsityParams(mu_H=1e-10), max_iter=40).raw
+        apply_gain(spec, wiener_mask(raw[0], sum(raw), 2))
         write_wav(tmp_path / "want.wav", istft(spec, length=len(samples)), rate)
 
         calls = []
@@ -418,8 +418,9 @@ class TestPipeline:
             )
             == 0
         )
-        from anmf.io import load_wav
-
+        # the keys every .cfg.json has carried, whatever the transform reads of them
+        assert json.loads((tmp_path / "feat.cfg.json").read_text()) == {
+            "n_fft": 512, "hop": 128, "window": "hann", "sample_rate": 16000, "length": 2048}
         y, rate = load_wav(tmp_path / "y.wav")
         assert rate == 16000
         n = min(len(x), len(y))
@@ -734,6 +735,28 @@ class TestErrors:
         assert "anmf: error: need one reference per basis: 2 bases, 1 references" in capsys.readouterr().err
         assert not (tmp_path / "sep").exists()
 
+    @pytest.mark.parametrize("cols", [3, 9])
+    def test_separate_rejects_reference_of_other_shape(self, tmp_path, cols, capsys):
+        rng = np.random.default_rng(0)
+        save_bundle(tmp_path / "model", [rng.random((8, 2)), rng.random((8, 2))])
+        mix = str(tmp_path / "mix.anmf")
+        write_matrix(mix, rng.random((8, 5)))
+        refs = make_sources(tmp_path, rng, n=cols)
+        assert run_cli(["separate", "--model", str(tmp_path / "model"), "--input", mix,
+                        "--output-dir", str(tmp_path / "sep"), "--references", *refs]) == 1
+        assert f"anmf: error: {refs[0]} has shape (8, {cols}), but {mix} has shape (8, 5)" in capsys.readouterr().err
+        assert not (tmp_path / "sep").exists()
+
+    @pytest.mark.parametrize("cols", [3, 9])
+    def test_eval_rejects_reference_of_other_shape(self, tmp_path, cols, capsys):
+        rng = np.random.default_rng(0)
+        est, ref, out = (str(tmp_path / name) for name in ("est.anmf", "ref.anmf", "o.csv"))
+        write_matrix(est, rng.random((8, 5)))
+        write_matrix(ref, rng.random((8, cols)))
+        assert run_cli(["eval", "--estimates", est, "--references", ref, "--output", out]) == 1
+        assert f"anmf: error: {ref} has shape (8, {cols}), but {est} has shape (8, 5)" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("weights, why", [([1.0], "equal length"), ([0.7, 0.7], "simplex")])
     def test_tune_rejects_metric_weights_before_trials(self, tmp_path, weights, why, capsys):
         rng = np.random.default_rng(0)
@@ -778,17 +801,38 @@ class TestErrors:
         assert "needs a bundle of two or more bases" in capsys.readouterr().err
         assert not (tmp_path / "y.wav").exists()
 
-    def test_features_inverse_rejects_non_finite(self, tmp_path, capsys):
+    @staticmethod
+    def _invert(tmp_path, mag, phase, window="hann"):
+        # features --inverse on a hand-written .mag/.phase pair and an n_fft 512 .cfg.json
         prefix = str(tmp_path / "feat")
         (tmp_path / "feat.cfg.json").write_text(json.dumps(
-            {"n_fft": 512, "hop": 128, "window": "hann", "sample_rate": 16000, "length": 512}))
+            {"n_fft": 512, "hop": 128, "window": window, "sample_rate": 16000, "length": 512}))
+        write_matrix(prefix + ".mag.anmf", mag)
+        write_matrix(prefix + ".phase.anmf", phase)
+        return run_cli(["features", "--inverse", "--input-prefix", prefix, "--output", str(tmp_path / "y.wav")])
+
+    def test_features_inverse_rejects_non_finite(self, tmp_path, capsys):
         mag = np.ones((257, 5))
         mag[3, 2] = np.nan
-        write_matrix(prefix + ".mag.anmf", mag)
-        write_matrix(prefix + ".phase.anmf", np.zeros((257, 5)))
-        argv = ["features", "--inverse", "--input-prefix", prefix, "--output", str(tmp_path / "y.wav")]
-        assert run_cli(argv) == 1
+        assert self._invert(tmp_path, mag, np.zeros((257, 5))) == 1
         assert "feat.mag.anmf" in capsys.readouterr().err
+
+    def test_features_inverse_rejects_rows_of_other_n_fft(self, tmp_path, capsys):
+        assert self._invert(tmp_path, np.ones((100, 33)), np.zeros((100, 33))) == 1
+        assert "anmf: error: spectrum has 100 rows; n_fft 512 needs 257" in capsys.readouterr().err
+        assert not (tmp_path / "y.wav").exists()
+
+    def test_features_inverse_rejects_phase_of_other_shape(self, tmp_path, capsys):
+        assert self._invert(tmp_path, np.ones((257, 33)), np.zeros((257, 1))) == 1
+        prefix = tmp_path / "feat"
+        err = capsys.readouterr().err
+        assert f"anmf: error: {prefix}.phase.anmf has shape (257, 1), but {prefix}.mag.anmf has shape (257, 33)" in err
+        assert not (tmp_path / "y.wav").exists()
+
+    def test_features_inverse_rejects_other_window(self, tmp_path, capsys):
+        assert self._invert(tmp_path, np.ones((257, 5)), np.zeros((257, 5)), window="hamming") == 1
+        assert "anmf: error: unsupported window 'hamming'" in capsys.readouterr().err
+        assert not (tmp_path / "y.wav").exists()
 
     @pytest.mark.parametrize("argv, missing", [
         (["features", "--output-prefix", "f"], "--input"),
