@@ -25,7 +25,7 @@ from .metrics import (
     si_sdr,
     weighted_score,
 )
-from .separation import SeparationResult, project_denoise, separate, wiener_filter, wiener_mask
+from .separation import SeparationResult, fit_sources, separate, wiener_filter, wiener_mask
 from .training import (
     TrainSpec,
     TrainState,

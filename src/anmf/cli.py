@@ -21,7 +21,7 @@ from . import features as feat
 from . import io as aio
 from . import metrics as amet
 from .core import SparsityParams, as_array
-from .separation import fit_sources, project_denoise, separate, wiener_mask
+from .separation import fit_sources, separate, wiener_mask
 from .training import TrainSpec, train_semisupervised, train_smu
 
 # method -> (train values it forces, defaults it puts under the train
@@ -256,18 +256,24 @@ def cmd_denoise(args):
     if mode == "separate" and len(bundle.bases) == 1:
         raise CliError("denoise --mode separate needs a bundle of two or more bases")
     samples, rate = aio.load_wav(args.input)
+    # the reference is checked before any work, so a mismatch writes
+    # nothing; it is read again for scoring, so the fit does not hold it
+    if args.reference:
+        ref, ref_rate = aio.load_wav(args.reference)
+        if (ref_rate, len(ref)) != (rate, len(samples)):
+            raise CliError(f"{args.reference} has {len(ref)} samples at {ref_rate} Hz, "
+                           f"but {args.input} has {len(samples)} samples at {rate} Hz")
+        del ref
     cfg = feat.StftConfig(n_fft=args.n_fft, hop=args.hop)
     spectrum = feat.stft(samples, cfg)
     mag = np.abs(spectrum)
     p = SparsityParams(mu_H=float(args.mu_h))
+    # projection denoising fits the speech basis alone; the unexplained
+    # remainder acts as the noise magnitude for the soft mask
+    bases = bundle.bases[:1] if mode == "project" else bundle.bases
+    _, mags = fit_sources(mag, bases, p, max_iter=args.max_iter)
     if mode == "project":
-        # projection denoising: project the mixed magnitude onto the
-        # speech basis; the unexplained remainder acts as the noise
-        # magnitude for the soft mask
-        mags = [project_denoise(mag, bundle.bases[0], p, max_iter=args.max_iter)]
         mags.append(np.maximum(mag - mags[0], 0.0))
-    else:
-        _, mags = fit_sources(mag, bundle.bases, p, max_iter=args.max_iter)
     # soft-mask synthesis of the speech signal alone: the speech mask
     # multiplies the mix in place, and the mask and magnitudes are dropped
     # before the inverse transform to bound peak memory
@@ -277,8 +283,7 @@ def cmd_denoise(args):
     aio.write_wav(args.output, speech, rate)
     if args.reference:
         ref, _ = aio.load_wav(args.reference)
-        n = min(len(ref), len(speech))
-        scores = amet.cap_scores([amet.si_sdr(x[:n], ref[:n]) for x in (speech, samples)])
+        scores = amet.cap_scores([amet.si_sdr(x, ref) for x in (speech, samples)])
         rows = [[0, label, "sisdr", v] for label, v in zip((0, "input"), scores)]
         _write_metrics_csv(Path(args.output).with_suffix(".csv"), rows)
     return 0

@@ -30,13 +30,14 @@ class FormatError(ValueError):
 def write_matrix(path, matrix):
     """Write a matrix file: 'ANMF' magic, u32 version, u64 rows/cols
     (little-endian), then column-major little-endian float64 payload."""
-    a = np.ascontiguousarray(as_array(matrix))
+    a = np.asfortranarray(as_array(matrix), dtype="<f8")
     if a.ndim != 2:
         raise ValueError("matrix files hold 2-d matrices")
     with open(path, "wb") as f:
         f.write(MATRIX_MAGIC)
         f.write(struct.pack("<IQQ", MATRIX_VERSION, a.shape[0], a.shape[1]))
-        f.write(np.asarray(a, dtype="<f8").tobytes(order="F"))
+        # the transpose is the same memory in C order: written with no copy
+        f.write(a.T.data)
 
 
 def read_matrix(path):
@@ -210,11 +211,16 @@ def save_bundle(directory, bases, train_spec=None, history=None, metadata=None):
 
 def load_bundle(directory):
     """Load a bundle, checking basis files for finite entries and against
-    the manifest dimensions."""
+    the manifest dimensions. A manifest that is not a JSON object with
+    n_sources >= 1 and one d entry per source is a FormatError."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    n = manifest.get("n_sources") if isinstance(manifest, dict) else None
+    if not (type(n) is int and n >= 1 and isinstance(manifest.get("d"), list) and len(manifest["d"]) == n):
+        raise FormatError(f"{path}: need a JSON object with n_sources >= 1 and one d entry per source")
     bases = []
-    for i in range(manifest["n_sources"]):
+    for i in range(n):
         a = read_matrix(directory / f"basis_{i:03d}.anmf")
         if a.shape != (manifest["m"], manifest["d"][i]):
             raise FormatError(

@@ -1,9 +1,9 @@
 """Test-time inference.
 
 Solves the convex non-negative fitting problem for a mixed signal against
-the concatenated bases, applies the Wiener-type filter so that the
-recovered sources sum to the mix, and provides the projection-only
-denoising path that uses a single basis.
+the concatenated bases and applies the Wiener-type filter so that the
+recovered sources sum to the mix. Separation and denoising share the one
+fit, fit_sources; fitting a single basis is projection onto its cone.
 """
 
 from dataclasses import dataclass
@@ -15,9 +15,8 @@ from .core import SparsityParams, as_array, solve_nnls
 
 @dataclass
 class SeparationResult:
-    """Per-source latents, raw reconstructions and filtered signals."""
+    """Per-source raw reconstructions and filtered signals."""
 
-    latents: list
     raw: list
     filtered: list
 
@@ -45,8 +44,8 @@ def separate(V, bases, p=None, max_iter=500, tol=1e-8):
     """Separate the columns of V against a list of bases: fit_sources,
     then Wiener-filter the raw reconstructions so that they sum to V."""
     p = p or SparsityParams()
-    latents, raw = fit_sources(V, bases, p, max_iter, tol)
-    return SeparationResult(latents, raw, wiener_filter(V, raw, p.eps))
+    _, raw = fit_sources(V, bases, p, max_iter, tol)
+    return SeparationResult(raw, wiener_filter(V, raw, p.eps))
 
 
 def wiener_mask(part, total, n_sources, eps=1e-12):
@@ -70,13 +69,3 @@ def wiener_filter(v, raw, eps=1e-12):
     raw = [as_array(r) for r in raw]
     total = sum(raw)
     return [v * wiener_mask(r, total, len(raw), eps) for r in raw]
-
-
-def project_denoise(V, basis, p=None, max_iter=500, tol=1e-8):
-    """Project each column of V onto the cone of one basis.
-
-    Returns W h* with h* the non-negative projection coefficients; this is
-    the projection-only denoising path that needs no noise basis.
-    """
-    W = as_array(basis)
-    return W @ solve_nnls(V, W, p, max_iter, tol)

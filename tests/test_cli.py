@@ -1,6 +1,7 @@
 import csv
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import pytest
 import anmf.adversarial
 import anmf.cli
 import anmf.separation
+from anmf import metrics
 from anmf.adversarial import WeightModel, adversarial_sets, compute_beta
 from anmf.cli import CliError, build_train_spec, run_cli, score_separation
-from anmf.core import SparsityParams
+from anmf.core import SparsityParams, solve_nnls
 from anmf.features import StftConfig, apply_gain, istft, stft
 from anmf.io import load_bundle, load_wav, read_matrix, save_bundle, write_matrix, write_wav
 from anmf.separation import separate, wiener_mask
@@ -229,6 +231,26 @@ class TestPipeline:
         assert values[("1", "0")] == values[("1", "1")] == -100.0
         assert all(-100.0 <= v <= 100.0 for v in values.values())
 
+    def test_separate_clip_writes_and_scores_clipped_sources(self, tmp_path):
+        rng = np.random.default_rng(12)
+        save_bundle(tmp_path / "model", [rng.random((6, 2)), rng.random((6, 2))])
+        # entries up to 2 put part of each estimate above the peak of 1
+        write_matrix(tmp_path / "mix.anmf", 2.0 * rng.random((6, 7)))
+        refs = make_sources(tmp_path, rng, m=6, n=7)
+        argv = ["separate", "--model", str(tmp_path / "model"), "--input", str(tmp_path / "mix.anmf"),
+                "--references", *refs, "--output-dir"]
+        assert run_cli(argv + [str(tmp_path / "plain")]) == 0
+        assert run_cli(argv + [str(tmp_path / "clip"), "--clip"]) == 0
+        for i, ref in enumerate(refs):
+            plain = read_matrix(tmp_path / "plain" / f"source_{i:03d}.anmf")
+            clipped = read_matrix(tmp_path / "clip" / f"source_{i:03d}.anmf")
+            assert plain.max() > 1.0
+            assert np.array_equal(clipped, np.clip(plain, 0.0, 1.0))
+            with open(tmp_path / "clip" / "metrics.csv") as f:
+                scores = [float(r[3]) for r in list(csv.reader(f))[1:] if r[1] == str(i)]
+            ref = read_matrix(ref)
+            assert scores == metrics.cap_scores([metrics.psnr(clipped[:, k], ref[:, k]) for k in range(7)])
+
     def test_semi_bundle(self, tmp_path):
         rng = np.random.default_rng(6)
         src_paths = make_sources(tmp_path, rng, s=2)
@@ -405,6 +427,25 @@ class TestPipeline:
             assert run_cli(argv + [str(tmp_path / name)] + mode) == 0
             assert (tmp_path / name).read_bytes() == (tmp_path / "want.wav").read_bytes()
         assert calls == []
+
+    def test_denoise_project_masks_one_basis_fit_against_its_residual(self, tmp_path):
+        save_bundle(tmp_path / "model", [self._tone(tmp_path)])
+        W = read_matrix(tmp_path / "model" / "basis_000.anmf")
+        # the speech mask from the basis's own fit, with the clipped residual
+        # as the noise: what denoise --mode project has always written
+        samples, rate = load_wav(tmp_path / "noisy.wav")
+        spec = stft(samples, StftConfig())
+        mag = np.abs(spec)
+        speech = W @ solve_nnls(mag, W, SparsityParams(mu_H=1e-10), max_iter=40)
+        noise = np.maximum(mag - speech, 0.0)
+        apply_gain(spec, wiener_mask(speech, speech + noise, 2))
+        write_wav(tmp_path / "want.wav", istft(spec, length=len(samples)), rate)
+
+        argv = ["denoise", "--model", str(tmp_path / "model"), "--input", str(tmp_path / "noisy.wav"),
+                "--max-iter", "40", "--output"]
+        for name, mode in (("explicit.wav", ["--mode", "project"]), ("default.wav", [])):
+            assert run_cli(argv + [str(tmp_path / name)] + mode) == 0
+            assert (tmp_path / name).read_bytes() == (tmp_path / "want.wav").read_bytes()
 
     def test_features_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -800,6 +841,38 @@ class TestErrors:
                         "--output", str(tmp_path / "y.wav"), "--mode", "separate"]) == 1
         assert "needs a bundle of two or more bases" in capsys.readouterr().err
         assert not (tmp_path / "y.wav").exists()
+
+    @pytest.mark.parametrize("ref_rate, ref_len", [(8000, 16000), (16000, 16000)], ids=["rate", "length"])
+    def test_denoise_rejects_reference_of_other_rate_or_length(self, tmp_path, ref_rate, ref_len, capsys):
+        save_bundle(tmp_path / "model", [np.ones((257, 2))])
+        rng = np.random.default_rng(13)
+        noisy, clean = (str(tmp_path / name) for name in ("noisy.wav", "clean.wav"))
+        write_wav(noisy, 0.1 * rng.standard_normal(32000), 16000)
+        write_wav(clean, 0.1 * rng.standard_normal(ref_len), ref_rate)
+        assert run_cli(["denoise", "--model", str(tmp_path / "model"), "--input", noisy,
+                        "--output", str(tmp_path / "y.wav"), "--reference", clean]) == 1
+        assert (f"anmf: error: {clean} has {ref_len} samples at {ref_rate} Hz, "
+                f"but {noisy} has 32000 samples at 16000 Hz") in capsys.readouterr().err
+        assert not (tmp_path / "y.wav").exists() and not (tmp_path / "y.csv").exists()
+
+    @pytest.mark.parametrize("manifest, argv", [
+        ({"n_sources": 2, "m": 8, "d": [2]}, ["separate", "--input", "mix.anmf", "--output-dir", "sep"]),
+        ([1, 2], ["separate", "--input", "mix.anmf", "--output-dir", "sep"]),
+        ({"n_sources": 0, "m": 0, "d": []}, ["denoise", "--input", "x.wav", "--output", "y.wav", "--mode", "project"]),
+    ], ids=["d_shorter_than_n_sources", "not_an_object", "no_sources"])
+    def test_malformed_manifest_rejected(self, tmp_path, monkeypatch, manifest, argv, capsys):
+        # the basis files are present, so only the manifest is at fault
+        rng = np.random.default_rng(14)
+        save_bundle(tmp_path / "model", [rng.random((8, 2)), rng.random((8, 2))])
+        (tmp_path / "model" / "manifest.json").write_text(json.dumps(manifest))
+        write_matrix(tmp_path / "mix.anmf", rng.random((8, 5)))
+        write_wav(tmp_path / "x.wav", 0.1 * rng.standard_normal(1024), 16000)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv + ["--model", "model"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"anmf: error: {Path('model', 'manifest.json')}: need a JSON object "
+                                    "with n_sources >= 1 and one d entry per source"]
+        assert not (tmp_path / "sep").exists() and not (tmp_path / "y.wav").exists()
 
     @staticmethod
     def _invert(tmp_path, mag, phase, window="hann"):

@@ -66,6 +66,32 @@ class TestMatrixFile:
         payload = np.frombuffer(p.read_bytes()[24:], dtype="<f8")
         assert list(payload) == [1.0, 2.0, 3.0, 4.0]
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "big_endian", "integer"])
+    def test_payload_is_column_major_little_endian(self, tmp_path, layout):
+        rng = np.random.default_rng(2)
+        mat = {
+            "C": rng.random((9, 7)),
+            "F": np.asfortranarray(rng.random((9, 7))),
+            "strided": rng.random((18, 21))[::2, ::3],
+            "big_endian": rng.random((9, 7)).astype(">f8"),
+            "integer": rng.integers(-50, 50, (9, 7)),
+        }[layout]
+        p = tmp_path / "m.anmf"
+        write_matrix(p, mat)
+        assert p.read_bytes()[24:] == np.asarray(mat, dtype="<f8").tobytes(order="F")
+
+    def test_column_major_write_copies_nothing(self, tmp_path):
+        # a column-major float64 matrix, as read_matrix returns, is written
+        # from its own memory
+        mat = np.asfortranarray(np.random.default_rng(3).random((257, 1000)))
+        tracemalloc.start()
+        try:
+            write_matrix(tmp_path / "m.anmf", mat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * mat.nbytes
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.anmf"
         p.write_bytes(b"NOPE" + b"\x00" * 40)
