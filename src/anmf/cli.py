@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Subcommands: train, separate, denoise, tune, eval, mix, features. mix,
-train and tune read a JSON --config; each command takes only the flags it
-reads. Everything emitted is machine-readable (CSV metrics, JSON
-manifests and tuning results).
+train and tune read a JSON --config; each command takes only the flags
+and config keys it reads. Everything emitted is machine-readable (CSV
+metrics, JSON manifests and tuning results).
 """
 
 import argparse
@@ -30,26 +30,37 @@ METHODS = {
     "nmf": ({"tau_A": 0.0, "tau_S": 0.0}, {}),
     "enmf": ({"tau_A": 0.0, "tau_S": 0.0, "epochs": 0, "init": "exemplar"}, {}),
     "anmf": ({"tau_S": 0.0}, {"tau_A": 0.1}),
-    "dnmf": ({"tau_A": 0.0, "tau_S": 1.0}, {"sample_anchor": "supervised"}),
+    "dnmf": ({"tau_A": 0.0, "tau_S": 1.0}, {}),
     "danmf": ({}, {"tau_A": 0.1, "tau_S": 0.5}),
     "semi": ({"tau_S": 0.0}, {}),
 }
 _CASTS = {**dict.fromkeys(("tau_A", "tau_S", "mu_W", "mu_H", "eps"), float),
           **dict.fromkeys(("epochs", "batch_size", "seed"), int)}
 CSV_HEADER = ["sample_index", "source", "metric", "value"]
+# the top-level config keys each configured command reads
+MIX_KEYS = ("sources", "seed", "snr_db", "weight_model", "output")
+TRAIN_KEYS = ("method", "data", "train", "weight_model", "output")
+TUNE_KEYS = TRAIN_KEYS + ("seed", "tuning", "metric", "metric_weights", "peak")
 
 
 class CliError(Exception):
     pass
 
 
-def _load_config(args):
+def _load_config(args, keys):
+    """The JSON object in --config; a top-level key outside keys is a CliError."""
     if not args.config:
         raise CliError("this command needs --config PATH")
     try:
-        return json.loads(Path(args.config).read_text())
+        cfg = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise CliError(f"cannot read config {args.config}: {e}")
+    if not isinstance(cfg, dict):
+        raise CliError(f"config {args.config} is not a JSON object")
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise CliError(f"unknown config keys: {', '.join(unknown)}")
+    return cfg
 
 
 def _weight_model(cfg, n_sources):
@@ -151,9 +162,8 @@ def _spec_echo(spec):
 
 
 def cmd_mix(args):
-    cfg = _load_config(args)
-    clamp = cfg.get("clamp_negatives", False) or args.clamp_negatives
-    sources = [aio.load_data_matrix(p, clamp) for p in cfg["sources"]]
+    cfg = _load_config(args, MIX_KEYS)
+    sources = [aio.load_data_matrix(p, args.clamp_negatives) for p in cfg["sources"]]
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     snr_db = cfg.get("snr_db")
     wm = None if snr_db is not None else _weight_model(cfg, len(sources))
@@ -174,7 +184,7 @@ def _config_method(cfg):
     return method
 
 
-def _training_inputs(args, cfg, method, seed, adversarial):
+def _training_inputs(clamp, cfg, method, seed, adversarial):
     """The sources, adversarial sets, mixes and supervised (sources, mix)
     pair of a train or tune config, each None when there is none.
 
@@ -183,7 +193,6 @@ def _training_inputs(args, cfg, method, seed, adversarial):
     then a view of its unscaled copy in another source's set, so the loaded
     arrays are not kept, and the mixes are kept only for semi.
     """
-    clamp = cfg.get("clamp_negatives", False) or args.clamp_negatives
     data = cfg.get("data", {})
     sources = [aio.load_data_matrix(p, clamp) for p in data.get("sources", [])] or None
     mixes = aio.load_data_matrix(data["mixes"], clamp) if data.get("mixes") else None
@@ -211,11 +220,11 @@ def _train_and_save(out, method, data, spec):
 
 
 def cmd_train(args):
-    cfg = _load_config(args)
+    cfg = _load_config(args, TRAIN_KEYS)
     method = _config_method(cfg)
     # the spec comes first: whether the adversarial sets are built, and their betas' seed, are read from it
     spec = build_train_spec(cfg.get("train"), method, args.seed)
-    data = _training_inputs(args, cfg, method, spec.seed, spec.tau_A > 0)
+    data = _training_inputs(args.clamp_negatives, cfg, method, spec.seed, spec.tau_A > 0)
     _train_and_save(cfg["output"], method, data, spec)
     return 0
 
@@ -255,6 +264,9 @@ def cmd_denoise(args):
     mode = args.mode or ("project" if len(bundle.bases) == 1 else "separate")
     if mode == "separate" and len(bundle.bases) == 1:
         raise CliError("denoise --mode separate needs a bundle of two or more bases")
+    n_fft = 2 * (bundle.manifest["m"] - 1)  # the bases are STFT magnitudes, n_fft/2 + 1 rows
+    if n_fft < 2 or n_fft & (n_fft - 1):
+        raise CliError(f"{args.model}: {n_fft // 2 + 1} basis rows are not n_fft/2 + 1 for a power-of-two n_fft")
     samples, rate = aio.load_wav(args.input)
     # the reference is checked before any work, so a mismatch writes
     # nothing; it is read again for scoring, so the fit does not hold it
@@ -264,7 +276,7 @@ def cmd_denoise(args):
             raise CliError(f"{args.reference} has {len(ref)} samples at {ref_rate} Hz, "
                            f"but {args.input} has {len(samples)} samples at {rate} Hz")
         del ref
-    cfg = feat.StftConfig(n_fft=args.n_fft, hop=args.hop)
+    cfg = feat.StftConfig(n_fft=n_fft, hop=args.hop)
     spectrum = feat.stft(samples, cfg)
     mag = np.abs(spectrum)
     p = SparsityParams(mu_H=float(args.mu_h))
@@ -290,18 +302,22 @@ def cmd_denoise(args):
 
 
 def cmd_tune(args):
-    cfg = _load_config(args)
+    cfg = _load_config(args, TUNE_KEYS)
     method = _config_method(cfg)
     tuning = cfg["tuning"]
     space = _parse_space(tuning["space"])
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     base_train_cfg = cfg.get("train", {})
+    # every trial and the retrained winner share one seed
+    if "seed" in base_train_cfg or "seed" in space.params:
+        raise CliError("tune takes its seed from --seed or the config's top-level seed, "
+                       "not from the train block or the tuning space")
     # trials change neither the data, the weight model nor the seed, so one
     # build of the adversarial sets serves every trial and fold; it is made
     # when the train block or the search can give tau_A > 0
     untuned = build_train_spec({k: v for k, v in base_train_cfg.items() if k not in space.params}, method, seed)
     tuned_tau_A = "tau_A" in space.params and "tau_A" not in METHODS[method][0]
-    data = _training_inputs(args, cfg, method, seed, untuned.tau_A > 0 or tuned_tau_A)
+    data = _training_inputs(args.clamp_negatives, cfg, method, seed, untuned.tau_A > 0 or tuned_tau_A)
     sources, sets, mixes, supervised = data
     if supervised is None:
         raise CliError("the tune config needs a data.supervised block (sources and mix) to score trials on")
@@ -455,7 +471,6 @@ def _build_parser():
     p.add_argument("--output", required=True)
     p.add_argument("--reference", default=None)
     p.add_argument("--mode", choices=("project", "separate"), help="default: project for one basis, else separate")
-    p.add_argument("--n-fft", type=int, default=512)
     p.add_argument("--hop", type=int, default=128)
     p.add_argument("--mu-h", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=500)

@@ -212,20 +212,26 @@ def save_bundle(directory, bases, train_spec=None, history=None, metadata=None):
 def load_bundle(directory):
     """Load a bundle, checking basis files for finite entries and against
     the manifest dimensions. A manifest that is not a JSON object with
-    n_sources >= 1 and one d entry per source is a FormatError."""
+    n_sources >= 1 and one d entry per source is a FormatError; so is a
+    format_version other than 1 or an m that is not a positive int."""
     directory = Path(directory)
     path = directory / "manifest.json"
     manifest = json.loads(path.read_text())
     n = manifest.get("n_sources") if isinstance(manifest, dict) else None
     if not (type(n) is int and n >= 1 and isinstance(manifest.get("d"), list) and len(manifest["d"]) == n):
         raise FormatError(f"{path}: need a JSON object with n_sources >= 1 and one d entry per source")
+    if manifest.get("format_version") != 1:
+        raise FormatError(f"{path}: unsupported format_version {manifest.get('format_version')!r} (need 1)")
+    m = manifest.get("m")
+    if not (type(m) is int and m >= 1):
+        raise FormatError(f"{path}: m must be a positive int, got {m!r}")
     bases = []
     for i in range(n):
         a = read_matrix(directory / f"basis_{i:03d}.anmf")
-        if a.shape != (manifest["m"], manifest["d"][i]):
+        if a.shape != (m, manifest["d"][i]):
             raise FormatError(
                 f"basis {i} shape {a.shape} does not match manifest "
-                f"({manifest['m']}, {manifest['d'][i]})"
+                f"({m}, {manifest['d'][i]})"
             )
         bases.append(Basis(a))
     return ModelBundle(bases, manifest)

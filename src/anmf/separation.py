@@ -63,9 +63,13 @@ def wiener_filter(v, raw, eps=1e-12):
     u_i = v * raw_i / sum_j raw_j entrywise, that is v times
     wiener_mask(raw_i, sum_j raw_j, S, eps); where the denominator is
     <= eps the mix is split equally across sources. The outputs sum to v
-    wherever the denominator exceeds eps.
+    wherever the denominator exceeds eps. A raw reconstruction of another
+    shape than v's is a ValueError.
     """
     v = as_array(v)
     raw = [as_array(r) for r in raw]
+    for i, r in enumerate(raw):
+        if r.shape != v.shape:
+            raise ValueError(f"raw reconstruction {i} has shape {r.shape}, but the mix has shape {v.shape}")
     total = sum(raw)
     return [v * wiener_mask(r, total, len(raw), eps) for r in raw]

@@ -45,7 +45,7 @@ from .core import (
     update_latents,
 )
 
-ANCHORS = ("true_data", "adversarial", "supervised")
+TERMS = ("true_data", "adversarial", "supervised")
 
 
 @dataclass
@@ -67,7 +67,6 @@ class TrainSpec:
     batch_size: int = 100
     seed: int = 0
     init: str = "exemplar"
-    sample_anchor: str = "true_data"
 
     def __post_init__(self):
         if self.tau_A < 0:
@@ -78,8 +77,6 @@ class TrainSpec:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if self.init not in ("exemplar", "random"):
             raise ValueError(f"unknown init mode {self.init!r}")
-        if self.sample_anchor not in ANCHORS:
-            raise ValueError(f"unknown sample anchor {self.sample_anchor!r}")
 
     def dims(self, n_sources):
         if np.isscalar(self.d):
@@ -165,14 +162,14 @@ def _term_weights(spec, n_sources):
 
 def _term_table(spec, true_data, adversarial, supervised):
     """(weight, data, mix): _term_weights' table, each active term's
-    per-source arrays in ANCHORS order, and the supervised mix or None.
+    per-source arrays in TERMS order, and the supervised mix or None.
     An inactive term's data is not read; an active term's must cover every
     source and be finite and non-negative, or a ValueError names the term.
     """
     s = len(true_data)
     weight = _term_weights(spec, s)
     data = {}
-    for name, sets in zip(ANCHORS, (true_data, adversarial, supervised[0] if supervised is not None else None)):
+    for name, sets in zip(TERMS, (true_data, adversarial, supervised[0] if supervised is not None else None)):
         if not np.any(np.multiply(*weight[name])):
             continue
         if sets is None or any(x is None for x in sets):
@@ -219,13 +216,13 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
     columns through it. Each epoch then updates the supervised latents,
     then per source normalizes the basis, updates that source's other
     latents and runs the batched basis update; all bases and latents are
-    normalized at the end of the epoch. One term (the sample anchor) is
-    fully covered by the batches; the other active terms are resampled
-    with replacement to the same batch count. A batch's basis step sums
-    each active term's gradient parts, scaled by the term's weight
-    (gamma_i for the supervised term) and then by its tau_S blend. The
-    recorded history is the total objective after each epoch, the sum over
-    sources of what those steps descend.
+    normalized at the end of the epoch. The first active term, the true
+    data (the supervised data when tau_S = 1), is covered by the batches;
+    the others are resampled with replacement to the same batch count. A
+    batch's basis step sums each active term's gradient parts, scaled by
+    the term's weight (gamma_i for the supervised term) and then by its
+    tau_S blend. The recorded history is the total objective after each
+    epoch, the sum over sources of what those steps descend.
 
     Returns:
         TrainState with final bases, latents and objective history.
@@ -249,7 +246,7 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
     L = {name: [np.ones((dims[i], x.shape[1])) for i, x in enumerate(sets)] for name, sets in data.items()}
     order = {name: [np.arange(x.shape[1]) for x in sets] for name, sets in data.items()}
     per_source = [name for name in data if name != "supervised"]
-    anchor = spec.sample_anchor if spec.sample_anchor in data else next(iter(data))
+    anchor = next(iter(data))  # true data when tau_S < 1, else the supervised data
     shuffle_rng = np.random.default_rng([spec.seed, 0])
     samp_rng = [np.random.default_rng([spec.seed, 1000 + i]) for i in range(s)]
     history = []

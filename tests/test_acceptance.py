@@ -37,9 +37,7 @@ def test_criterion_01_reduction_identities():
     rng = np.random.default_rng(1)
     sup_sources = [rng.random((6, 10)), rng.random((6, 10))]
     sup = (sup_sources, sup_sources[0] + sup_sources[1])
-    dspec = TrainSpec(
-        d=2, tau_S=1.0, epochs=4, batch_size=5, seed=0, sparsity=PS, sample_anchor="supervised"
-    )
+    dspec = TrainSpec(d=2, tau_S=1.0, epochs=4, batch_size=5, seed=0, sparsity=PS)
 
     sup_columns = {tuple(c) for u in sup_sources for c in u.T}
 

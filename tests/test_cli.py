@@ -359,7 +359,7 @@ class TestPipeline:
         })
         assert run_cli(["train", "--config", cfg, "--seed", "2"]) == 0
         bundle = load_bundle(tmp_path / "model")
-        spec = TrainSpec(d=3, tau_S=1.0, epochs=5, batch_size=5, seed=2, sample_anchor="supervised")
+        spec = TrainSpec(d=3, tau_S=1.0, epochs=5, batch_size=5, seed=2)
         state = train_smu(None, spec, supervised=(sup_sources, sum(sup_sources)))
         for got, want in zip(bundle.bases, state.bases):
             assert np.array_equal(got.entries, want)
@@ -389,16 +389,16 @@ class TestPipeline:
         assert load_bundle(out / "best_model").manifest["metadata"]["method"] == "dnmf"
 
     @staticmethod
-    def _tone(tmp_path):
+    def _tone(tmp_path, n_fft=512):
         # a 440 Hz tone in white noise at 16 kHz, its clean reference, and a basis
-        # trained on the clean magnitude
+        # trained on the clean magnitude at n_fft
         rng = np.random.default_rng(10)
         t = np.arange(8192) / 16000.0
         clean = 0.4 * np.sin(2 * np.pi * 440.0 * t)
         write_wav(tmp_path / "noisy.wav", clean + 0.05 * rng.standard_normal(len(t)), 16000)
         write_wav(tmp_path / "clean.wav", clean, 16000)
         spec = TrainSpec(d=4, epochs=30, seed=0, sparsity=SparsityParams(0, 0))
-        return train_smu([np.abs(stft(clean, StftConfig()))], spec).bases[0]
+        return train_smu([np.abs(stft(clean, StftConfig(n_fft=n_fft)))], spec).bases[0]
 
     def test_denoise_default_mode_projects_one_basis(self, tmp_path):
         save_bundle(tmp_path / "model", [self._tone(tmp_path)])
@@ -446,6 +446,23 @@ class TestPipeline:
         for name, mode in (("explicit.wav", ["--mode", "project"]), ("default.wav", [])):
             assert run_cli(argv + [str(tmp_path / name)] + mode) == 0
             assert (tmp_path / name).read_bytes() == (tmp_path / "want.wav").read_bytes()
+
+    def test_denoise_takes_n_fft_from_model_rows(self, tmp_path):
+        # a basis of n_fft 256 magnitudes has 129 rows, so denoise transforms at n_fft 256
+        save_bundle(tmp_path / "model", [self._tone(tmp_path, n_fft=256)])
+        W = read_matrix(tmp_path / "model" / "basis_000.anmf")
+        assert W.shape[0] == 129
+        cfg = StftConfig(n_fft=256)
+        samples, rate = load_wav(tmp_path / "noisy.wav")
+        spec = stft(samples, cfg)
+        mag = np.abs(spec)
+        speech = W @ solve_nnls(mag, W, SparsityParams(mu_H=1e-10), max_iter=40)
+        apply_gain(spec, wiener_mask(speech, speech + np.maximum(mag - speech, 0.0), 2))
+        write_wav(tmp_path / "want.wav", istft(spec, cfg, length=len(samples)), rate)
+
+        assert run_cli(["denoise", "--model", str(tmp_path / "model"), "--input", str(tmp_path / "noisy.wav"),
+                        "--max-iter", "40", "--output", str(tmp_path / "out.wav")]) == 0
+        assert (tmp_path / "out.wav").read_bytes() == (tmp_path / "want.wav").read_bytes()
 
     def test_features_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -817,6 +834,72 @@ class TestErrors:
         assert "anmf: error: metric_weights: " in err and why in err
         assert not out.exists()
 
+    @staticmethod
+    def _configs(tmp_path, out="out"):
+        # a mix, a train and a tune config that each run as written, writing to out
+        rng = np.random.default_rng(0)
+        src = make_sources(tmp_path, rng)
+        sup = make_sources(tmp_path, rng, n=12, prefix="sup")
+        write_matrix(tmp_path / "sup_mix.anmf", sum(read_matrix(p) for p in sup))
+        train = {"method": "nmf", "data": {"sources": src}, "train": {"d": 2, "epochs": 1},
+                 "output": str(tmp_path / out)}
+        supervised = {"sources": sup, "mix": str(tmp_path / "sup_mix.anmf")}
+        return {
+            "mix": {"sources": src, "output": {"mix": str(tmp_path / out)}},
+            "train": train,
+            "tune": {**train, "data": {"sources": src, "supervised": supervised},
+                     "tuning": {"trials": 2, "space": {}}},
+        }
+
+    @pytest.mark.parametrize("command, extra, named", [
+        ("mix", {"clamp_negatives": True}, "clamp_negatives"),
+        ("train", {"clamp_negatives": True}, "clamp_negatives"),
+        ("train", {"seed": 5, "metric": "psnr"}, "metric, seed"),
+        ("tune", {"clamp_negatives": True, "snr_db": 0.0}, "clamp_negatives, snr_db"),
+    ])
+    def test_unread_config_keys_rejected(self, tmp_path, command, extra, named, capsys):
+        # the config runs as written, and fails with the extra keys alone
+        good = self._configs(tmp_path, "good")[command]
+        assert run_cli([command, "--config", write_config(tmp_path, "good.json", good)]) == 0
+        assert (tmp_path / "good").exists()
+        bad = {**self._configs(tmp_path, "bad")[command], **extra}
+        assert run_cli([command, "--config", write_config(tmp_path, "bad.json", bad)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"anmf: error: unknown config keys: {named}"]
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("command", ["mix", "train", "tune"])
+    def test_config_must_be_an_object(self, tmp_path, command, capsys):
+        cfg = write_config(tmp_path, "c.json", ["method", "output"])
+        assert run_cli([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"anmf: error: config {cfg} is not a JSON object"]
+
+    @pytest.mark.parametrize("command, where", [("train", "train"), ("tune", "train"), ("tune", "space")])
+    def test_sample_anchor_rejected_before_training(self, tmp_path, monkeypatch, command, where, capsys):
+        cfg = self._configs(tmp_path)[command]
+        if where == "train":
+            cfg["train"] = {**cfg["train"], "sample_anchor": "supervised"}
+        else:
+            cfg["tuning"]["space"] = {"sample_anchor": {"type": "choice", "options": ["true_data", "supervised"]}}
+        monkeypatch.setattr(anmf.cli, "train_with_method", lambda *a: pytest.fail("a model was trained"))
+        assert run_cli([command, "--config", write_config(tmp_path, "c.json", cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["anmf: error: unknown train keys: sample_anchor"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["train", "space"])
+    def test_tune_rejects_seed_outside_top_level(self, tmp_path, monkeypatch, where, capsys):
+        # tune seeds every trial and the retrained winner with one seed
+        cfg = self._configs(tmp_path)["tune"]
+        if where == "train":
+            cfg["train"]["seed"] = 5
+        else:
+            cfg["tuning"]["space"] = {"seed": {"type": "choice", "options": [1, 2]}}
+        monkeypatch.setattr(anmf.cli, "train_with_method", lambda *a: pytest.fail("a model was trained"))
+        assert run_cli(["tune", "--config", write_config(tmp_path, "c.json", cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "anmf: error: tune takes its seed from --seed or the config's top-level seed, "
+            "not from the train block or the tuning space"]
+        assert not (tmp_path / "out").exists()
+
     def test_tune_rejects_misspelt_space_key(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         sup = make_sources(tmp_path, rng, n=12, prefix="sup")
@@ -842,6 +925,17 @@ class TestErrors:
         assert "needs a bundle of two or more bases" in capsys.readouterr().err
         assert not (tmp_path / "y.wav").exists()
 
+    def test_denoise_rejects_model_rows_of_no_stft(self, tmp_path, capsys):
+        # 100 rows are n_fft/2 + 1 for n_fft 198, which is not a power of two
+        model = str(tmp_path / "model")
+        save_bundle(model, [np.ones((100, 2))])
+        write_wav(tmp_path / "x.wav", np.zeros(1024), 16000)
+        assert run_cli(["denoise", "--model", model, "--input", str(tmp_path / "x.wav"),
+                        "--output", str(tmp_path / "y.wav")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"anmf: error: {model}: 100 basis rows are not n_fft/2 + 1 for a power-of-two n_fft"]
+        assert not (tmp_path / "y.wav").exists()
+
     @pytest.mark.parametrize("ref_rate, ref_len", [(8000, 16000), (16000, 16000)], ids=["rate", "length"])
     def test_denoise_rejects_reference_of_other_rate_or_length(self, tmp_path, ref_rate, ref_len, capsys):
         save_bundle(tmp_path / "model", [np.ones((257, 2))])
@@ -855,12 +949,20 @@ class TestErrors:
                 f"but {noisy} has 32000 samples at 16000 Hz") in capsys.readouterr().err
         assert not (tmp_path / "y.wav").exists() and not (tmp_path / "y.csv").exists()
 
-    @pytest.mark.parametrize("manifest, argv", [
-        ({"n_sources": 2, "m": 8, "d": [2]}, ["separate", "--input", "mix.anmf", "--output-dir", "sep"]),
-        ([1, 2], ["separate", "--input", "mix.anmf", "--output-dir", "sep"]),
-        ({"n_sources": 0, "m": 0, "d": []}, ["denoise", "--input", "x.wav", "--output", "y.wav", "--mode", "project"]),
-    ], ids=["d_shorter_than_n_sources", "not_an_object", "no_sources"])
-    def test_malformed_manifest_rejected(self, tmp_path, monkeypatch, manifest, argv, capsys):
+    SHAPE_MESSAGE = "need a JSON object with n_sources >= 1 and one d entry per source"
+
+    @pytest.mark.parametrize("manifest, argv, message", [
+        ({"n_sources": 2, "m": 8, "d": [2]}, ["separate", "--input", "mix.anmf", "--output-dir", "sep"],
+         SHAPE_MESSAGE),
+        ([1, 2], ["separate", "--input", "mix.anmf", "--output-dir", "sep"], SHAPE_MESSAGE),
+        ({"n_sources": 0, "m": 0, "d": []}, ["denoise", "--input", "x.wav", "--output", "y.wav", "--mode", "project"],
+         SHAPE_MESSAGE),
+        ({"format_version": 1, "n_sources": 2, "d": [2, 2]}, ["separate", "--input", "mix.anmf", "--output-dir", "sep"],
+         "m must be a positive int, got None"),
+        ({"format_version": 99, "n_sources": 2, "m": 8, "d": [2, 2]},
+         ["separate", "--input", "mix.anmf", "--output-dir", "sep"], "unsupported format_version 99 (need 1)"),
+    ], ids=["d_shorter_than_n_sources", "not_an_object", "no_sources", "no_m", "format_version_99"])
+    def test_malformed_manifest_rejected(self, tmp_path, monkeypatch, manifest, argv, message, capsys):
         # the basis files are present, so only the manifest is at fault
         rng = np.random.default_rng(14)
         save_bundle(tmp_path / "model", [rng.random((8, 2)), rng.random((8, 2))])
@@ -870,8 +972,7 @@ class TestErrors:
         monkeypatch.chdir(tmp_path)
         assert run_cli(argv + ["--model", "model"]) == 1
         err = capsys.readouterr().err
-        assert err.splitlines() == [f"anmf: error: {Path('model', 'manifest.json')}: need a JSON object "
-                                    "with n_sources >= 1 and one d entry per source"]
+        assert err.splitlines() == [f"anmf: error: {Path('model', 'manifest.json')}: {message}"]
         assert not (tmp_path / "sep").exists() and not (tmp_path / "y.wav").exists()
 
     @staticmethod
@@ -923,6 +1024,7 @@ class TestErrors:
         (["denoise", "--model", "m", "--input", "x", "--output", "y"], ["--seed", "1"]),
         (["denoise", "--model", "m", "--input", "x", "--output", "y"], ["--config", "c"]),
         (["denoise", "--model", "m", "--input", "x", "--output", "y"], ["--clamp-negatives"]),
+        (["denoise", "--model", "m", "--input", "x", "--output", "y"], ["--n-fft", "256"]),
         (["eval", "--estimates", "a", "--references", "a", "--output", "o"], ["--config", "c"]),
         (["eval", "--estimates", "a", "--references", "a", "--output", "o"], ["--clamp-negatives"]),
         (["features"], ["--seed", "1"]),

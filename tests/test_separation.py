@@ -85,6 +85,15 @@ class TestWienerFilter:
         for u in wiener_filter(v, raw):
             assert np.all(u >= 0)
 
+    @pytest.mark.parametrize("shape", [(4, 1), (1, 5)])
+    def test_raw_of_other_shape_rejected(self, shape):
+        # a (4, 1) raw would broadcast to the mix's shape without a word
+        v = np.ones((4, 5))
+        raw = [np.ones((4, 5)), np.ones(shape)]
+        with pytest.raises(ValueError, match=rf"raw reconstruction 1 has shape \({shape[0]}, {shape[1]}\), "
+                                             r"but the mix has shape \(4, 5\)"):
+            wiener_filter(v, raw)
+
 
 class TestProjectDenoise:
     # denoise --mode project: the raw fit of the speech basis alone, the

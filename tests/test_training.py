@@ -305,7 +305,7 @@ class TestTrainSmu:
             return grad_parts(W, U, H, weight)
 
         monkeypatch.setattr(training, "grad_parts", supervised_only)
-        spec = make_spec(d=2, tau_S=1.0, epochs=3, batch_size=4, seed=0, sample_anchor="supervised")
+        spec = make_spec(d=2, tau_S=1.0, epochs=3, batch_size=4, seed=0)
         state = train_smu([None, None], spec, supervised=sup)
         assert len(state.history) == 3
         assert len(calls) == 3 * 2 * 3  # epochs x sources x batches
