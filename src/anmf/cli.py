@@ -41,6 +41,9 @@ CSV_HEADER = ["sample_index", "source", "metric", "value"]
 MIX_KEYS = ("sources", "seed", "snr_db", "weight_model", "output")
 TRAIN_KEYS = ("method", "data", "train", "weight_model", "output")
 TUNE_KEYS = TRAIN_KEYS + ("seed", "tuning", "metric", "metric_weights", "peak")
+# weight_model mode -> (the block's required keys, its optional keys)
+WEIGHT_MODEL_KEYS = {"deterministic": (("values",), ("mode",)),
+                     "dirichlet": (("concentration",), ("mode", "mc_samples"))}
 
 
 class CliError(Exception):
@@ -63,11 +66,30 @@ def _load_config(args, keys):
     return cfg
 
 
-def _weight_model(cfg, n_sources):
+def _config_block(block, name, path, required=(), optional=()):
+    """block, the config object called name, checked: anything but a JSON
+    object, a missing required key or a key outside required and optional
+    is a CliError naming the block, the key and the config file."""
+    if not isinstance(block, dict):
+        raise CliError(f"{path}: {name} must be a JSON object, not {json.dumps(block)}")
+    missing = [k for k in required if k not in block]
+    if missing:
+        raise CliError(f"{path}: {name} needs the key {missing[0]!r}")
+    unknown = sorted(set(block) - set(required) - set(optional))
+    if unknown:
+        raise CliError(f"{path}: unknown {name} keys: {', '.join(unknown)}")
+    return block
+
+
+def _weight_model(cfg, n_sources, path):
     block = cfg.get("weight_model")
     if block is None:
         return adv.WeightModel.equal(n_sources)
-    mode = block.get("mode", "deterministic")
+    # a block that is not an object is rejected by _config_block below
+    mode = block.get("mode", "deterministic") if isinstance(block, dict) else "deterministic"
+    if mode not in WEIGHT_MODEL_KEYS:
+        raise CliError(f"{path}: weight_model mode {mode!r} is not one of {', '.join(WEIGHT_MODEL_KEYS)}")
+    _config_block(block, "weight_model", path, *WEIGHT_MODEL_KEYS[mode])
     if mode == "deterministic":
         return adv.WeightModel(values=block["values"])
     return adv.WeightModel(
@@ -127,8 +149,9 @@ def _per_column_scores(estimates, references, metric, peak):
     """metric per column for one source, capped by metrics.cap_scores;
     returns a list of floats."""
     est, ref = as_array(estimates), as_array(references)
-    score = (lambda e, r: amet.psnr(e, r, peak)) if metric == "psnr" else amet.si_sdr
-    return amet.cap_scores([score(est[:, k], ref[:, k]) for k in range(est.shape[1])])
+    if metric == "psnr":
+        return amet.cap_scores(amet.psnr_columns(est, ref, peak))
+    return amet.cap_scores([amet.si_sdr(est[:, k], ref[:, k]) for k in range(est.shape[1])])
 
 
 def score_separation(filtered, references, metric, weights, peak=1.0):
@@ -166,7 +189,7 @@ def cmd_mix(args):
     sources = [aio.load_data_matrix(p, args.clamp_negatives) for p in cfg["sources"]]
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     snr_db = cfg.get("snr_db")
-    wm = None if snr_db is not None else _weight_model(cfg, len(sources))
+    wm = None if snr_db is not None else _weight_model(cfg, len(sources), args.config)
     mix, truth, weights = aio.mix_synthetic(sources, wm, snr_db, seed)
     out = cfg["output"]
     aio.write_matrix(out["mix"], mix)
@@ -184,30 +207,35 @@ def _config_method(cfg):
     return method
 
 
-def _training_inputs(clamp, cfg, method, seed, adversarial):
+def _training_inputs(clamp, cfg, path, method, seed, adversarial):
     """The sources, adversarial sets, mixes and supervised (sources, mix)
-    pair of a train or tune config, each None when there is none.
+    pair of a train or tune config read from path, each None when there is
+    none. A supervised source whose shape is not the supervised mix's is a
+    CliError naming both files.
 
     With adversarial true, the sets are built here, once, with betas
     seeded [seed, 77, i] (adversarial.adversarial_sets): each source is
     then a view of its unscaled copy in another source's set, so the loaded
     arrays are not kept, and the mixes are kept only for semi.
     """
-    data = cfg.get("data", {})
+    data = _config_block(cfg.get("data", {}), "data", path, optional=("sources", "mixes", "supervised"))
     sources = [aio.load_data_matrix(p, clamp) for p in data.get("sources", [])] or None
     mixes = aio.load_data_matrix(data["mixes"], clamp) if data.get("mixes") else None
     supervised = None
-    if data.get("supervised"):
-        sup = data["supervised"]
+    if data.get("supervised") is not None:
+        sup = _config_block(data["supervised"], "data.supervised", path, ("sources", "mix"))
         supervised = (
             [aio.load_data_matrix(p, clamp) for p in sup["sources"]],
             aio.load_data_matrix(sup["mix"], clamp),
         )
+        # the pairs score tune's trials column by column, also when training does not read them
+        for src_path, u in zip(sup["sources"], supervised[0]):
+            _check_shape(src_path, u, sup["mix"], supervised[1])
     sets = None
     if adversarial:
         if sources is None:
             raise CliError(f"{method} needs data.sources")
-        wm = _weight_model(cfg, max(len(sources), 2))
+        wm = _weight_model(cfg, max(len(sources), 2), path)
         sets, sources = adv.adversarial_sets(sources, mixes, wm, seed)
         if method != "semi":
             mixes = None
@@ -224,7 +252,7 @@ def cmd_train(args):
     method = _config_method(cfg)
     # the spec comes first: whether the adversarial sets are built, and their betas' seed, are read from it
     spec = build_train_spec(cfg.get("train"), method, args.seed)
-    data = _training_inputs(args.clamp_negatives, cfg, method, spec.seed, spec.tau_A > 0)
+    data = _training_inputs(args.clamp_negatives, cfg, args.config, method, spec.seed, spec.tau_A > 0)
     _train_and_save(cfg["output"], method, data, spec)
     return 0
 
@@ -304,7 +332,7 @@ def cmd_denoise(args):
 def cmd_tune(args):
     cfg = _load_config(args, TUNE_KEYS)
     method = _config_method(cfg)
-    tuning = cfg["tuning"]
+    tuning = _config_block(cfg.get("tuning"), "tuning", args.config, ("space",), ("trials", "folds"))
     space = _parse_space(tuning["space"])
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     base_train_cfg = cfg.get("train", {})
@@ -317,7 +345,7 @@ def cmd_tune(args):
     # when the train block or the search can give tau_A > 0
     untuned = build_train_spec({k: v for k, v in base_train_cfg.items() if k not in space.params}, method, seed)
     tuned_tau_A = "tau_A" in space.params and "tau_A" not in METHODS[method][0]
-    data = _training_inputs(args.clamp_negatives, cfg, method, seed, untuned.tau_A > 0 or tuned_tau_A)
+    data = _training_inputs(args.clamp_negatives, cfg, args.config, method, seed, untuned.tau_A > 0 or tuned_tau_A)
     sources, sets, mixes, supervised = data
     if supervised is None:
         raise CliError("the tune config needs a data.supervised block (sources and mix) to score trials on")

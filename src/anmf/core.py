@@ -119,24 +119,49 @@ def solve_nnls(V, W, p=None, max_iter=500, tol=1e-8):
     are absorbing for the update, so the start must be strictly positive).
     W.T V and W.T W are formed once. The run stops after max_iter updates,
     or earlier once ||H_new - H||_F <= tol * max(||H_new||_F, eps), where
-    the norms are taken over the whole block of columns.
+    the norms are taken over the whole block of columns and summed in
+    row-major order.
+
+    Each iteration takes one norm, ||H_new||_F. Since
+    ||H_new - H|| >= | ||H_new|| - ||H|| |, a norm gap that exceeds the
+    stopping threshold by more than the norms' rounding slack proves the
+    run goes on; only when that bound cannot decide is H_new - H formed
+    and the stopping rule evaluated exactly. The stop iteration and H are
+    thus those of the plain rule.
 
     Returns:
-        H, the d x N coefficient matrix.
+        H, the d x N coefficient matrix, column-major.
     """
     p = p or SparsityParams()
     V, W = as_array(V), as_array(W)
     if W.shape[0] != V.shape[0]:
         raise DimensionMismatch("solve_nnls", W.shape, V.shape)
-    num = W.T @ V
+    # W.T V is formed row-major and then converted: a column-major matmul
+    # output raised denoise's peak memory
+    num = np.asfortranarray(W.T @ V)
     G = W.T @ W
-    H = np.ones((W.shape[1], V.shape[1]))
-    H_new, denom, diff = np.empty_like(H), np.empty_like(H), np.empty_like(H)
+    H = np.ones_like(num)
+    H_new, denom = np.empty_like(num), np.empty_like(num)
+    # denom's memory laid out row-major: the exact rule sums its norms in
+    # row-major order, whatever the layout of H
+    row_major = denom.ravel(order="K").reshape(H.shape)
+    # a computed norm of n entries has relative error at most (n/2 + 1) u,
+    # with u = eps / 2; this slack covers both norms in any summation order,
+    # the rounding of H_new - H and the exact rule's own norms
+    slack = 4.0 * (H.size + 2) * np.finfo(float).eps
+    norm_H = np.linalg.norm(H)
     for _ in range(max_iter):
         _latent_step(H, num, G, 1.0, p, out=H_new, denom=denom)
-        delta = np.linalg.norm(np.subtract(H_new, H, out=diff))
+        norm_new = np.linalg.norm(H_new)
         H, H_new = H_new, H
-        if delta <= tol * max(np.linalg.norm(H), p.eps):
+        gap = abs(norm_new - norm_H) - slack * (norm_new + norm_H)
+        norm_H = norm_new
+        if gap > tol * max(norm_new, p.eps):
+            continue
+        # H_new holds the previous iterate now
+        delta = np.linalg.norm(np.subtract(H, H_new, out=row_major))
+        np.copyto(row_major, H)
+        if delta <= tol * max(np.linalg.norm(row_major), p.eps):
             break
     return H
 

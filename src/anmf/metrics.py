@@ -10,17 +10,38 @@ from .core import as_array
 SENTINEL_CAP_DB = 100.0
 
 
-def psnr(estimate, reference, peak=1.0):
-    """Peak signal-to-noise ratio in dB; +inf on an exact match."""
+def _psnr_inputs(estimate, reference, peak):
     estimate, reference = as_array(estimate), as_array(reference)
     if estimate.shape != reference.shape:
         raise ValueError(f"shape mismatch {estimate.shape} vs {reference.shape}")
     if peak <= 0:
         raise ValueError("peak must be positive")
-    mse = float(np.mean((estimate - reference) ** 2))
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(peak**2 / mse)
+    return estimate, reference
+
+
+def _psnr_db(mse, peak):
+    return math.inf if mse == 0.0 else 10.0 * math.log10(peak**2 / mse)
+
+
+def psnr(estimate, reference, peak=1.0):
+    """Peak signal-to-noise ratio in dB; +inf on an exact match."""
+    estimate, reference = _psnr_inputs(estimate, reference, peak)
+    return _psnr_db(float(np.mean((estimate - reference) ** 2)), peak)
+
+
+def psnr_columns(estimates, references, peak=1.0):
+    """psnr of each column of two m x N matrices, as a list of N floats.
+
+    One pass over the column-major squared error: each column's mean is
+    summed over contiguous memory, as psnr sums a single column, so the
+    scores are bitwise psnr(estimates[:, k], references[:, k]).
+    """
+    estimates, references = _psnr_inputs(estimates, references, peak)
+    if estimates.ndim != 2:
+        raise ValueError(f"psnr_columns needs matrices, got shape {estimates.shape}")
+    err = np.subtract(estimates, references, order="F")
+    np.square(err, out=err)
+    return [_psnr_db(float(mse), peak) for mse in np.mean(err, axis=0)]
 
 
 def si_sdr(estimate, reference):
@@ -42,7 +63,8 @@ def si_sdr(estimate, reference):
     target_energy = float(np.dot(target, target))
     if target_energy == 0.0:
         return -math.inf
-    noise = float(np.dot(target - estimate, target - estimate))
+    residual = target - estimate
+    noise = float(np.dot(residual, residual))
     if noise == 0.0:
         return math.inf
     return 10.0 * math.log10(target_energy / noise)

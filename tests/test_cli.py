@@ -705,7 +705,7 @@ class TestErrors:
 
     def test_tune_records_trial_errors(self, tmp_path):
         rng = np.random.default_rng(0)
-        sup = make_sources(tmp_path, rng, n=12)
+        sup = make_sources(tmp_path, rng, n=12, prefix="sup")
         write_matrix(tmp_path / "sup_mix.anmf", sum(read_matrix(p) for p in sup))
         out = tmp_path / "out"
         # batch_size 0 fails TrainSpec's validation inside the trial
@@ -916,6 +916,49 @@ class TestErrors:
         assert run_cli(["tune", "--config", cfg]) == 1
         assert "unknown train keys: mu_h" in capsys.readouterr().err
         assert not (out / "tune_result.json").exists()
+
+    def test_tune_rejects_supervised_sources_of_another_shape(self, tmp_path, monkeypatch, capsys):
+        # nmf does not train on the supervised pairs, so only scoring would read them
+        cfg = self._configs(tmp_path)["tune"]
+        wide = make_sources(tmp_path, np.random.default_rng(1), n=30, prefix="wide")
+        cfg["data"]["supervised"]["sources"] = wide
+        monkeypatch.setattr(anmf.cli, "train_with_method", lambda *a: pytest.fail("a model was trained"))
+        assert run_cli(["tune", "--config", write_config(tmp_path, "c.json", cfg)]) == 1
+        mix = cfg["data"]["supervised"]["mix"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"anmf: error: {wide[0]} has shape (8, 30), but {mix} has shape (8, 12)"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("block, edit, message", [
+        ("weight_model", lambda c: c.update(weight_model={"mode": "deterministic"}),
+         "weight_model needs the key 'values'"),
+        ("weight_model", lambda c: c.update(weight_model={"mode": "dirichlet"}),
+         "weight_model needs the key 'concentration'"),
+        ("weight_model", lambda c: c.update(weight_model={"values": [0.5, 0.5], "mc_samples": 10}),
+         "unknown weight_model keys: mc_samples"),
+        ("weight_model", lambda c: c.update(weight_model={"mode": "fixed", "values": [0.5, 0.5]}),
+         "weight_model mode 'fixed' is not one of deterministic, dirichlet"),
+        ("weight_model", lambda c: c.update(weight_model=[0.5, 0.5]),
+         "weight_model must be a JSON object, not [0.5, 0.5]"),
+        ("tuning", lambda c: c["tuning"].update(trails=2), "unknown tuning keys: trails"),
+        ("tuning", lambda c: c["tuning"].pop("space"), "tuning needs the key 'space'"),
+        ("tuning", lambda c: c.pop("tuning"), "tuning must be a JSON object, not null"),
+        ("data", lambda c: c["data"].update(mixs="mix.anmf"), "unknown data keys: mixs"),
+        ("data", lambda c: c.update(data="sources.json"), 'data must be a JSON object, not "sources.json"'),
+        ("data.supervised", lambda c: c["data"]["supervised"].pop("mix"), "data.supervised needs the key 'mix'"),
+        ("data.supervised", lambda c: c["data"]["supervised"].update(mixes=[]),
+         "unknown data.supervised keys: mixes"),
+        ("data.supervised", lambda c: c["data"].update(supervised=[]), "data.supervised must be a JSON object, not []"),
+    ])
+    def test_config_blocks_checked(self, tmp_path, monkeypatch, block, edit, message, capsys):
+        # anmf builds adversarial sets, so tune reads all four blocks
+        cfg = {**self._configs(tmp_path)["tune"], "method": "anmf"}
+        edit(cfg)
+        path = write_config(tmp_path, "c.json", cfg)
+        monkeypatch.setattr(anmf.cli, "train_with_method", lambda *a: pytest.fail("a model was trained"))
+        assert run_cli(["tune", "--config", path]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"anmf: error: {path}: {message}"]
+        assert not (tmp_path / "out").exists()
 
     def test_denoise_separate_needs_two_bases(self, tmp_path, capsys):
         save_bundle(tmp_path / "model", [np.ones((257, 2))])

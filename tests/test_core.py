@@ -136,6 +136,52 @@ class TestSolveNnls:
         assert iters < 20000
         assert np.array_equal(solve_nnls(V, W, P0, max_iter=20000, tol=1e-6), H_ref)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stop_at_the_tolerance_boundary(self, seed):
+        # tol is the relative change reference_solve sees at iteration k, or
+        # 1e-13 either side of it: there the norm bound cannot decide, and
+        # the exact rule must stop where the reference stops
+        rng = np.random.default_rng([seed, 40])
+        W = rng.random((int(rng.integers(3, 12)), int(rng.integers(2, 6))))
+        V = rng.random((W.shape[0], int(rng.integers(1, 20))))
+        p = SparsityParams(0.0, float(rng.choice([0.0, 1e-3])))
+        H, rel = np.ones((W.shape[1], V.shape[1])), []
+        for _ in range(30):
+            H_new = update_latents(H, W, V, p)
+            rel.append(np.linalg.norm(H_new - H) / max(np.linalg.norm(H_new), p.eps))
+            H = H_new
+        # k is an iteration whose relative change is below every earlier one
+        k = int(rng.choice([j + 1 for j in range(1, 30) if rel[j] < min(rel[:j])]))
+        stops = []
+        for tol in (rel[k - 1] * (1 - 1e-13), rel[k - 1], rel[k - 1] * (1 + 1e-13)):
+            H_ref, iters = reference_solve(V, W, p, max_iter=40, tol=tol)
+            stops.append(iters)
+            H = solve_nnls(V, W, p, max_iter=40, tol=tol)
+            assert H.flags.f_contiguous
+            assert np.array_equal(H, H_ref)
+        # the three tolerances straddle the stop at iteration k
+        assert stops[0] > k and stops[2] == k
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-8])
+    @pytest.mark.parametrize("n", [0, 6])
+    def test_all_zero_and_empty_blocks(self, tol, n):
+        # an all-zero V reaches its fixed point H = 0 in two updates, so even
+        # tol = 0 stops it early; a 0-column V stops after one
+        W = np.random.default_rng(41).random((5, 3))
+        V = np.zeros((5, n))
+        H_ref, iters = reference_solve(V, W, P0, max_iter=50, tol=tol)
+        assert iters == (2 if n else 1)
+        assert np.array_equal(solve_nnls(V, W, P0, max_iter=50, tol=tol), H_ref)
+
+    def test_close_to_reference_at_any_shape(self):
+        # the column-major product G @ H may take another BLAS kernel than
+        # the row-major one and round differently; the iterates stay close
+        rng = np.random.default_rng(42)
+        W = rng.random((60, 40))
+        V = rng.random((60, 37))
+        H_ref, _ = reference_solve(V, W, P0, max_iter=100, tol=0.0)
+        assert np.allclose(solve_nnls(V, W, P0, max_iter=100, tol=0.0), H_ref, rtol=1e-12, atol=0.0)
+
     def test_row_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             solve_nnls(np.ones((4, 2)), np.ones((5, 2)), P0)

@@ -12,6 +12,7 @@ from anmf.metrics import (
     cv_split,
     median_bootstrap_se,
     psnr,
+    psnr_columns,
     random_search,
     si_sdr,
     weighted_score,
@@ -39,6 +40,29 @@ class TestPsnr:
             psnr(np.ones(3), np.ones(4))
         with pytest.raises(ValueError):
             psnr(np.ones(3), np.ones(3), peak=0.0)
+
+
+class TestPsnrColumns:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bitwise_per_column_psnr(self, order):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            m, n = (int(k) for k in rng.integers(1, 300, size=2))
+            est = np.asarray(rng.random((m, n)), order=order)
+            ref = np.asarray(rng.random((m, n)), order=order)
+            est[:, 0] = ref[:, 0]
+            peak = float(rng.uniform(0.5, 2.0))
+            expected = [psnr(est[:, k], ref[:, k], peak) for k in range(n)]
+            assert psnr_columns(est, ref, peak) == expected
+            assert expected[0] == math.inf
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            psnr_columns(np.ones((3, 2)), np.ones((3, 3)))
+        with pytest.raises(ValueError, match="peak"):
+            psnr_columns(np.ones((3, 2)), np.ones((3, 2)), peak=-1.0)
+        with pytest.raises(ValueError, match="matrices"):
+            psnr_columns(np.ones(3), np.ones(3))
 
 
 class TestSiSdr:
