@@ -37,13 +37,17 @@ METHODS = {
 _CASTS = {**dict.fromkeys(("tau_A", "tau_S", "mu_W", "mu_H", "eps"), float),
           **dict.fromkeys(("epochs", "batch_size", "seed"), int)}
 CSV_HEADER = ["sample_index", "source", "metric", "value"]
-# the top-level config keys each configured command reads
-MIX_KEYS = ("sources", "seed", "snr_db", "weight_model", "output")
-TRAIN_KEYS = ("method", "data", "train", "weight_model", "output")
-TUNE_KEYS = TRAIN_KEYS + ("seed", "tuning", "metric", "metric_weights", "peak")
+# the top-level config keys each configured command reads: (required, optional)
+MIX_KEYS = (("sources", "output"), ("seed", "snr_db", "weight_model"))
+TRAIN_KEYS = (("output",), ("method", "data", "train", "weight_model"))
+TUNE_KEYS = (("output",), TRAIN_KEYS[1] + ("seed", "tuning", "metric", "metric_weights", "peak"))
 # weight_model mode -> (the block's required keys, its optional keys)
 WEIGHT_MODEL_KEYS = {"deterministic": (("values",), ("mode",)),
                      "dirichlet": (("concentration",), ("mode", "mc_samples"))}
+# tuning.space entry type -> (sampler, the entry's keys besides type, their cast)
+SAMPLERS = {"log_uniform": (amet.LogUniform, ("lo", "hi"), float),
+            "uniform": (amet.Uniform, ("lo", "hi"), float),
+            "choice": (amet.Choice, ("options",), list)}
 
 
 class CliError(Exception):
@@ -51,19 +55,14 @@ class CliError(Exception):
 
 
 def _load_config(args, keys):
-    """The JSON object in --config; a top-level key outside keys is a CliError."""
+    """The JSON object in --config, checked against keys, a (required, optional) pair."""
     if not args.config:
         raise CliError("this command needs --config PATH")
     try:
         cfg = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise CliError(f"cannot read config {args.config}: {e}")
-    if not isinstance(cfg, dict):
-        raise CliError(f"config {args.config} is not a JSON object")
-    unknown = sorted(set(cfg) - set(keys))
-    if unknown:
-        raise CliError(f"unknown config keys: {', '.join(unknown)}")
-    return cfg
+    return _config_block(cfg, "config", args.config, *keys)
 
 
 def _config_block(block, name, path, required=(), optional=()):
@@ -87,7 +86,7 @@ def _weight_model(cfg, n_sources, path):
         return adv.WeightModel.equal(n_sources)
     # a block that is not an object is rejected by _config_block below
     mode = block.get("mode", "deterministic") if isinstance(block, dict) else "deterministic"
-    if mode not in WEIGHT_MODEL_KEYS:
+    if mode not in tuple(WEIGHT_MODEL_KEYS):  # a tuple, so an unhashable mode is no TypeError
         raise CliError(f"{path}: weight_model mode {mode!r} is not one of {', '.join(WEIGHT_MODEL_KEYS)}")
     _config_block(block, "weight_model", path, *WEIGHT_MODEL_KEYS[mode])
     if mode == "deterministic":
@@ -105,15 +104,12 @@ def build_train_spec(train_cfg, method, seed=None, overrides=None):
     Values are taken, each from the first that has it, from the method's
     forced values in METHODS, the seed argument, the tuning overrides,
     the train block, the method's defaults and TrainSpec's own defaults.
-    A key outside a bundle's train_spec keys is a CliError; so are anmf
-    with tau_A <= 0 and danmf with tau_S outside (0, 1).
+    The callers check the keys (_config_method, _parse_space); anmf with
+    tau_A <= 0 and danmf with tau_S outside (0, 1) are CliErrors.
     """
     forced, defaults = METHODS[method]
     seeded = {} if seed is None else {"seed": seed}
     cfg = {**defaults, **(train_cfg or {}), **(overrides or {}), **seeded, **forced}
-    unknown = sorted(set(cfg) - set(_spec_echo(TrainSpec())))
-    if unknown:
-        raise CliError(f"unknown train keys: {', '.join(unknown)}")
     cfg = {k: _CASTS[k](v) if k in _CASTS else v for k, v in cfg.items()}
     if method == "anmf" and cfg["tau_A"] <= 0:
         raise CliError("anmf needs tau_A > 0")
@@ -186,12 +182,12 @@ def _spec_echo(spec):
 
 def cmd_mix(args):
     cfg = _load_config(args, MIX_KEYS)
+    out = _config_block(cfg["output"], "output", args.config, ("mix",), ("ground_truth", "weights"))
     sources = [aio.load_data_matrix(p, args.clamp_negatives) for p in cfg["sources"]]
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     snr_db = cfg.get("snr_db")
     wm = None if snr_db is not None else _weight_model(cfg, len(sources), args.config)
     mix, truth, weights = aio.mix_synthetic(sources, wm, snr_db, seed)
-    out = cfg["output"]
     aio.write_matrix(out["mix"], mix)
     for path, t in zip(out.get("ground_truth", []), truth):
         aio.write_matrix(path, t)
@@ -200,11 +196,12 @@ def cmd_mix(args):
     return 0
 
 
-def _config_method(cfg):
+def _config_method(cfg, path):
+    """The method of a train or tune config and its train block, whose keys are a bundle's train_spec keys."""
     method = cfg.get("method", "nmf")
-    if method not in METHODS:
-        raise CliError(f"unknown method {method!r}")
-    return method
+    if method not in tuple(METHODS):  # a tuple, so an unhashable method is no TypeError
+        raise CliError(f"{path}: unknown method {method!r}")
+    return method, _config_block(cfg.get("train", {}), "train", path, optional=_spec_echo(TrainSpec()))
 
 
 def _training_inputs(clamp, cfg, path, method, seed, adversarial):
@@ -249,15 +246,17 @@ def _train_and_save(out, method, data, spec):
 
 def cmd_train(args):
     cfg = _load_config(args, TRAIN_KEYS)
-    method = _config_method(cfg)
+    method, train = _config_method(cfg, args.config)
     # the spec comes first: whether the adversarial sets are built, and their betas' seed, are read from it
-    spec = build_train_spec(cfg.get("train"), method, args.seed)
+    spec = build_train_spec(train, method, args.seed)
     data = _training_inputs(args.clamp_negatives, cfg, args.config, method, spec.seed, spec.tau_A > 0)
     _train_and_save(cfg["output"], method, data, spec)
     return 0
 
 
 def cmd_separate(args):
+    if not args.peak > 0:
+        raise CliError(f"--peak must be positive, not {args.peak}")
     bundle = aio.load_bundle(args.model)
     if args.references is not None and len(args.references) != len(bundle.bases):
         raise CliError(f"need one reference per basis: {len(bundle.bases)} bases, {len(args.references)} references")
@@ -331,15 +330,21 @@ def cmd_denoise(args):
 
 def cmd_tune(args):
     cfg = _load_config(args, TUNE_KEYS)
-    method = _config_method(cfg)
+    method, base_train_cfg = _config_method(cfg, args.config)
     tuning = _config_block(cfg.get("tuning"), "tuning", args.config, ("space",), ("trials", "folds"))
-    space = _parse_space(tuning["space"])
+    space = _parse_space(tuning["space"], args.config)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    base_train_cfg = cfg.get("train", {})
     # every trial and the retrained winner share one seed
     if "seed" in base_train_cfg or "seed" in space.params:
         raise CliError("tune takes its seed from --seed or the config's top-level seed, "
                        "not from the train block or the tuning space")
+    # every trial's score reads the metric and the peak; a bad one would fail them all
+    metric = cfg.get("metric", "psnr")
+    if metric not in ("psnr", "sisdr"):
+        raise CliError(f"{args.config}: metric {metric!r} is not one of psnr, sisdr")
+    peak = float(cfg.get("peak", 1.0))
+    if not peak > 0:
+        raise CliError(f"{args.config}: peak must be positive, not {peak}")
     # trials change neither the data, the weight model nor the seed, so one
     # build of the adversarial sets serves every trial and fold; it is made
     # when the train block or the search can give tau_A > 0
@@ -350,14 +355,12 @@ def cmd_tune(args):
     if supervised is None:
         raise CliError("the tune config needs a data.supervised block (sources and mix) to score trials on")
     sup_sources, sup_mix = supervised
-    metric = cfg.get("metric", "psnr")
     mweights = cfg.get("metric_weights") or [1.0 / len(sup_sources)] * len(sup_sources)
     try:
         # every trial's score applies this check; a failure here would fail them all
         amet.weighted_score([0.0] * len(sup_sources), mweights)
     except ValueError as e:
         raise CliError(f"metric_weights: {e}") from None
-    peak = float(cfg.get("peak", 1.0))
 
     def evaluate(params, train_idx, val_idx):
         spec = build_train_spec(base_train_cfg, method, seed, overrides=params)
@@ -403,18 +406,18 @@ def _json_score(x):
     return x if math.isfinite(x) else None
 
 
-def _parse_space(block):
+def _parse_space(block, path):
+    # a tuning.space names train keys, each with an entry whose type picks its keys from SAMPLERS
     params = {}
-    for name, sp in block.items():
-        kind = sp["type"]
-        if kind == "log_uniform":
-            params[name] = amet.LogUniform(float(sp["lo"]), float(sp["hi"]))
-        elif kind == "uniform":
-            params[name] = amet.Uniform(float(sp["lo"]), float(sp["hi"]))
-        elif kind == "choice":
-            params[name] = amet.Choice(list(sp["options"]))
-        else:
-            raise CliError(f"unknown sampler type {kind!r} for {name}")
+    for name, entry in _config_block(block, "tuning.space", path, optional=_spec_echo(TrainSpec())).items():
+        where = f"tuning.space.{name}"
+        # an entry that is not an object or has no type is rejected by _config_block below
+        has_type = isinstance(entry, dict) and "type" in entry
+        if has_type and entry["type"] not in tuple(SAMPLERS):  # a tuple, so an unhashable type is no TypeError
+            raise CliError(f"{path}: {where} type {entry['type']!r} is not one of {', '.join(SAMPLERS)}")
+        sampler, keys, cast = SAMPLERS[entry["type"]] if has_type else (None, (), None)
+        _config_block(entry, where, path, ("type",) + keys)
+        params[name] = sampler(*(cast(entry[k]) for k in keys))
     return amet.SearchSpace(params)
 
 
@@ -443,7 +446,9 @@ def cmd_features(args):
         if getattr(args, flag[2:].replace("-", "_")) is None:
             raise CliError(f"features needs {flag}")
     if args.inverse:
-        cfg_data = json.loads(Path(args.input_prefix + ".cfg.json").read_text())
+        sidecar = args.input_prefix + ".cfg.json"
+        cfg_data = _config_block(json.loads(Path(sidecar).read_text()), "config", sidecar,
+                                 ("n_fft", "hop", "window", "sample_rate"), ("length",))
         if cfg_data["window"] != "hann":
             raise CliError(f"unsupported window {cfg_data['window']!r}")
         cfg = feat.StftConfig(n_fft=cfg_data["n_fft"], hop=cfg_data["hop"])
@@ -533,7 +538,7 @@ def run_cli(argv):
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (CliError, aio.FormatError, ValueError, OSError, KeyError) as e:
+    except (CliError, aio.FormatError, ValueError, OSError) as e:
         print(f"anmf: error: {e}", file=sys.stderr)
         return 1
 

@@ -120,7 +120,8 @@ def solve_nnls(V, W, p=None, max_iter=500, tol=1e-8):
     W.T V and W.T W are formed once. The run stops after max_iter updates,
     or earlier once ||H_new - H||_F <= tol * max(||H_new||_F, eps), where
     the norms are taken over the whole block of columns and summed in
-    row-major order.
+    row-major order. max_iter below 1 is a ValueError: the all-ones start
+    is no solution.
 
     Each iteration takes one norm, ||H_new||_F. Since
     ||H_new - H|| >= | ||H_new|| - ||H|| |, a norm gap that exceeds the
@@ -132,6 +133,8 @@ def solve_nnls(V, W, p=None, max_iter=500, tol=1e-8):
     Returns:
         H, the d x N coefficient matrix, column-major.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     p = p or SparsityParams()
     V, W = as_array(V), as_array(W)
     if W.shape[0] != V.shape[0]:

@@ -11,7 +11,7 @@ import anmf.cli
 import anmf.separation
 from anmf import metrics
 from anmf.adversarial import WeightModel, adversarial_sets, compute_beta
-from anmf.cli import CliError, build_train_spec, run_cli, score_separation
+from anmf.cli import build_train_spec, run_cli, score_separation
 from anmf.core import SparsityParams, solve_nnls
 from anmf.features import StftConfig, apply_gain, istft, stft
 from anmf.io import load_bundle, load_wav, read_matrix, save_bundle, write_matrix, write_wav
@@ -65,13 +65,20 @@ class TestBuildTrainSpec:
         assert build_train_spec({}, "nmf") == TrainSpec()
         assert build_train_spec(None, "semi", overrides={"tau_A": 0.2}) == TrainSpec(tau_A=0.2)
 
-    @pytest.mark.parametrize("block, overrides, named", [
-        ({"tau_s": 0.9, "epoch": 5}, None, "epoch, tau_s"),
-        ({"mu_H": 1e-3}, {"mu_h": 1e-5}, "mu_h"),
+    @pytest.mark.parametrize("command, edit, named", [
+        ("train", lambda c: c["train"].update(tau_s=0.9, epoch=5), "train keys: epoch, tau_s"),
+        ("tune", lambda c: c["tuning"]["space"].update(mu_h={"type": "choice", "options": [1e-5]}),
+         "tuning.space keys: mu_h"),
     ], ids=["block", "overrides"])
-    def test_misspelt_keys_rejected(self, block, overrides, named):
-        with pytest.raises(CliError, match=f"unknown train keys: {named}$"):
-            build_train_spec(block, "danmf", overrides=overrides)
+    def test_misspelt_keys_rejected(self, tmp_path, monkeypatch, command, edit, named, capsys):
+        # build_train_spec's keys come from the train block and, in tune, the
+        # tuning space's overrides; the CLI checks both where it reads them
+        cfg = {**TestErrors._configs(tmp_path)[command], "method": "danmf"}
+        edit(cfg)
+        path = write_config(tmp_path, "c.json", cfg)
+        monkeypatch.setattr(anmf.cli, "train_with_method", lambda *a: pytest.fail("a model was trained"))
+        assert run_cli([command, "--config", path]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"anmf: error: {path}: unknown {named}"]
 
 
 class TestScoreSeparation:
@@ -863,15 +870,17 @@ class TestErrors:
         assert run_cli([command, "--config", write_config(tmp_path, "good.json", good)]) == 0
         assert (tmp_path / "good").exists()
         bad = {**self._configs(tmp_path, "bad")[command], **extra}
-        assert run_cli([command, "--config", write_config(tmp_path, "bad.json", bad)]) == 1
-        assert capsys.readouterr().err.splitlines() == [f"anmf: error: unknown config keys: {named}"]
+        path = write_config(tmp_path, "bad.json", bad)
+        assert run_cli([command, "--config", path]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"anmf: error: {path}: unknown config keys: {named}"]
         assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize("command", ["mix", "train", "tune"])
     def test_config_must_be_an_object(self, tmp_path, command, capsys):
         cfg = write_config(tmp_path, "c.json", ["method", "output"])
         assert run_cli([command, "--config", cfg]) == 1
-        assert capsys.readouterr().err.splitlines() == [f"anmf: error: config {cfg} is not a JSON object"]
+        assert capsys.readouterr().err.splitlines() == [
+            f'anmf: error: {cfg}: config must be a JSON object, not ["method", "output"]']
 
     @pytest.mark.parametrize("command, where", [("train", "train"), ("tune", "train"), ("tune", "space")])
     def test_sample_anchor_rejected_before_training(self, tmp_path, monkeypatch, command, where, capsys):
@@ -881,8 +890,10 @@ class TestErrors:
         else:
             cfg["tuning"]["space"] = {"sample_anchor": {"type": "choice", "options": ["true_data", "supervised"]}}
         monkeypatch.setattr(anmf.cli, "train_with_method", lambda *a: pytest.fail("a model was trained"))
-        assert run_cli([command, "--config", write_config(tmp_path, "c.json", cfg)]) == 1
-        assert capsys.readouterr().err.splitlines() == ["anmf: error: unknown train keys: sample_anchor"]
+        path = write_config(tmp_path, "c.json", cfg)
+        assert run_cli([command, "--config", path]) == 1
+        block = "train" if where == "train" else "tuning.space"
+        assert capsys.readouterr().err.splitlines() == [f"anmf: error: {path}: unknown {block} keys: sample_anchor"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where", ["train", "space"])
@@ -914,7 +925,7 @@ class TestErrors:
             "output": str(out),
         })
         assert run_cli(["tune", "--config", cfg]) == 1
-        assert "unknown train keys: mu_h" in capsys.readouterr().err
+        assert f"{cfg}: unknown tuning.space keys: mu_h" in capsys.readouterr().err
         assert not (out / "tune_result.json").exists()
 
     def test_tune_rejects_supervised_sources_of_another_shape(self, tmp_path, monkeypatch, capsys):
@@ -958,6 +969,65 @@ class TestErrors:
         monkeypatch.setattr(anmf.cli, "train_with_method", lambda *a: pytest.fail("a model was trained"))
         assert run_cli(["tune", "--config", path]) == 1
         assert capsys.readouterr().err.splitlines() == [f"anmf: error: {path}: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    SEPARATE = ["separate", "--model", "model", "--input", "mix.anmf", "--output-dir", "out"]
+
+    @pytest.mark.parametrize("argv, edit, message", [
+        # config cases: the command, an edit of its _configs config, and the
+        # error, which follows the config's path
+        (["train"], lambda c: c.update(train=[1]), "train must be a JSON object, not [1]"),
+        (["mix"], lambda c: c.update(output="mix.anmf"), 'output must be a JSON object, not "mix.anmf"'),
+        (["mix"], lambda c: c["output"].update(ground_truths=["gt.anmf"]), "unknown output keys: ground_truths"),
+        (["tune"], lambda c: c["tuning"].update(space={"mu_H": {"kind": "log_uniform", "lo": 1e-6, "hi": 1e-2}}),
+         "tuning.space.mu_H needs the key 'type'"),
+        (["tune"], lambda c: c["tuning"].update(space={"mu_H": [1, 2]}),
+         "tuning.space.mu_H must be a JSON object, not [1, 2]"),
+        (["tune"], lambda c: c.pop("output"), "config needs the key 'output'"),
+        (["tune"], lambda c: c.update(peak=0), "peak must be positive, not 0.0"),
+        (["tune"], lambda c: c.update(metric="psrn"), "metric 'psrn' is not one of psnr, sisdr"),
+        # a kind that is a list is no kind, and no TypeError
+        (["train"], lambda c: c.update(method=["nmf"]), "unknown method ['nmf']"),
+        (["mix"], lambda c: c.update(weight_model={"mode": ["dirichlet"]}),
+         "weight_model mode ['dirichlet'] is not one of deterministic, dirichlet"),
+        (["tune"], lambda c: c["tuning"].update(space={"mu_H": {"type": ["uniform"], "lo": 0.0, "hi": 1.0}}),
+         "tuning.space.mu_H type ['uniform'] is not one of log_uniform, uniform, choice"),
+        # flag cases: the whole argv, and the error
+        (["features", "--inverse", "--input-prefix", "feat", "--output", "out"], None,
+         "feat.cfg.json: config needs the key 'window'"),
+        (SEPARATE + ["--max-iter", "0"], None, "max_iter must be at least 1, got 0"),
+        (["denoise", "--model", "voice", "--input", "x.wav", "--output", "out", "--max-iter", "-3"], None,
+         "max_iter must be at least 1, got -3"),
+        (SEPARATE + ["--clip", "--peak", "-1"], None, "--peak must be positive, not -1.0"),
+        (SEPARATE + ["--peak", "0", "--references", "src_0.anmf", "src_1.anmf"], None,
+         "--peak must be positive, not 0.0"),
+    ], ids=["train_block_list", "mix_output_string", "mix_output_misspelt", "space_entry_without_type",
+            "space_entry_list", "tune_without_output", "tune_peak_0", "tune_metric_misspelt",
+            "method_list", "weight_model_mode_list", "space_type_list",
+            "sidecar_without_window", "separate_max_iter_0", "denoise_max_iter_negative",
+            "separate_clip_negative_peak", "separate_peak_0_references"])
+    def test_bad_input_fails_before_any_work(self, tmp_path, monkeypatch, argv, edit, message, capsys):
+        # valid inputs beside the one at fault: a two-basis bundle and a mix
+        # with references, a one-basis STFT bundle and a WAV, and a
+        # features --inverse prefix whose sidecar lacks its window
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(15)
+        save_bundle("model", [rng.random((8, 2)), rng.random((8, 2))])
+        write_matrix("mix.anmf", rng.random((8, 30)))
+        save_bundle("voice", [rng.random((257, 2))])
+        write_wav("x.wav", 0.1 * rng.standard_normal(1024), 16000)
+        Path("feat.cfg.json").write_text(json.dumps({"n_fft": 512, "hop": 128, "sample_rate": 16000, "length": 512}))
+        write_matrix("feat.mag.anmf", np.ones((257, 5)))
+        write_matrix("feat.phase.anmf", np.zeros((257, 5)))
+        configs = self._configs(tmp_path)  # writes src_0.anmf and src_1.anmf, 8 x 30
+        if edit is not None:
+            cfg = configs[argv[0]]
+            edit(cfg)
+            path = write_config(tmp_path, "c.json", cfg)
+            argv, message = [argv[0], "--config", path], f"{path}: {message}"
+        monkeypatch.setattr(anmf.cli, "train_with_method", lambda *a: pytest.fail("a model was trained"))
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"anmf: error: {message}"]
         assert not (tmp_path / "out").exists()
 
     def test_denoise_separate_needs_two_bases(self, tmp_path, capsys):

@@ -186,6 +186,12 @@ class TestSolveNnls:
         with pytest.raises(DimensionMismatch):
             solve_nnls(np.ones((4, 2)), np.ones((5, 2)), P0)
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_no_update_rejected(self, max_iter):
+        # the all-ones start is no solution, so a run of no updates is an error
+        with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}$"):
+            solve_nnls(np.ones((4, 2)), np.ones((4, 2)), P0, max_iter=max_iter)
+
 
 class TestConeDistance:
     def test_is_solve_nnls_column(self):
