@@ -30,7 +30,6 @@ from .training import (
     TrainSpec,
     TrainState,
     grad_parts,
-    objective,
     train_semisupervised,
     train_smu,
     update_basis,

@@ -11,8 +11,12 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from contextlib import suppress
+from dataclasses import fields, replace
+from inspect import formatannotation
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -34,20 +38,23 @@ METHODS = {
     "danmf": ({}, {"tau_A": 0.1, "tau_S": 0.5}),
     "semi": ({"tau_S": 0.0}, {}),
 }
-_CASTS = {**dict.fromkeys(("tau_A", "tau_S", "mu_W", "mu_H", "eps"), float),
-          **dict.fromkeys(("epochs", "batch_size", "seed"), int)}
 CSV_HEADER = ["sample_index", "source", "metric", "value"]
-# the top-level config keys each configured command reads: (required, optional)
-MIX_KEYS = (("sources", "output"), ("seed", "snr_db", "weight_model"))
-TRAIN_KEYS = (("output",), ("method", "data", "train", "weight_model"))
-TUNE_KEYS = (("output",), TRAIN_KEYS[1] + ("seed", "tuning", "metric", "metric_weights", "peak"))
-# weight_model mode -> (the block's required keys, its optional keys)
-WEIGHT_MODEL_KEYS = {"deterministic": (("values",), ("mode",)),
-                     "dirichlet": (("concentration",), ("mode", "mc_samples"))}
-# tuning.space entry type -> (sampler, the entry's keys besides type, their cast)
-SAMPLERS = {"log_uniform": (amet.LogUniform, ("lo", "hi"), float),
-            "uniform": (amet.Uniform, ("lo", "hi"), float),
-            "choice": (amet.Choice, ("options",), list)}
+# a config block's keys with their types (_typed) and the keys it requires; the train
+# block holds a bundle's train_spec keys: TrainSpec's fields, sparsity's in its place
+TRAIN_TYPES = {g.name: g.type for f in fields(TrainSpec)
+               for g in (fields(SparsityParams) if f.name == "sparsity" else [f])}
+MIX_KEYS = ({"sources": list[str], "output": dict, "seed": int, "snr_db": float, "weight_model": dict},
+            ("sources", "output"))
+TRAIN_KEYS = ({"output": str, "method": object, "data": dict, "train": dict, "weight_model": dict}, ("output",))
+TUNE_KEYS = ({**TRAIN_KEYS[0], "seed": int, "tuning": dict, "metric": str, "metric_weights": list[float],
+              "peak": float}, ("output",))
+WEIGHT_MODEL_KEYS = {"deterministic": ({"values": list[float], "mode": str}, ("values",)),
+                     "dirichlet": ({"concentration": list[float], "mode": str, "mc_samples": int}, ("concentration",))}
+# tuning.space entry type -> (sampler, the entry's keys besides type for a
+# tuned key of type t); a uniform draw is a float, so only a float key takes one
+SAMPLERS = {"log_uniform": (amet.LogUniform, lambda t: {"lo": float, "hi": float}),
+            "uniform": (amet.Uniform, lambda t: {"lo": float, "hi": float}),
+            "choice": (amet.Choice, lambda t: {"options": list[t]})}
 
 
 class CliError(Exception):
@@ -55,7 +62,7 @@ class CliError(Exception):
 
 
 def _load_config(args, keys):
-    """The JSON object in --config, checked against keys, a (required, optional) pair."""
+    """The JSON object in --config, checked against keys, a (types, required) pair."""
     if not args.config:
         raise CliError("this command needs --config PATH")
     try:
@@ -65,37 +72,52 @@ def _load_config(args, keys):
     return _config_block(cfg, "config", args.config, *keys)
 
 
-def _config_block(block, name, path, required=(), optional=()):
-    """block, the config object called name, checked: anything but a JSON
-    object, a missing required key or a key outside required and optional
-    is a CliError naming the block, the key and the config file."""
+def _config_block(block, name, path, types, required=()):
+    """block, the config object called name, checked against types (_typed, whose
+    conversions it keeps): a non-object, a missing required key, an unknown key or a
+    value of another type is a CliError naming the block, the key and the config file."""
     if not isinstance(block, dict):
         raise CliError(f"{path}: {name} must be a JSON object, not {json.dumps(block)}")
     missing = [k for k in required if k not in block]
     if missing:
         raise CliError(f"{path}: {name} needs the key {missing[0]!r}")
-    unknown = sorted(set(block) - set(required) - set(optional))
+    unknown = sorted(set(block) - set(types))
     if unknown:
         raise CliError(f"{path}: unknown {name} keys: {', '.join(unknown)}")
+    for k, v in block.items():
+        try:
+            block[k] = _typed(v, types[k])
+        except TypeError:
+            where = k if name == "config" else f"{name}.{k}"
+            t = "a JSON object" if types[k] is dict else formatannotation(types[k])
+            raise CliError(f"{path}: {where} must be {t}, not {json.dumps(v)}") from None
     return block
+
+
+def _typed(value, t):
+    # value as the JSON type t, such as str, list[str] or int | list[int], or a TypeError; object takes
+    # anything, true and false are no numbers, and a number typed float is made a float
+    if isinstance(t, UnionType):
+        for arm in get_args(t):
+            with suppress(TypeError):
+                return _typed(value, arm)
+    elif get_origin(t) is list:
+        if isinstance(value, list):
+            return [_typed(x, get_args(t)[0]) for x in value]
+    elif t is object or not isinstance(value, bool) and isinstance(value, (int, float) if t is float else t):
+        return float(value) if t is float else value
+    raise TypeError
 
 
 def _weight_model(cfg, n_sources, path):
     block = cfg.get("weight_model")
     if block is None:
         return adv.WeightModel.equal(n_sources)
-    # a block that is not an object is rejected by _config_block below
-    mode = block.get("mode", "deterministic") if isinstance(block, dict) else "deterministic"
+    mode = block.get("mode", "deterministic")
     if mode not in tuple(WEIGHT_MODEL_KEYS):  # a tuple, so an unhashable mode is no TypeError
         raise CliError(f"{path}: weight_model mode {mode!r} is not one of {', '.join(WEIGHT_MODEL_KEYS)}")
-    _config_block(block, "weight_model", path, *WEIGHT_MODEL_KEYS[mode])
-    if mode == "deterministic":
-        return adv.WeightModel(values=block["values"])
-    return adv.WeightModel(
-        mode="dirichlet",
-        concentration=block["concentration"],
-        mc_samples=int(block.get("mc_samples", 100_000)),
-    )
+    # the block's keys are WeightModel's fields
+    return adv.WeightModel(**_config_block(block, "weight_model", path, *WEIGHT_MODEL_KEYS[mode]))
 
 
 def build_train_spec(train_cfg, method, seed=None, overrides=None):
@@ -104,13 +126,12 @@ def build_train_spec(train_cfg, method, seed=None, overrides=None):
     Values are taken, each from the first that has it, from the method's
     forced values in METHODS, the seed argument, the tuning overrides,
     the train block, the method's defaults and TrainSpec's own defaults.
-    The callers check the keys (_config_method, _parse_space); anmf with
-    tau_A <= 0 and danmf with tau_S outside (0, 1) are CliErrors.
+    The callers check keys and types (_config_method, _parse_space); anmf
+    with tau_A <= 0 and danmf with tau_S outside (0, 1) are CliErrors.
     """
     forced, defaults = METHODS[method]
     seeded = {} if seed is None else {"seed": seed}
     cfg = {**defaults, **(train_cfg or {}), **(overrides or {}), **seeded, **forced}
-    cfg = {k: _CASTS[k](v) if k in _CASTS else v for k, v in cfg.items()}
     if method == "anmf" and cfg["tau_A"] <= 0:
         raise CliError("anmf needs tau_A > 0")
     if method == "danmf" and not 0.0 < cfg["tau_S"] < 1.0:
@@ -169,22 +190,15 @@ def _write_metrics_csv(path, rows):
         writer.writerows(rows)
 
 
-def _spec_echo(spec):
-    # every TrainSpec field in order, with sparsity's fields in its place
-    echo = {}
-    for name, value in asdict(spec).items():
-        echo.update(value if name == "sparsity" else {name: value})
-    return echo
-
-
 # ---------------------------------------------------------------- commands
 
 
 def cmd_mix(args):
     cfg = _load_config(args, MIX_KEYS)
-    out = _config_block(cfg["output"], "output", args.config, ("mix",), ("ground_truth", "weights"))
+    out = _config_block(cfg["output"], "output", args.config, {"mix": str, "ground_truth": list[str], "weights": str},
+                        ("mix",))
     sources = [aio.load_data_matrix(p, args.clamp_negatives) for p in cfg["sources"]]
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     snr_db = cfg.get("snr_db")
     wm = None if snr_db is not None else _weight_model(cfg, len(sources), args.config)
     mix, truth, weights = aio.mix_synthetic(sources, wm, snr_db, seed)
@@ -201,7 +215,7 @@ def _config_method(cfg, path):
     method = cfg.get("method", "nmf")
     if method not in tuple(METHODS):  # a tuple, so an unhashable method is no TypeError
         raise CliError(f"{path}: unknown method {method!r}")
-    return method, _config_block(cfg.get("train", {}), "train", path, optional=_spec_echo(TrainSpec()))
+    return method, _config_block(cfg.get("train", {}), "train", path, TRAIN_TYPES)
 
 
 def _training_inputs(clamp, cfg, path, method, seed, adversarial):
@@ -215,12 +229,13 @@ def _training_inputs(clamp, cfg, path, method, seed, adversarial):
     then a view of its unscaled copy in another source's set, so the loaded
     arrays are not kept, and the mixes are kept only for semi.
     """
-    data = _config_block(cfg.get("data", {}), "data", path, optional=("sources", "mixes", "supervised"))
+    data = _config_block(cfg.get("data", {}), "data", path, {"sources": list[str], "mixes": str, "supervised": dict})
     sources = [aio.load_data_matrix(p, clamp) for p in data.get("sources", [])] or None
     mixes = aio.load_data_matrix(data["mixes"], clamp) if data.get("mixes") else None
     supervised = None
-    if data.get("supervised") is not None:
-        sup = _config_block(data["supervised"], "data.supervised", path, ("sources", "mix"))
+    if "supervised" in data:
+        sup = _config_block(data["supervised"], "data.supervised", path, {"sources": list[str], "mix": str},
+                            ("sources", "mix"))
         supervised = (
             [aio.load_data_matrix(p, clamp) for p in sup["sources"]],
             aio.load_data_matrix(sup["mix"], clamp),
@@ -241,7 +256,8 @@ def _training_inputs(clamp, cfg, path, method, seed, adversarial):
 
 def _train_and_save(out, method, data, spec):
     bases, history = train_with_method(method, *data, spec)
-    aio.save_bundle(out, bases, _spec_echo(spec), history, {"method": method})
+    echo = {k: getattr(spec.sparsity if hasattr(spec.sparsity, k) else spec, k) for k in TRAIN_TYPES}
+    aio.save_bundle(out, bases, echo, history, {"method": method})
 
 
 def cmd_train(args):
@@ -331,9 +347,10 @@ def cmd_denoise(args):
 def cmd_tune(args):
     cfg = _load_config(args, TUNE_KEYS)
     method, base_train_cfg = _config_method(cfg, args.config)
-    tuning = _config_block(cfg.get("tuning"), "tuning", args.config, ("space",), ("trials", "folds"))
+    tuning = _config_block(cfg.get("tuning"), "tuning", args.config, {"space": dict, "trials": int, "folds": int},
+                           ("space",))
     space = _parse_space(tuning["space"], args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     # every trial and the retrained winner share one seed
     if "seed" in base_train_cfg or "seed" in space.params:
         raise CliError("tune takes its seed from --seed or the config's top-level seed, "
@@ -342,7 +359,7 @@ def cmd_tune(args):
     metric = cfg.get("metric", "psnr")
     if metric not in ("psnr", "sisdr"):
         raise CliError(f"{args.config}: metric {metric!r} is not one of psnr, sisdr")
-    peak = float(cfg.get("peak", 1.0))
+    peak = cfg.get("peak", 1.0)
     if not peak > 0:
         raise CliError(f"{args.config}: peak must be positive, not {peak}")
     # trials change neither the data, the weight model nor the seed, so one
@@ -375,9 +392,9 @@ def cmd_tune(args):
 
     result = amet.random_search(
         space,
-        int(tuning.get("trials", 15)),
+        tuning.get("trials", 15),
         evaluate,
-        folds=int(tuning.get("folds", 5)),
+        folds=tuning.get("folds", 5),
         n=sup_mix.shape[1],
         seed=seed,
         # the supervised data score every trial; split them when training reads them too
@@ -409,15 +426,17 @@ def _json_score(x):
 def _parse_space(block, path):
     # a tuning.space names train keys, each with an entry whose type picks its keys from SAMPLERS
     params = {}
-    for name, entry in _config_block(block, "tuning.space", path, optional=_spec_echo(TrainSpec())).items():
-        where = f"tuning.space.{name}"
-        # an entry that is not an object or has no type is rejected by _config_block below
-        has_type = isinstance(entry, dict) and "type" in entry
+    for name, entry in _config_block(block, "tuning.space", path, dict.fromkeys(TRAIN_TYPES, dict)).items():
+        where, t = f"tuning.space.{name}", TRAIN_TYPES[name]
+        # an entry without a type is rejected by _config_block below
+        has_type = "type" in entry
         if has_type and entry["type"] not in tuple(SAMPLERS):  # a tuple, so an unhashable type is no TypeError
             raise CliError(f"{path}: {where} type {entry['type']!r} is not one of {', '.join(SAMPLERS)}")
-        sampler, keys, cast = SAMPLERS[entry["type"]] if has_type else (None, (), None)
-        _config_block(entry, where, path, ("type",) + keys)
-        params[name] = sampler(*(cast(entry[k]) for k in keys))
+        sampler, keys = SAMPLERS[entry["type"]] if has_type else (None, lambda t: {})
+        if sampler in (amet.Uniform, amet.LogUniform) and t is not float:
+            raise CliError(f"{path}: {where} type {entry['type']!r} draws floats, but {name} is {formatannotation(t)}")
+        _config_block(entry, where, path, {"type": str, **keys(t)}, ("type", *keys(t)))
+        params[name] = sampler(*(entry[k] for k in keys(t)))
     return amet.SearchSpace(params)
 
 
@@ -448,7 +467,8 @@ def cmd_features(args):
     if args.inverse:
         sidecar = args.input_prefix + ".cfg.json"
         cfg_data = _config_block(json.loads(Path(sidecar).read_text()), "config", sidecar,
-                                 ("n_fft", "hop", "window", "sample_rate"), ("length",))
+                                 {"n_fft": int, "hop": int, "window": str, "sample_rate": int, "length": int},
+                                 ("n_fft", "hop", "window", "sample_rate"))
         if cfg_data["window"] != "hann":
             raise CliError(f"unsupported window {cfg_data['window']!r}")
         cfg = feat.StftConfig(n_fft=cfg_data["n_fft"], hop=cfg_data["hop"])

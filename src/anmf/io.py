@@ -94,20 +94,21 @@ def load_idx_images(path):
 
 
 def load_wav(path):
-    """Read a PCM16 mono WAV file.
+    """Read a PCM16 mono WAV file; any other file is a FormatError naming it.
 
     Returns:
         (samples, sample_rate) with samples in [-1, 1).
     """
-    with wave.open(str(path), "rb") as f:
-        if f.getcomptype() != "NONE":
-            raise FormatError(f"{path}: compressed WAV is not supported")
-        if f.getsampwidth() != 2:
-            raise FormatError(f"{path}: only 16-bit PCM is supported")
-        if f.getnchannels() != 1:
-            raise FormatError(f"{path}: only mono WAV is supported")
-        rate = f.getframerate()
-        raw = f.readframes(f.getnframes())
+    try:
+        with wave.open(str(path), "rb") as f:
+            if f.getsampwidth() != 2:
+                raise FormatError(f"{path}: only 16-bit PCM is supported")
+            if f.getnchannels() != 1:
+                raise FormatError(f"{path}: only mono WAV is supported")
+            rate = f.getframerate()
+            raw = f.readframes(f.getnframes())
+    except (wave.Error, EOFError) as e:
+        raise FormatError(f"{path}: not a PCM WAV file ({str(e) or 'truncated'})") from None
     samples = np.frombuffer(raw, dtype="<i2").astype(float) / 32768.0
     return samples, rate
 

@@ -16,11 +16,11 @@ sums. train_semisupervised fits one unknown source's basis from mixes
 alone, next to frozen known bases, with the same update_latents,
 grad_parts and update_basis steps.
 
-The recorded objective is taken from m x d and d x d products: each fit
-is expanded as ||D - W L||^2 = ||D||^2 + <W, W (L L^T) - 2 D L^T>, with
-||D||^2 computed once per run, since the data never change. Where the
-expansion cancels to at most 1e-8 ||D||^2, rounding could dominate it,
-and the fit is computed directly instead.
+The objective is reported once, as the history: after each epoch, with
+latents paired with their data columns, from m x d and d x d products.
+Each fit is expanded as ||D - W L||^2 = ||D||^2 + <W, W (L L^T) - 2 D L^T>,
+||D||^2 computed once per run; where that cancels to at most 1e-8 ||D||^2,
+which rounding could dominate, the fit is computed directly instead.
 
 Randomness is derived from the master seed as follows: the epoch shuffle
 stream is ``default_rng([seed, 0])``, the exemplar/random initialization
@@ -58,10 +58,10 @@ class TrainSpec:
     basis step and in the recorded objective alike.
     """
 
-    d: object = 16
+    d: int | list[int] = 16
     tau_A: float = 0.0
     tau_S: float = 0.0
-    gamma: object = None
+    gamma: list[float] | None = None
     sparsity: SparsityParams = field(default_factory=lambda: SparsityParams(1e-10, 1e-10))
     epochs: int = 200
     batch_size: int = 100
@@ -101,9 +101,9 @@ class TrainState:
     bases holds one m x d_i array per source, latents_true and latents_adv
     one d_i x N array per source (None for an inactive term), latents_sup
     the stacked supervised latents or None. The latents are in the column
-    order of the last epoch's shuffle, not that of the data as given:
-    column j belongs to the data column that the composed shuffles moved
-    to position j.
+    order of the last epoch's shuffle, not the data's: column j belongs to
+    the data column that the composed shuffles moved to position j. history
+    holds the objective after each epoch, on latents paired with their data.
     """
 
     bases: list
@@ -344,27 +344,6 @@ def _objective_arrays(W, D, L, weight, mu_W, sq_norms):
             f += blend * wt[i] * sq / x.shape[1]
         out[i] = f
     return out
-
-
-def objective(state, true_data, spec, adversarial=None, supervised=None):
-    """Per-source training objective for an existing state.
-
-    Its terms and their data checks are train_smu's (true_data may be None
-    when that term is inactive); source i's supervised term is weighted by
-    gamma_i, as in the basis step. The state's latents, in the column
-    order of the last epoch's shuffle, are paired with the data as given,
-    so after a shuffled epoch the total differs from the last history entry.
-
-    Returns (per_source, total) where total is the sum over sources.
-    """
-    W = [as_array(b) for b in state.bases]
-    weight, D, _ = _term_table(spec, [None] * len(W) if true_data is None else true_data, adversarial, supervised)
-    latents = {"true_data": state.latents_true, "adversarial": state.latents_adv}
-    if "supervised" in D:
-        latents["supervised"] = np.split(as_array(state.latents_sup), np.cumsum([w.shape[1] for w in W])[:-1])
-    L = {name: [as_array(h) for h in latents[name]] for name in D}
-    per_source = _objective_arrays(W, D, L, weight, spec.sparsity.mu_W, _sq_norms(D))
-    return per_source, float(np.sum(per_source))
 
 
 def train_semisupervised(V, pretrained, spec):

@@ -2,8 +2,11 @@
 
 These deliberately avoid the code paths they verify: brute-force grid
 refinement for non-negative least squares, naive triple-loop matrix
-products, and a plain full-batch multiplicative NMF loop.
+products, a plain full-batch multiplicative NMF loop, and a WAV file
+in a format the library rejects.
 """
+
+import struct
 
 import numpy as np
 
@@ -95,3 +98,11 @@ def plain_nmf_trajectory(U, d, spec):
         W, (H,) = normalize_columns(W, [H], p.eps)
         traj.append((W.copy(), H.copy()))
     return traj
+
+
+def float32_wav_bytes(samples, rate):
+    """A mono IEEE-float WAV file (format tag 3), which the wave module cannot write."""
+    data = np.asarray(samples, dtype="<f4").tobytes()
+    fmt = struct.pack("<HHIIHH", 3, 1, rate, 4 * rate, 4, 32)
+    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(data)) + data
+    return b"RIFF" + struct.pack("<I", len(body)) + body

@@ -24,6 +24,16 @@ class TestWeightModel:
         with pytest.raises(ValueError):
             WeightModel(mode="dirichlet", concentration=[1.0, 0.0])
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"mode": "fixed", "values": [0.5, 0.5]}, "unknown weight mode 'fixed'"),
+        ({}, "deterministic weights need values"),
+        ({"mode": "dirichlet"}, "dirichlet weights need a concentration vector"),
+        ({"mode": "dirichlet", "concentration": [1.0, 1.0], "mc_samples": 0}, "mc_samples must be >= 1"),
+    ], ids=["unknown_mode", "no_values", "no_concentration", "mc_samples_0"])
+    def test_incomplete_model_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WeightModel(**kwargs)
+
     def test_equal_default(self):
         wm = WeightModel.equal(4)
         assert np.allclose(wm.values, 0.25)

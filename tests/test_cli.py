@@ -17,6 +17,7 @@ from anmf.features import StftConfig, apply_gain, istft, stft
 from anmf.io import load_bundle, load_wav, read_matrix, save_bundle, write_matrix, write_wav
 from anmf.separation import separate, wiener_mask
 from anmf.training import TrainSpec, train_smu
+from oracles import float32_wav_bytes
 
 
 def write_config(tmp_path, name, cfg):
@@ -992,6 +993,22 @@ class TestErrors:
          "weight_model mode ['dirichlet'] is not one of deterministic, dirichlet"),
         (["tune"], lambda c: c["tuning"].update(space={"mu_H": {"type": ["uniform"], "lo": 0.0, "hi": 1.0}}),
          "tuning.space.mu_H type ['uniform'] is not one of log_uniform, uniform, choice"),
+        # a value of another JSON type is named with its key, not cast or left to a TypeError
+        (["train"], lambda c: c["train"].update(epochs=[2]), "train.epochs must be int, not [2]"),
+        (["tune"], lambda c: c["tuning"].update(trials=[2]), "tuning.trials must be int, not [2]"),
+        (["train"], lambda c: c.update(output=["m"]), 'output must be str, not ["m"]'),
+        (["mix"], lambda c: c.update(weight_model={"mode": "dirichlet", "concentration": [1, 1], "mc_samples": [5]}),
+         "weight_model.mc_samples must be int, not [5]"),
+        (["train"], lambda c: c["train"].update(epochs=2.7), "train.epochs must be int, not 2.7"),
+        (["train"], lambda c: c["train"].update(tau_A="0.1"), 'train.tau_A must be float, not "0.1"'),
+        (["train"], lambda c: c["train"].update(seed=True), "train.seed must be int, not true"),
+        (["mix"], lambda c: c.update(seed=True), "seed must be int, not true"),
+        (["train"], lambda c: c["data"].update(sources="s0.anmf"), 'data.sources must be list[str], not "s0.anmf"'),
+        (["mix"], lambda c: c.update(sources="s0.anmf"), 'sources must be list[str], not "s0.anmf"'),
+        (["tune"], lambda c: c["tuning"].update(space={"epochs": {"type": "uniform", "lo": 1, "hi": 3}}),
+         "tuning.space.epochs type 'uniform' draws floats, but epochs is int"),
+        (["tune"], lambda c: c["tuning"].update(space={"d": {"type": "choice", "options": [2, "3"]}}),
+         'tuning.space.d.options must be list[int | list[int]], not [2, "3"]'),
         # flag cases: the whole argv, and the error
         (["features", "--inverse", "--input-prefix", "feat", "--output", "out"], None,
          "feat.cfg.json: config needs the key 'window'"),
@@ -1001,15 +1018,26 @@ class TestErrors:
         (SEPARATE + ["--clip", "--peak", "-1"], None, "--peak must be positive, not -1.0"),
         (SEPARATE + ["--peak", "0", "--references", "src_0.anmf", "src_1.anmf"], None,
          "--peak must be positive, not 0.0"),
+        (["train", "--config", "bad.json"], None,
+         "cannot read config bad.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (["features", "--input", "float.wav", "--output-prefix", "out"], None,
+         "float.wav: not a PCM WAV file (unknown format: 3)"),
+        (["denoise", "--model", "voice", "--input", "short.wav", "--output", "out"], None,
+         "short.wav: not a PCM WAV file (truncated)"),
     ], ids=["train_block_list", "mix_output_string", "mix_output_misspelt", "space_entry_without_type",
             "space_entry_list", "tune_without_output", "tune_peak_0", "tune_metric_misspelt",
             "method_list", "weight_model_mode_list", "space_type_list",
+            "train_epochs_list", "tune_trials_list", "train_output_list", "mix_mc_samples_list",
+            "train_epochs_fraction", "train_tau_A_string", "train_seed_true", "mix_seed_true",
+            "data_sources_string", "mix_sources_string", "space_uniform_int_key", "space_choice_option_string",
             "sidecar_without_window", "separate_max_iter_0", "denoise_max_iter_negative",
-            "separate_clip_negative_peak", "separate_peak_0_references"])
+            "separate_clip_negative_peak", "separate_peak_0_references", "config_not_json",
+            "features_float_wav", "denoise_truncated_wav"])
     def test_bad_input_fails_before_any_work(self, tmp_path, monkeypatch, argv, edit, message, capsys):
         # valid inputs beside the one at fault: a two-basis bundle and a mix
-        # with references, a one-basis STFT bundle and a WAV, and a
-        # features --inverse prefix whose sidecar lacks its window
+        # with references, a one-basis STFT bundle and a WAV, a features
+        # --inverse prefix whose sidecar lacks its window, a config that is
+        # not JSON, a float WAV and a truncated one
         monkeypatch.chdir(tmp_path)
         rng = np.random.default_rng(15)
         save_bundle("model", [rng.random((8, 2)), rng.random((8, 2))])
@@ -1019,6 +1047,9 @@ class TestErrors:
         Path("feat.cfg.json").write_text(json.dumps({"n_fft": 512, "hop": 128, "sample_rate": 16000, "length": 512}))
         write_matrix("feat.mag.anmf", np.ones((257, 5)))
         write_matrix("feat.phase.anmf", np.zeros((257, 5)))
+        Path("bad.json").write_text('{method: "nmf"}')
+        Path("float.wav").write_bytes(float32_wav_bytes(np.zeros(1024), 16000))
+        Path("short.wav").write_bytes(b"RIFF\x00")
         configs = self._configs(tmp_path)  # writes src_0.anmf and src_1.anmf, 8 x 30
         if edit is not None:
             cfg = configs[argv[0]]
@@ -1028,7 +1059,7 @@ class TestErrors:
         monkeypatch.setattr(anmf.cli, "train_with_method", lambda *a: pytest.fail("a model was trained"))
         assert run_cli(argv) == 1
         assert capsys.readouterr().err.splitlines() == [f"anmf: error: {message}"]
-        assert not (tmp_path / "out").exists()
+        assert not list(tmp_path.glob("out*"))
 
     def test_denoise_separate_needs_two_bases(self, tmp_path, capsys):
         save_bundle(tmp_path / "model", [np.ones((257, 2))])

@@ -76,6 +76,10 @@ class TestUpdateLatents:
         with pytest.raises(DimensionMismatch):
             update_latents(np.ones((2, 3)), np.ones((4, 2)), np.ones((5, 3)), P0)
 
+    def test_latent_column_mismatch(self):
+        with pytest.raises(DimensionMismatch, match=r"update_latents latents: incompatible shapes \(2, 4\) and \(5, 3\)"):
+            update_latents(np.ones((2, 4)), np.ones((5, 2)), np.ones((5, 3)), P0)
+
     def test_n_scale_must_be_positive(self):
         with pytest.raises(ValueError):
             update_latents(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)), P0, n_scale=0.0)
@@ -255,6 +259,12 @@ class TestInit:
     def test_exemplar_empty_rejected(self):
         with pytest.raises(ValueError):
             init_exemplar(np.zeros((3, 0)), 2, seed=0)
+
+    def test_zero_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="latent dimension must be >= 1"):
+            init_exemplar(np.ones((3, 4)), 0, seed=0)
+        with pytest.raises(ValueError, match="basis dimensions must be >= 1"):
+            init_random(0, 2, seed=0)
 
     def test_random_positive_normalized_deterministic(self):
         W = init_random(7, 3, seed=4)

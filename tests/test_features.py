@@ -52,6 +52,12 @@ class TestRoundTrip:
         y = istft(spec)
         assert len(y) == (spec.shape[1] - 1) * StftConfig().hop
 
+    def test_longer_length_zero_pads(self):
+        x = np.random.default_rng(3).standard_normal(1024)
+        spec = stft(x)
+        y = istft(spec, length=1500)
+        assert np.array_equal(y[:1024], istft(spec)) and not np.any(y[1024:])
+
     def test_too_short_signal_rejected(self):
         with pytest.raises(ValueError):
             stft(np.zeros(100), StftConfig())

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import wave
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from anmf.io import (
     write_matrix,
     write_wav,
 )
+from oracles import float32_wav_bytes
 
 
 class TestMatrixFile:
@@ -104,6 +106,12 @@ class TestMatrixFile:
         with pytest.raises(FormatError):
             read_matrix(p)
 
+    def test_one_dimensional_array_rejected(self, tmp_path):
+        p = tmp_path / "v.anmf"
+        with pytest.raises(ValueError, match="matrix files hold 2-d matrices"):
+            write_matrix(p, np.ones(3))
+        assert not p.exists()
+
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "m.anmf"
         write_matrix(p, np.ones((3, 3)))
@@ -158,6 +166,12 @@ class TestIdx:
         with pytest.raises(FormatError):
             load_idx_images(p)
 
+    def test_truncated_header(self, tmp_path):
+        p = tmp_path / "short.idx"
+        p.write_bytes(struct.pack(">II", 0x00000803, 3))
+        with pytest.raises(FormatError, match=f"^{p}: truncated IDX header$"):
+            load_idx_images(p)
+
 
 class TestWav:
     def test_round_trip(self, tmp_path):
@@ -179,8 +193,6 @@ class TestWav:
         assert y[1] == -1.0
 
     def test_stereo_rejected(self, tmp_path):
-        import wave
-
         p = tmp_path / "s.wav"
         with wave.open(str(p), "wb") as f:
             f.setnchannels(2)
@@ -189,6 +201,27 @@ class TestWav:
             f.writeframes(b"\x00" * 8)
         with pytest.raises(FormatError):
             load_wav(p)
+
+    @pytest.mark.parametrize("name, message", [
+        ("float.wav", "not a PCM WAV file (unknown format: 3)"),
+        ("short.wav", "not a PCM WAV file (truncated)"),
+        ("pcm8.wav", "only 16-bit PCM is supported"),
+    ])
+    def test_other_files_named(self, tmp_path, name, message):
+        # the standard library raises its own errors on a non-PCM format
+        # and a truncated header; each is a FormatError naming the file
+        p = tmp_path / name
+        if name == "pcm8.wav":
+            with wave.open(str(p), "wb") as f:
+                f.setnchannels(1)
+                f.setsampwidth(1)
+                f.setframerate(8000)
+                f.writeframes(b"\x80" * 8)
+        else:
+            p.write_bytes(float32_wav_bytes([0.0, 0.5], 8000) if name == "float.wav" else b"RIFF\x00")
+        with pytest.raises(FormatError) as err:
+            load_wav(p)
+        assert str(err.value) == f"{p}: {message}"
 
 
 class TestLoadDataMatrix:

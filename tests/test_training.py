@@ -9,9 +9,7 @@ from anmf.adversarial import WeightModel, adversarial_sets
 from anmf.core import DimensionMismatch, SparsityParams, as_array, init_exemplar, update_latents
 from anmf.training import (
     TrainSpec,
-    TrainState,
     grad_parts,
-    objective,
     train_semisupervised,
     train_smu,
     update_basis,
@@ -358,6 +356,22 @@ class TestTrainSmu:
         with pytest.raises(ValueError, match="same column count"):
             train_smu(U, make_spec(d=2, tau_S=0.5, epochs=1), supervised=sup)
 
+    @pytest.mark.parametrize("run, message", [
+        (lambda U: make_spec(tau_A=-0.1), "tau_A must be >= 0"),
+        (lambda U: make_spec(tau_S=-0.1), r"tau_S must lie in \[0, 1\]"),
+        (lambda U: make_spec(tau_S=1.5), r"tau_S must lie in \[0, 1\]"),
+        (lambda U: make_spec(init="kmeans"), "unknown init mode 'kmeans'"),
+        (lambda U: train_smu(U, make_spec(d=[2, 2, 2])), "need 2 latent dimensions, got 3"),
+        (lambda U: train_smu(U, make_spec(gamma=[1.0])), "gamma must be a positive vector, one entry per source"),
+        (lambda U: train_smu(U, make_spec(gamma=[1.0, 0.0])), "gamma must be a positive vector"),
+        (lambda U: train_smu(None, make_spec()), "no training data given"),
+    ], ids=["tau_A_negative", "tau_S_negative", "tau_S_above_1", "init_unknown", "d_per_source",
+            "gamma_per_source", "gamma_zero", "no_data"])
+    def test_bad_arguments_named(self, run, message):
+        U = [np.ones((3, 4)), np.ones((3, 4))]
+        with pytest.raises(ValueError, match=message):
+            run(U)
+
     def test_missing_required_term_named(self):
         U = [np.ones((3, 4))]
         with pytest.raises(ValueError, match="adversarial"):
@@ -417,80 +431,39 @@ class TestTrainSmu:
 
 
 class TestObjective:
-    def test_perfect_factorization_is_zero(self):
-        rng = np.random.default_rng(6)
-        W = rng.random((4, 2))
-        H = rng.random((2, 10))
-        U = W @ H
-        spec = make_spec(d=2, epochs=0)
-        state = train_smu([U], spec)
-        state.bases[0] = W
-        state.latents_true[0] = H
-        per_source, total = objective(state, [U], spec)
-        assert per_source[0] < 1e-20
-        assert total < 1e-20
-
-    def test_dominant_adversarial_term_goes_negative(self):
-        rng = np.random.default_rng(7)
-        W = rng.random((4, 2))
-        Uhat = rng.random((4, 6))
-        spec = make_spec(d=2, tau_A=50.0, epochs=0)
-        state = train_smu([rng.random((4, 5))], spec, adversarial=[Uhat])
-        # adversarial data nearly perfectly fitted, true data poorly
-        state.bases[0] = W
-        state.latents_true[0] = np.zeros((2, 5))
-        h_hat = np.linalg.lstsq(W, Uhat, rcond=None)[0]
-        state.latents_adv[0] = np.maximum(h_hat, 0)
-        per_source, _ = objective(state, [rng.random((4, 5))], spec, adversarial=[Uhat])
-        assert per_source[0] < 0
-
     def test_missing_active_term_named(self):
-        # the terms are train_smu's: an active term without data is an error
+        # train_smu's term table names an active term without data
         rng = np.random.default_rng(15)
         U = [rng.random((4, 5))]
-        state = train_smu(U, make_spec(d=2, epochs=1))
         with pytest.raises(ValueError, match="adversarial term is active but its data is missing"):
-            objective(state, U, make_spec(d=2, tau_A=0.5))
+            train_smu(U, make_spec(d=2, tau_A=0.5))
         with pytest.raises(ValueError, match="supervised term is active but its data is missing"):
-            objective(state, U, make_spec(d=2, tau_S=0.5))
+            train_smu(U, make_spec(d=2, tau_S=0.5))
         with pytest.raises(ValueError, match="true_data term is active"):
-            objective(state, None, make_spec(d=2))
+            train_smu(None, make_spec(d=2), supervised=([rng.random((4, 5))], rng.random((4, 5))))
 
-    @pytest.mark.parametrize("d", [2, [2, 3]], ids=["d2", "d2_3"])
-    def test_matches_scalar_loop(self, d):
-        rng = np.random.default_rng(8)
-        U = [rng.random((4, 6)), rng.random((4, 5))]
-        sup_sources = [rng.random((4, 3)), rng.random((4, 3))]
-        sup = (sup_sources, sup_sources[0] + sup_sources[1])
-        adv_sets = [rng.random((4, 7)), rng.random((4, 7))]
-
-        def frob2(A):
-            return sum(A[i, j] ** 2 for i in range(A.shape[0]) for j in range(A.shape[1]))
-
-        # gamma_i weighs source i's supervised term only, as in the basis step
-        for gamma in ([1.5, 0.5], [1.7, 0.6]):
-            spec = make_spec(
-                d=d, tau_A=0.3, tau_S=0.4, gamma=gamma, epochs=2, batch_size=3, seed=0,
-                sparsity=SparsityParams(0.01, 0.02),
-            )
-            state = train_smu(U, spec, adversarial=adv_sets, supervised=sup)
-            per_source, total = objective(state, U, spec, adversarial=adv_sets, supervised=sup)
-            w_true = 1 - spec.tau_S
-            w_adv = w_true * spec.tau_A
-            dims = spec.dims(2)
-            row = 0
-            for i in range(2):
-                W = as_array(state.bases[i])
-                H = as_array(state.latents_true[i])
-                Hh = as_array(state.latents_adv[i])
-                Hs = as_array(state.latents_sup)[row : row + dims[i]]
-                row += dims[i]
-                f = spec.sparsity.mu_W * np.sum(np.abs(W))
-                f += w_true * frob2(U[i] - W @ H) / U[i].shape[1]
-                f -= w_adv * frob2(adv_sets[i] - W @ Hh) / adv_sets[i].shape[1]
-                f += spec.tau_S * gamma[i] * frob2(sup_sources[i] - W @ Hs) / sup[1].shape[1]
-                assert abs(per_source[i] - f) < 1e-10
-            assert abs(total - (per_source[0] + per_source[1])) < 1e-12
+    @pytest.mark.parametrize("n_sources", [1, 2], ids=["one_source", "two_sources"])
+    def test_history_is_objective_of_returned_state(self, n_sources):
+        # the last history entry is the objective of the returned bases and
+        # latents, each latent column paired with its data column: the
+        # documented shuffle stream default_rng([seed, 0]) draws one
+        # permutation per source per epoch, composed into the column order
+        rng = np.random.default_rng(16)
+        U = [rng.random((6, n)) for n in (23, 17)[:n_sources]]
+        spec = make_spec(d=3, epochs=4, batch_size=5, seed=2, sparsity=SparsityParams(0.01, 0.02))
+        state = train_smu(U, spec)
+        shuffle = np.random.default_rng([spec.seed, 0])
+        order = [np.arange(u.shape[1]) for u in U]
+        for _ in range(spec.epochs):
+            for i in range(n_sources):
+                order[i] = order[i][shuffle.permutation(len(order[i]))]
+        total = 0.0
+        for i, u in enumerate(U):
+            W = as_array(state.bases[i])
+            total += spec.sparsity.mu_W * np.sum(np.abs(W))
+            total += np.linalg.norm(u[:, order[i]] - W @ as_array(state.latents_true[i])) ** 2 / u.shape[1]
+        assert len(state.history) == spec.epochs
+        np.testing.assert_allclose(state.history[-1], total, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("d", [3, [3, 5]], ids=["d3", "d3_5"])
@@ -533,12 +506,11 @@ class TestObjective:
         m, n, d = 257, 5000, 64
         rng = np.random.default_rng(11)
         U = rng.random((m, n))
-        state = TrainState(bases=[rng.random((m, d))], latents_true=[rng.random((d, n))], latents_adv=[None],
-                           latents_sup=None)
-        spec = make_spec(d=d)
+        W, D, L = [rng.random((m, d))], {"true_data": [U]}, {"true_data": [rng.random((d, n))]}
+        weight = training._term_weights(make_spec(d=d), 1)
         tracemalloc.start()
         try:
-            per_source, _ = objective(state, [U], spec)
+            per_source = training._objective_arrays(W, D, L, weight, 0.0, training._sq_norms(D))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
