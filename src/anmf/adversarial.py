@@ -54,11 +54,9 @@ class WeightModel:
         """Number of sources S the model weighs."""
         return len(self.values if self.mode == "deterministic" else self.concentration)
 
-    def sample(self, rng, size=None):
-        """Draw weight vectors; shape (S,) or (size, S)."""
+    def sample(self, rng, size):
+        """Draw size weight vectors, shape (size, S)."""
         if self.mode == "deterministic":
-            if size is None:
-                return self.values.copy()
             return np.tile(self.values, (size, 1))
         return rng.dirichlet(self.concentration, size=size)
 

@@ -1,9 +1,9 @@
 """Command-line surface.
 
-Subcommands: train, separate, denoise, tune, eval, mix, features. mix,
-train and tune read a JSON --config; each command takes only the flags
-and config keys it reads. Everything emitted is machine-readable (CSV
-metrics, JSON manifests and tuning results).
+Subcommands: train, separate, denoise, tune, eval, mix, features and
+synth, its inverse. mix, train and tune read a JSON --config; each
+command takes only the flags and config keys it reads. Everything emitted
+is machine-readable (CSV metrics, JSON manifests and tuning results).
 """
 
 import argparse
@@ -13,6 +13,7 @@ import math
 import sys
 from contextlib import suppress
 from dataclasses import fields, replace
+from functools import partial
 from inspect import formatannotation
 from pathlib import Path
 from types import UnionType
@@ -63,13 +64,7 @@ class CliError(Exception):
 
 def _load_config(args, keys):
     """The JSON object in --config, checked against keys, a (types, required) pair."""
-    if not args.config:
-        raise CliError("this command needs --config PATH")
-    try:
-        cfg = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise CliError(f"cannot read config {args.config}: {e}")
-    return _config_block(cfg, "config", args.config, *keys)
+    return _config_block(aio.read_json(args.config), "config", args.config, *keys)
 
 
 def _config_block(block, name, path, types, required=()):
@@ -197,6 +192,8 @@ def cmd_mix(args):
     cfg = _load_config(args, MIX_KEYS)
     out = _config_block(cfg["output"], "output", args.config, {"mix": str, "ground_truth": list[str], "weights": str},
                         ("mix",))
+    if "snr_db" in cfg and "weight_model" in cfg:
+        raise CliError(f"{args.config}: snr_db and weight_model exclude each other; SNR mixing reads no weight model")
     sources = [aio.load_data_matrix(p, args.clamp_negatives) for p in cfg["sources"]]
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     snr_db = cfg.get("snr_db")
@@ -326,7 +323,7 @@ def cmd_denoise(args):
     # projection denoising fits the speech basis alone; the unexplained
     # remainder acts as the noise magnitude for the soft mask
     bases = bundle.bases[:1] if mode == "project" else bundle.bases
-    _, mags = fit_sources(mag, bases, p, max_iter=args.max_iter)
+    mags = fit_sources(mag, bases, p, max_iter=args.max_iter)
     if mode == "project":
         mags.append(np.maximum(mag - mags[0], 0.0))
     # soft-mask synthesis of the speech signal alone: the speech mask
@@ -349,6 +346,10 @@ def cmd_tune(args):
     method, base_train_cfg = _config_method(cfg, args.config)
     tuning = _config_block(cfg.get("tuning"), "tuning", args.config, {"space": dict, "trials": int, "folds": int},
                            ("space",))
+    trials, folds = tuning.get("trials", 15), tuning.get("folds", 5)
+    for key, value, least in (("trials", trials, 1), ("folds", folds, 2)):
+        if value < least:
+            raise CliError(f"{args.config}: tuning.{key} must be >= {least}, not {value}")
     space = _parse_space(tuning["space"], args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     # every trial and the retrained winner share one seed
@@ -372,6 +373,11 @@ def cmd_tune(args):
     if supervised is None:
         raise CliError("the tune config needs a data.supervised block (sources and mix) to score trials on")
     sup_sources, sup_mix = supervised
+    # the supervised data score every trial; split them when training reads them too
+    use_cv = METHODS[method][0].get("tau_S") != 0.0
+    if use_cv and folds > sup_mix.shape[1]:
+        raise CliError(f"{args.config}: tuning.folds must be at most the {sup_mix.shape[1]} supervised columns, "
+                       f"not {folds}")
     mweights = cfg.get("metric_weights") or [1.0 / len(sup_sources)] * len(sup_sources)
     try:
         # every trial's score applies this check; a failure here would fail them all
@@ -390,16 +396,7 @@ def cmd_tune(args):
         result = separate(val[1], bases, SparsityParams(mu_H=spec.sparsity.mu_H))
         return score_separation(result.filtered, val[0], metric, mweights, peak)
 
-    result = amet.random_search(
-        space,
-        tuning.get("trials", 15),
-        evaluate,
-        folds=tuning.get("folds", 5),
-        n=sup_mix.shape[1],
-        seed=seed,
-        # the supervised data score every trial; split them when training reads them too
-        use_cv=METHODS[method][0].get("tau_S") != 0.0,
-    )
+    result = amet.random_search(space, trials, evaluate, folds=folds, n=sup_mix.shape[1], seed=seed, use_cv=use_cv)
     out = Path(cfg["output"])
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -461,31 +458,30 @@ def cmd_eval(args):
 
 
 def cmd_features(args):
-    for flag in ("--input-prefix", "--output") if args.inverse else ("--input", "--output-prefix"):
-        if getattr(args, flag[2:].replace("-", "_")) is None:
-            raise CliError(f"features needs {flag}")
-    if args.inverse:
-        sidecar = args.input_prefix + ".cfg.json"
-        cfg_data = _config_block(json.loads(Path(sidecar).read_text()), "config", sidecar,
-                                 {"n_fft": int, "hop": int, "window": str, "sample_rate": int, "length": int},
-                                 ("n_fft", "hop", "window", "sample_rate"))
-        if cfg_data["window"] != "hann":
-            raise CliError(f"unsupported window {cfg_data['window']!r}")
-        cfg = feat.StftConfig(n_fft=cfg_data["n_fft"], hop=cfg_data["hop"])
-        mag_path, phase_path = args.input_prefix + ".mag.anmf", args.input_prefix + ".phase.anmf"
-        mag, phase = aio.read_matrix(mag_path), aio.read_matrix(phase_path)
-        _check_shape(phase_path, phase, mag_path, mag)
-        signal = feat.istft(mag * np.exp(1j * phase), cfg, length=cfg_data.get("length"))
-        aio.write_wav(args.output, signal, cfg_data["sample_rate"])
-        return 0
     samples, rate = aio.load_wav(args.input)
     cfg = feat.StftConfig(n_fft=args.n_fft, hop=args.hop)
     spectrum = feat.stft(samples, cfg)
     aio.write_matrix(args.output_prefix + ".mag.anmf", np.abs(spectrum))
     aio.write_matrix(args.output_prefix + ".phase.anmf", np.angle(spectrum))
-    # the window and rate are recorded for readers of the file; --inverse checks the window
+    # the window and rate are recorded for readers of the file; synth checks the window
     meta = {"n_fft": cfg.n_fft, "hop": cfg.hop, "window": "hann", "sample_rate": rate, "length": len(samples)}
     Path(args.output_prefix + ".cfg.json").write_text(json.dumps(meta, indent=2))
+    return 0
+
+
+def cmd_synth(args):
+    sidecar = args.input_prefix + ".cfg.json"
+    cfg_data = _config_block(aio.read_json(sidecar), "config", sidecar,
+                             {"n_fft": int, "hop": int, "window": str, "sample_rate": int, "length": int},
+                             ("n_fft", "hop", "window", "sample_rate"))
+    if cfg_data["window"] != "hann":
+        raise CliError(f"unsupported window {cfg_data['window']!r}")
+    cfg = feat.StftConfig(n_fft=cfg_data["n_fft"], hop=cfg_data["hop"])
+    mag_path, phase_path = args.input_prefix + ".mag.anmf", args.input_prefix + ".phase.anmf"
+    mag, phase = aio.read_matrix(mag_path), aio.read_matrix(phase_path)
+    _check_shape(phase_path, phase, mag_path, mag)
+    signal = feat.istft(mag * np.exp(1j * phase), cfg, length=cfg_data.get("length"))
+    aio.write_wav(args.output, signal, cfg_data["sample_rate"])
     return 0
 
 
@@ -499,8 +495,10 @@ def _build_parser():
     clamp = argparse.ArgumentParser(add_help=False)
     clamp.add_argument("--clamp-negatives", action="store_true")
     configured = argparse.ArgumentParser(add_help=False, parents=[seed, clamp])
-    configured.add_argument("--config", default=None)
-    sub = parser.add_subparsers(dest="command", required=True)
+    configured.add_argument("--config", required=True)
+    # no abbreviations: synth --input would otherwise be read as --input-prefix
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     sub.add_parser("mix", parents=[configured]).set_defaults(func=cmd_mix)
     sub.add_parser("train", parents=[configured]).set_defaults(func=cmd_train)
@@ -538,14 +536,16 @@ def _build_parser():
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("features")
-    p.add_argument("--input", default=None)
-    p.add_argument("--output-prefix", default=None)
-    p.add_argument("--inverse", action="store_true")
-    p.add_argument("--input-prefix", default=None)
-    p.add_argument("--output", default=None)
+    p.add_argument("--input", required=True)
+    p.add_argument("--output-prefix", required=True)
     p.add_argument("--n-fft", type=int, default=512)
     p.add_argument("--hop", type=int, default=128)
     p.set_defaults(func=cmd_features)
+
+    p = sub.add_parser("synth")
+    p.add_argument("--input-prefix", required=True)
+    p.add_argument("--output", required=True)
+    p.set_defaults(func=cmd_synth)
     return parser
 
 

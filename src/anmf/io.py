@@ -1,7 +1,7 @@
 """File formats and dataset plumbing.
 
-Binary matrix container, IDX image ingestion, PCM16 WAV read/write,
-synthetic mixing, and model bundle persistence.
+Binary matrix container, IDX image ingestion, PCM16 WAV read/write, JSON
+reading, synthetic mixing, and model bundle persistence.
 """
 
 import json
@@ -25,6 +25,15 @@ IDX_IMAGE_MAGIC = 0x00000803
 
 class FormatError(ValueError):
     """Raised on malformed or truncated input files."""
+
+
+def read_json(path):
+    """The JSON value in the file at path; text that is not JSON is a
+    FormatError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError for a binary file
+        raise FormatError(f"{path}: not a JSON file ({e})") from None
 
 
 def write_matrix(path, matrix):
@@ -212,12 +221,12 @@ def save_bundle(directory, bases, train_spec=None, history=None, metadata=None):
 
 def load_bundle(directory):
     """Load a bundle, checking basis files for finite entries and against
-    the manifest dimensions. A manifest that is not a JSON object with
-    n_sources >= 1 and one d entry per source is a FormatError; so is a
-    format_version other than 1 or an m that is not a positive int."""
+    the manifest dimensions. A manifest that is not JSON, or not a JSON
+    object with n_sources >= 1 and one d entry per source, is a FormatError;
+    so is a format_version other than 1 or an m that is not a positive int."""
     directory = Path(directory)
     path = directory / "manifest.json"
-    manifest = json.loads(path.read_text())
+    manifest = read_json(path)
     n = manifest.get("n_sources") if isinstance(manifest, dict) else None
     if not (type(n) is int and n >= 1 and isinstance(manifest.get("d"), list) and len(manifest["d"]) == n):
         raise FormatError(f"{path}: need a JSON object with n_sources >= 1 and one d entry per source")

@@ -22,11 +22,11 @@ class SeparationResult:
 
 
 def fit_sources(V, bases, p=None, max_iter=500, tol=1e-8):
-    """Per-source latents h_i and raw reconstructions W_i h_i of the
-    columns of V: solve_nnls minimizes ||V - [W_1 ... W_S] h||_F^2 +
-    mu_H |h|_1 over h >= 0. The stopping test is taken over the whole block
-    of columns, so when tol ends the run early a column's latents depend on
-    the other columns solved with it."""
+    """Per-source raw reconstructions W_i h_i of the columns of V, where
+    h = solve_nnls minimizes ||V - [W_1 ... W_S] h||_F^2 + mu_H |h|_1 over
+    h >= 0 and h_i is its block of rows for W_i. The stopping test is taken
+    over the whole block of columns, so when tol ends the run early a
+    column's latents depend on the other columns solved with it."""
     V = as_array(V)
     W = [as_array(b) for b in bases]
     m = V.shape[0]
@@ -36,15 +36,14 @@ def fit_sources(V, bases, p=None, max_iter=500, tol=1e-8):
     h = solve_nnls(V, np.concatenate(W, axis=1), p, max_iter, tol)
 
     offsets = np.cumsum([0] + [w.shape[1] for w in W])
-    latents = [h[offsets[i] : offsets[i + 1]] for i in range(len(W))]
-    return latents, [W[i] @ latents[i] for i in range(len(W))]
+    return [w @ h[offsets[i] : offsets[i + 1]] for i, w in enumerate(W)]
 
 
 def separate(V, bases, p=None, max_iter=500, tol=1e-8):
     """Separate the columns of V against a list of bases: fit_sources,
     then Wiener-filter the raw reconstructions so that they sum to V."""
     p = p or SparsityParams()
-    _, raw = fit_sources(V, bases, p, max_iter, tol)
+    raw = fit_sources(V, bases, p, max_iter, tol)
     return SeparationResult(raw, wiener_filter(V, raw, p.eps))
 
 

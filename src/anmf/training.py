@@ -96,20 +96,18 @@ class TrainSpec:
 
 @dataclass
 class TrainState:
-    """Everything produced by a training run, as plain arrays.
+    """What a training run produces, as plain arrays.
 
-    bases holds one m x d_i array per source, latents_true and latents_adv
-    one d_i x N array per source (None for an inactive term), latents_sup
-    the stacked supervised latents or None. The latents are in the column
-    order of the last epoch's shuffle, not the data's: column j belongs to
-    the data column that the composed shuffles moved to position j. history
-    holds the objective after each epoch, on latents paired with their data.
+    bases holds one m x d_i array per source, latents_true the true data's
+    d_i x N latents per source (None when that term is inactive), in the
+    column order of the last epoch's shuffle, not the data's: column j
+    belongs to the data column that the composed shuffles moved to
+    position j. history holds the objective after each epoch, on latents
+    paired with their data.
     """
 
     bases: list
     latents_true: list
-    latents_adv: list
-    latents_sup: object
     history: list = field(default_factory=list)
 
 
@@ -225,7 +223,7 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
     epoch, the sum over sources of what those steps descend.
 
     Returns:
-        TrainState with final bases, latents and objective history.
+        TrainState with final bases, true-data latents and objective history.
     """
     if true_data is None:
         if supervised is None:
@@ -307,17 +305,11 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
             normalize_source(i)
         history.append(float(np.sum(_objective_arrays(W, data, L, weight, p.mu_W, sq_norms))))
 
-    # the latents into the last epoch's column order, one array at a time
-    for name in per_source:
-        for i in range(s):
-            L[name][i] = L[name][i][:, order[name][i]]
-    return TrainState(
-        bases=W,
-        latents_true=L.get("true_data", [None] * s),
-        latents_adv=L.get("adversarial", [None] * s),
-        latents_sup=np.concatenate(L["supervised"])[:, order["supervised"][0]] if "supervised" in L else None,
-        history=history,
-    )
+    # the true data's latents into the last epoch's column order, one array at a time
+    latents_true = L.get("true_data", [None] * s)
+    for i, o in enumerate(order.get("true_data", [])):
+        latents_true[i] = latents_true[i][:, o]
+    return TrainState(bases=W, latents_true=latents_true, history=history)
 
 
 def _sq_norms(D):

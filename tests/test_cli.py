@@ -478,12 +478,7 @@ class TestPipeline:
         write_wav(tmp_path / "x.wav", x, 16000)
         prefix = str(tmp_path / "feat")
         assert run_cli(["features", "--input", str(tmp_path / "x.wav"), "--output-prefix", prefix]) == 0
-        assert (
-            run_cli(
-                ["features", "--inverse", "--input-prefix", prefix, "--output", str(tmp_path / "y.wav")]
-            )
-            == 0
-        )
+        assert run_cli(["synth", "--input-prefix", prefix, "--output", str(tmp_path / "y.wav")]) == 0
         # the keys every .cfg.json has carried, whatever the transform reads of them
         assert json.loads((tmp_path / "feat.cfg.json").read_text()) == {
             "n_fft": 512, "hop": 128, "window": "hann", "sample_rate": 16000, "length": 2048}
@@ -634,8 +629,10 @@ class TestTrainingInputs:
 
 class TestErrors:
     def test_missing_config(self, capsys):
-        assert run_cli(["train"]) == 1
-        assert "error" in capsys.readouterr().err
+        # argparse requires --config of each configured command
+        for command in ("mix", "train", "tune"):
+            assert run_cli([command]) == 2
+            assert capsys.readouterr().err.rstrip().endswith("the following arguments are required: --config")
 
     def test_unknown_method(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {"method": "pca", "output": "x"})
@@ -1009,9 +1006,19 @@ class TestErrors:
          "tuning.space.epochs type 'uniform' draws floats, but epochs is int"),
         (["tune"], lambda c: c["tuning"].update(space={"d": {"type": "choice", "options": [2, "3"]}}),
          'tuning.space.d.options must be list[int | list[int]], not [2, "3"]'),
+        # tune's trial count and folds are checked before any trial runs
+        (["tune"], lambda c: c["tuning"].update(trials=0), "tuning.trials must be >= 1, not 0"),
+        (["tune"], lambda c: c["tuning"].update(folds=1), "tuning.folds must be >= 2, not 1"),
+        (["tune"], lambda c: c.update(method="dnmf") or c["tuning"].update(folds=13),
+         "tuning.folds must be at most the 12 supervised columns, not 13"),
+        # SNR mixing reads no weight model, not even an invalid one
+        (["mix"], lambda c: c.update(snr_db=0.0, weight_model={"values": [0.5, 0.6]}),
+         "snr_db and weight_model exclude each other; SNR mixing reads no weight model"),
         # flag cases: the whole argv, and the error
-        (["features", "--inverse", "--input-prefix", "feat", "--output", "out"], None,
+        (["synth", "--input-prefix", "feat", "--output", "out"], None,
          "feat.cfg.json: config needs the key 'window'"),
+        (["synth", "--input-prefix", "nojson", "--output", "out"], None,
+         "nojson.cfg.json: not a JSON file (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
         (SEPARATE + ["--max-iter", "0"], None, "max_iter must be at least 1, got 0"),
         (["denoise", "--model", "voice", "--input", "x.wav", "--output", "out", "--max-iter", "-3"], None,
          "max_iter must be at least 1, got -3"),
@@ -1019,7 +1026,7 @@ class TestErrors:
         (SEPARATE + ["--peak", "0", "--references", "src_0.anmf", "src_1.anmf"], None,
          "--peak must be positive, not 0.0"),
         (["train", "--config", "bad.json"], None,
-         "cannot read config bad.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+         "bad.json: not a JSON file (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
         (["features", "--input", "float.wav", "--output-prefix", "out"], None,
          "float.wav: not a PCM WAV file (unknown format: 3)"),
         (["denoise", "--model", "voice", "--input", "short.wav", "--output", "out"], None,
@@ -1030,14 +1037,15 @@ class TestErrors:
             "train_epochs_list", "tune_trials_list", "train_output_list", "mix_mc_samples_list",
             "train_epochs_fraction", "train_tau_A_string", "train_seed_true", "mix_seed_true",
             "data_sources_string", "mix_sources_string", "space_uniform_int_key", "space_choice_option_string",
-            "sidecar_without_window", "separate_max_iter_0", "denoise_max_iter_negative",
+            "tune_trials_0", "tune_folds_1", "tune_folds_over_columns", "mix_snr_db_and_weight_model",
+            "sidecar_without_window", "sidecar_not_json", "separate_max_iter_0", "denoise_max_iter_negative",
             "separate_clip_negative_peak", "separate_peak_0_references", "config_not_json",
             "features_float_wav", "denoise_truncated_wav"])
     def test_bad_input_fails_before_any_work(self, tmp_path, monkeypatch, argv, edit, message, capsys):
         # valid inputs beside the one at fault: a two-basis bundle and a mix
-        # with references, a one-basis STFT bundle and a WAV, a features
-        # --inverse prefix whose sidecar lacks its window, a config that is
-        # not JSON, a float WAV and a truncated one
+        # with references, a one-basis STFT bundle and a WAV, a synth prefix
+        # whose sidecar lacks its window and one whose sidecar is not JSON, a
+        # config that is not JSON, a float WAV and a truncated one
         monkeypatch.chdir(tmp_path)
         rng = np.random.default_rng(15)
         save_bundle("model", [rng.random((8, 2)), rng.random((8, 2))])
@@ -1045,8 +1053,10 @@ class TestErrors:
         save_bundle("voice", [rng.random((257, 2))])
         write_wav("x.wav", 0.1 * rng.standard_normal(1024), 16000)
         Path("feat.cfg.json").write_text(json.dumps({"n_fft": 512, "hop": 128, "sample_rate": 16000, "length": 512}))
-        write_matrix("feat.mag.anmf", np.ones((257, 5)))
-        write_matrix("feat.phase.anmf", np.zeros((257, 5)))
+        Path("nojson.cfg.json").write_text('{n_fft: 512}')
+        for prefix in ("feat", "nojson"):
+            write_matrix(f"{prefix}.mag.anmf", np.ones((257, 5)))
+            write_matrix(f"{prefix}.phase.anmf", np.zeros((257, 5)))
         Path("bad.json").write_text('{method: "nmf"}')
         Path("float.wav").write_bytes(float32_wav_bytes(np.zeros(1024), 16000))
         Path("short.wav").write_bytes(b"RIFF\x00")
@@ -1105,12 +1115,16 @@ class TestErrors:
          "m must be a positive int, got None"),
         ({"format_version": 99, "n_sources": 2, "m": 8, "d": [2, 2]},
          ["separate", "--input", "mix.anmf", "--output-dir", "sep"], "unsupported format_version 99 (need 1)"),
-    ], ids=["d_shorter_than_n_sources", "not_an_object", "no_sources", "no_m", "format_version_99"])
+        # a string is the manifest file's text as it stands
+        ("{n_sources: 2}", ["separate", "--input", "mix.anmf", "--output-dir", "sep"],
+         "not a JSON file (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
+    ], ids=["d_shorter_than_n_sources", "not_an_object", "no_sources", "no_m", "format_version_99", "not_json"])
     def test_malformed_manifest_rejected(self, tmp_path, monkeypatch, manifest, argv, message, capsys):
         # the basis files are present, so only the manifest is at fault
         rng = np.random.default_rng(14)
         save_bundle(tmp_path / "model", [rng.random((8, 2)), rng.random((8, 2))])
-        (tmp_path / "model" / "manifest.json").write_text(json.dumps(manifest))
+        text = manifest if isinstance(manifest, str) else json.dumps(manifest)
+        (tmp_path / "model" / "manifest.json").write_text(text)
         write_matrix(tmp_path / "mix.anmf", rng.random((8, 5)))
         write_wav(tmp_path / "x.wav", 0.1 * rng.standard_normal(1024), 16000)
         monkeypatch.chdir(tmp_path)
@@ -1121,13 +1135,13 @@ class TestErrors:
 
     @staticmethod
     def _invert(tmp_path, mag, phase, window="hann"):
-        # features --inverse on a hand-written .mag/.phase pair and an n_fft 512 .cfg.json
+        # synth on a hand-written .mag/.phase pair and an n_fft 512 .cfg.json
         prefix = str(tmp_path / "feat")
         (tmp_path / "feat.cfg.json").write_text(json.dumps(
             {"n_fft": 512, "hop": 128, "window": window, "sample_rate": 16000, "length": 512}))
         write_matrix(prefix + ".mag.anmf", mag)
         write_matrix(prefix + ".phase.anmf", phase)
-        return run_cli(["features", "--inverse", "--input-prefix", prefix, "--output", str(tmp_path / "y.wav")])
+        return run_cli(["synth", "--input-prefix", prefix, "--output", str(tmp_path / "y.wav")])
 
     def test_features_inverse_rejects_non_finite(self, tmp_path, capsys):
         mag = np.ones((257, 5))
@@ -1155,12 +1169,16 @@ class TestErrors:
     @pytest.mark.parametrize("argv, missing", [
         (["features", "--output-prefix", "f"], "--input"),
         (["features", "--input", "x.wav"], "--output-prefix"),
-        (["features", "--inverse", "--output", "y.wav"], "--input-prefix"),
-        (["features", "--inverse", "--input-prefix", "f"], "--output"),
+        (["synth", "--output", "y.wav"], "--input-prefix"),
+        (["synth", "--input-prefix", "f"], "--output"),
     ])
     def test_features_names_missing_flag(self, argv, missing, capsys):
-        assert run_cli(argv) == 1
-        assert capsys.readouterr().err.rstrip().endswith(f"needs {missing}")
+        # features and its inverse, synth
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.rstrip().endswith(f"the following arguments are required: {missing}")
+
+    FEATURES = ["features", "--input", "x", "--output-prefix", "o"]
+    SYNTH = ["synth", "--input-prefix", "f", "--output", "y"]
 
     @pytest.mark.parametrize("argv, flag", [
         (["separate", "--model", "m", "--input", "x", "--output-dir", "o"], ["--seed", "1"]),
@@ -1171,9 +1189,15 @@ class TestErrors:
         (["denoise", "--model", "m", "--input", "x", "--output", "y"], ["--n-fft", "256"]),
         (["eval", "--estimates", "a", "--references", "a", "--output", "o"], ["--config", "c"]),
         (["eval", "--estimates", "a", "--references", "a", "--output", "o"], ["--clamp-negatives"]),
-        (["features"], ["--seed", "1"]),
-        (["features"], ["--config", "c"]),
-        (["features"], ["--clamp-negatives"]),
+        (FEATURES, ["--seed", "1"]),
+        (FEATURES, ["--config", "c"]),
+        (FEATURES, ["--clamp-negatives"]),
+        # the flags of features and of its inverse, synth, are not each other's
+        (FEATURES, ["--input-prefix", "f"]),
+        (SYNTH, ["--n-fft", "256"]),
+        (SYNTH, ["--input", "x"]),
+        # nor is a flag the prefix of one, such as --output of --output-prefix
+        (FEATURES, ["--output", "y"]),
     ])
     def test_unread_flags_rejected(self, argv, flag, capsys):
         assert run_cli(argv + flag) == 2

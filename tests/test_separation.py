@@ -26,23 +26,27 @@ class TestSeparate:
         assert np.allclose(total, V, atol=1e-12)
 
     def test_matches_grid_oracle(self):
-        # single basis with two atoms: the latents solve the same NNLS
-        # problem the brute-force grid does
+        # single basis with two atoms: the raw fit is as far from v as the
+        # brute-force grid's NNLS solution, and lies where that solution does
         rng = np.random.default_rng(1)
         W = rng.random((5, 2))
         v = rng.random((5, 1))
-        latents, _ = fit_sources(v, [W], P0, max_iter=5000, tol=1e-12)
-        h_ref, _ = nnls_grid_2d(W, v.ravel())
-        assert np.allclose(latents[0].ravel(), h_ref, atol=1e-4)
+        raw = separate(v, [W], P0, max_iter=5000, tol=1e-12).raw[0]
+        h_ref, dist = nnls_grid_2d(W, v.ravel())
+        assert abs(np.linalg.norm(v - raw) - dist) < 1e-4
+        assert np.allclose(raw.ravel(), W @ h_ref, atol=1e-4)
 
     @pytest.mark.parametrize("max_iter,tol", [(40, 0.0), (20000, 1e-6)])
     def test_latents_are_solve_nnls_on_concatenated_bases(self, max_iter, tol):
+        # each reconstruction is its basis times its rows of the joint solve
         rng = np.random.default_rng(2)
         bases = [rng.random((8, 4)), rng.random((8, 3))]
         V = rng.random((8, 23))
-        latents, _ = fit_sources(V, bases, P0, max_iter=max_iter, tol=tol)
+        raw = fit_sources(V, bases, P0, max_iter=max_iter, tol=tol)
         H = solve_nnls(V, np.concatenate(bases, axis=1), P0, max_iter=max_iter, tol=tol)
-        assert np.array_equal(np.concatenate(latents), H)
+        assert len(raw) == 2
+        assert np.array_equal(raw[0], bases[0] @ H[:4])
+        assert np.array_equal(raw[1], bases[1] @ H[4:])
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -103,21 +107,21 @@ class TestProjectDenoise:
         rng = np.random.default_rng(9)
         W = rng.random((8, 4))
         V = rng.random((8, 15))
-        out = fit_sources(V, [W], P0, max_iter=max_iter, tol=tol)[1][0]
+        out = fit_sources(V, [W], P0, max_iter=max_iter, tol=tol)[0]
         assert np.array_equal(out, W @ solve_nnls(V, W, P0, max_iter=max_iter, tol=tol))
 
     def test_in_cone_identity(self):
         rng = np.random.default_rng(7)
         W = rng.random((6, 3))
         V = W @ rng.random((3, 8))
-        out = fit_sources(V, [W], P0, max_iter=5000, tol=1e-12)[1][0]
+        out = fit_sources(V, [W], P0, max_iter=5000, tol=1e-12)[0]
         assert np.linalg.norm(out - V) <= 1e-4 * np.linalg.norm(V)
 
     def test_removes_out_of_cone_noise(self):
         # basis spans the first coordinate only; noise on the second
         W = np.array([[1.0], [0.0]])
         V = np.array([[2.0], [5.0]])
-        out = fit_sources(V, [W], P0, max_iter=2000)[1][0]
+        out = fit_sources(V, [W], P0, max_iter=2000)[0]
         assert abs(out[0, 0] - 2.0) < 1e-6
         assert out[1, 0] == 0.0
 
@@ -125,6 +129,6 @@ class TestProjectDenoise:
         rng = np.random.default_rng(8)
         W = rng.random((5, 2))
         v = rng.random((5, 1))
-        out = fit_sources(v, [W], P0, max_iter=5000, tol=1e-12)[1][0]
+        out = fit_sources(v, [W], P0, max_iter=5000, tol=1e-12)[0]
         h_ref, dist = nnls_grid_2d(W, v.ravel())
         assert abs(np.linalg.norm(v.ravel() - out.ravel()) - dist) < 1e-4
