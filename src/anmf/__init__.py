@@ -3,7 +3,6 @@
 from .adversarial import WeightModel, adversarial_sets, compute_beta
 from .core import (
     Basis,
-    DimensionMismatch,
     SparsityParams,
     cone_distance,
     init_exemplar,

@@ -16,13 +16,6 @@ import numpy as np
 EPS = 1e-12
 
 
-class DimensionMismatch(ValueError):
-    """Raised when operand shapes are incompatible."""
-
-    def __init__(self, what, shape_a, shape_b):
-        super().__init__(f"{what}: incompatible shapes {shape_a} and {shape_b}")
-
-
 def as_array(x):
     """Return the underlying float array of a container or array-like."""
     if x is None:
@@ -101,10 +94,10 @@ def update_latents(H, W, U, p=None, n_scale=1.0):
     H, W, U = as_array(H), as_array(W), as_array(U)
     if n_scale <= 0:
         raise ValueError("n_scale must be positive")
-    if W.shape[0] != U.shape[0] or W.shape[1] != H.shape[0]:
-        raise DimensionMismatch("update_latents basis", W.shape, U.shape)
-    if H.shape[1] != U.shape[1]:
-        raise DimensionMismatch("update_latents latents", H.shape, U.shape)
+    if W.shape[0] != U.shape[0]:
+        raise ValueError(f"update_latents basis: incompatible shapes {W.shape} and {U.shape}")
+    if H.shape != (W.shape[1], U.shape[1]):
+        raise ValueError(f"update_latents latents: shape {H.shape}, need {(W.shape[1], U.shape[1])}")
     # the W.T U product is scaled in place and then takes the result
     num = W.T @ U
     num /= n_scale
@@ -138,7 +131,7 @@ def solve_nnls(V, W, p=None, max_iter=500, tol=1e-8):
     p = p or SparsityParams()
     V, W = as_array(V), as_array(W)
     if W.shape[0] != V.shape[0]:
-        raise DimensionMismatch("solve_nnls", W.shape, V.shape)
+        raise ValueError(f"solve_nnls: incompatible shapes {W.shape} and {V.shape}")
     # W.T V is formed row-major and then converted: a column-major matmul
     # output raised denoise's peak memory
     num = np.asfortranarray(W.T @ V)

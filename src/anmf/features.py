@@ -79,9 +79,11 @@ def istft(spectrum, cfg=None, length=None):
 
     This inverts stft with the same cfg exactly. length trims or zero-pads
     the output; the default is (T - 1) * hop, the original length for
-    signals divisible by the hop.
+    signals divisible by the hop. A negative length is a ValueError.
     """
     cfg = cfg or StftConfig()
+    if length is not None and length < 0:
+        raise ValueError(f"length must be >= 0, not {length}")
     if spectrum.shape[0] != cfg.n_bins:
         raise ValueError(f"spectrum has {spectrum.shape[0]} rows; n_fft {cfg.n_fft} needs {cfg.n_bins}")
     r = cfg.n_fft // cfg.hop

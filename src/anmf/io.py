@@ -123,13 +123,16 @@ def load_wav(path):
 
 
 def write_wav(path, samples, sample_rate):
-    """Write samples in [-1, 1) as PCM16 mono WAV."""
+    """Write samples in [-1, 1) as PCM16 mono WAV; a sample_rate outside [1, 2**31 - 1] is an error."""
+    rate = int(sample_rate)
+    if not 1 <= rate <= 2**31 - 1:
+        raise ValueError(f"{path}: sample_rate must be in [1, 2147483647], not {rate}")
     x = np.clip(np.asarray(samples, dtype=float), -1.0, 32767.0 / 32768.0)
     pcm = np.round(x * 32768.0).astype("<i2")
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
-        f.setframerate(int(sample_rate))
+        f.setframerate(rate)
         f.writeframes(pcm.tobytes())
 
 

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    DimensionMismatch,
     SparsityParams,
     _check_nonneg,
     as_array,
@@ -123,8 +122,10 @@ def grad_parts(W, U, H, weight):
     n = U.shape[1]
     if n == 0:
         raise ValueError("gradient term has no columns")
-    if W.shape[0] != U.shape[0] or W.shape[1] != H.shape[0] or n != H.shape[1]:
-        raise DimensionMismatch("grad_parts", W.shape, U.shape)
+    if W.shape[0] != U.shape[0]:
+        raise ValueError(f"grad_parts: incompatible shapes {W.shape} and {U.shape}")
+    if H.shape != (W.shape[1], n):
+        raise ValueError(f"grad_parts latents: shape {H.shape}, need {(W.shape[1], n)}")
     gram = W @ (H @ H.T)
     data = U @ H.T
     for part in (gram, data):

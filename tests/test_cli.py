@@ -775,7 +775,7 @@ class TestErrors:
             "output": str(tmp_path / "model"),
         })
         assert run_cli(["train", "--config", cfg]) == 1
-        assert "anmf: error: weight model has 2 sources, no source 2" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == ["anmf: error: weight model has 2 sources, no source 2"]
         assert not (tmp_path / "model").exists()
 
     def test_mix_weight_model_size_must_match(self, tmp_path, capsys):
@@ -1014,6 +1014,8 @@ class TestErrors:
         # SNR mixing reads no weight model, not even an invalid one
         (["mix"], lambda c: c.update(snr_db=0.0, weight_model={"values": [0.5, 0.6]}),
          "snr_db and weight_model exclude each other; SNR mixing reads no weight model"),
+        (["mix"], lambda c: c.update(snr_db=0.0, weight_model={"values": [0.5, 0.5]}),
+         "snr_db and weight_model exclude each other; SNR mixing reads no weight model"),
         # flag cases: the whole argv, and the error
         (["synth", "--input-prefix", "feat", "--output", "out"], None,
          "feat.cfg.json: config needs the key 'window'"),
@@ -1027,6 +1029,12 @@ class TestErrors:
          "--peak must be positive, not 0.0"),
         (["train", "--config", "bad.json"], None,
          "bad.json: not a JSON file (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
+        # a sidecar rate the WAV header cannot hold, and a negative length
+        (["synth", "--input-prefix", "rate_0", "--output", "out"], None,
+         "out: sample_rate must be in [1, 2147483647], not 0"),
+        (["synth", "--input-prefix", "rate_2_31", "--output", "out"], None,
+         "out: sample_rate must be in [1, 2147483647], not 2147483648"),
+        (["synth", "--input-prefix", "length_negative", "--output", "out"], None, "length must be >= 0, not -5"),
         (["features", "--input", "float.wav", "--output-prefix", "out"], None,
          "float.wav: not a PCM WAV file (unknown format: 3)"),
         (["denoise", "--model", "voice", "--input", "short.wav", "--output", "out"], None,
@@ -1038,23 +1046,32 @@ class TestErrors:
             "train_epochs_fraction", "train_tau_A_string", "train_seed_true", "mix_seed_true",
             "data_sources_string", "mix_sources_string", "space_uniform_int_key", "space_choice_option_string",
             "tune_trials_0", "tune_folds_1", "tune_folds_over_columns", "mix_snr_db_and_weight_model",
+            "mix_snr_db_and_valid_weight_model",
             "sidecar_without_window", "sidecar_not_json", "separate_max_iter_0", "denoise_max_iter_negative",
             "separate_clip_negative_peak", "separate_peak_0_references", "config_not_json",
+            "sidecar_sample_rate_0", "sidecar_sample_rate_2_31", "sidecar_length_negative",
             "features_float_wav", "denoise_truncated_wav"])
     def test_bad_input_fails_before_any_work(self, tmp_path, monkeypatch, argv, edit, message, capsys):
         # valid inputs beside the one at fault: a two-basis bundle and a mix
-        # with references, a one-basis STFT bundle and a WAV, a synth prefix
-        # whose sidecar lacks its window and one whose sidecar is not JSON, a
-        # config that is not JSON, a float WAV and a truncated one
+        # with references, a one-basis STFT bundle and a WAV, synth prefixes
+        # whose sidecar lacks its window, is not JSON, or holds a bad rate or
+        # length, a config that is not JSON, a float WAV and a truncated one
         monkeypatch.chdir(tmp_path)
         rng = np.random.default_rng(15)
         save_bundle("model", [rng.random((8, 2)), rng.random((8, 2))])
         write_matrix("mix.anmf", rng.random((8, 30)))
         save_bundle("voice", [rng.random((257, 2))])
         write_wav("x.wav", 0.1 * rng.standard_normal(1024), 16000)
-        Path("feat.cfg.json").write_text(json.dumps({"n_fft": 512, "hop": 128, "sample_rate": 16000, "length": 512}))
-        Path("nojson.cfg.json").write_text('{n_fft: 512}')
-        for prefix in ("feat", "nojson"):
+        sidecar = {"n_fft": 512, "hop": 128, "window": "hann", "sample_rate": 16000, "length": 512}
+        sidecars = {
+            "feat": json.dumps({k: v for k, v in sidecar.items() if k != "window"}),
+            "nojson": "{n_fft: 512}",
+            "rate_0": json.dumps({**sidecar, "sample_rate": 0}),
+            "rate_2_31": json.dumps({**sidecar, "sample_rate": 2**31}),
+            "length_negative": json.dumps({**sidecar, "length": -5}),
+        }
+        for prefix, text in sidecars.items():
+            Path(f"{prefix}.cfg.json").write_text(text)
             write_matrix(f"{prefix}.mag.anmf", np.ones((257, 5)))
             write_matrix(f"{prefix}.phase.anmf", np.zeros((257, 5)))
         Path("bad.json").write_text('{method: "nmf"}')
@@ -1090,7 +1107,8 @@ class TestErrors:
             f"anmf: error: {model}: 100 basis rows are not n_fft/2 + 1 for a power-of-two n_fft"]
         assert not (tmp_path / "y.wav").exists()
 
-    @pytest.mark.parametrize("ref_rate, ref_len", [(8000, 16000), (16000, 16000)], ids=["rate", "length"])
+    @pytest.mark.parametrize("ref_rate, ref_len", [(8000, 16000), (16000, 16000), (8000, 32000)],
+                             ids=["rate", "length", "rate_alone"])
     def test_denoise_rejects_reference_of_other_rate_or_length(self, tmp_path, ref_rate, ref_len, capsys):
         save_bundle(tmp_path / "model", [np.ones((257, 2))])
         rng = np.random.default_rng(13)
@@ -1099,8 +1117,8 @@ class TestErrors:
         write_wav(clean, 0.1 * rng.standard_normal(ref_len), ref_rate)
         assert run_cli(["denoise", "--model", str(tmp_path / "model"), "--input", noisy,
                         "--output", str(tmp_path / "y.wav"), "--reference", clean]) == 1
-        assert (f"anmf: error: {clean} has {ref_len} samples at {ref_rate} Hz, "
-                f"but {noisy} has 32000 samples at 16000 Hz") in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            f"anmf: error: {clean} has {ref_len} samples at {ref_rate} Hz, but {noisy} has 32000 samples at 16000 Hz"]
         assert not (tmp_path / "y.wav").exists() and not (tmp_path / "y.csv").exists()
 
     SHAPE_MESSAGE = "need a JSON object with n_sources >= 1 and one d entry per source"
@@ -1151,7 +1169,7 @@ class TestErrors:
 
     def test_features_inverse_rejects_rows_of_other_n_fft(self, tmp_path, capsys):
         assert self._invert(tmp_path, np.ones((100, 33)), np.zeros((100, 33))) == 1
-        assert "anmf: error: spectrum has 100 rows; n_fft 512 needs 257" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == ["anmf: error: spectrum has 100 rows; n_fft 512 needs 257"]
         assert not (tmp_path / "y.wav").exists()
 
     def test_features_inverse_rejects_phase_of_other_shape(self, tmp_path, capsys):

@@ -3,7 +3,6 @@ import pytest
 
 from anmf.core import (
     Basis,
-    DimensionMismatch,
     SparsityParams,
     as_array,
     cone_distance,
@@ -73,12 +72,17 @@ class TestUpdateLatents:
         assert abs(H[0, 0] - h_ref) < 1e-6
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match=r"update_latents basis: incompatible shapes \(4, 2\) and \(5, 3\)"):
             update_latents(np.ones((2, 3)), np.ones((4, 2)), np.ones((5, 3)), P0)
 
     def test_latent_column_mismatch(self):
-        with pytest.raises(DimensionMismatch, match=r"update_latents latents: incompatible shapes \(2, 4\) and \(5, 3\)"):
+        with pytest.raises(ValueError, match=r"update_latents latents: shape \(2, 4\), need \(2, 3\)"):
             update_latents(np.ones((2, 4)), np.ones((5, 2)), np.ones((5, 3)), P0)
+
+    def test_latent_row_mismatch_names_latents(self):
+        # W and U agree, so the message names H, not them
+        with pytest.raises(ValueError, match=r"update_latents latents: shape \(1, 3\), need \(2, 3\)"):
+            update_latents(np.ones((1, 3)), np.ones((5, 2)), np.ones((5, 3)), P0)
 
     def test_n_scale_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -187,7 +191,7 @@ class TestSolveNnls:
         assert np.allclose(solve_nnls(V, W, P0, max_iter=100, tol=0.0), H_ref, rtol=1e-12, atol=0.0)
 
     def test_row_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match=r"solve_nnls: incompatible shapes \(5, 2\) and \(4, 2\)"):
             solve_nnls(np.ones((4, 2)), np.ones((5, 2)), P0)
 
     @pytest.mark.parametrize("max_iter", [0, -3])

@@ -58,6 +58,13 @@ class TestRoundTrip:
         y = istft(spec, length=1500)
         assert np.array_equal(y[:1024], istft(spec)) and not np.any(y[1024:])
 
+    def test_negative_length_rejected(self):
+        # a slice end of -5 would drop the last 5 samples without a word
+        spec = stft(np.random.default_rng(4).standard_normal(1024))
+        with pytest.raises(ValueError, match="length must be >= 0, not -5"):
+            istft(spec, length=-5)
+        assert len(istft(spec, length=0)) == 0
+
     def test_too_short_signal_rejected(self):
         with pytest.raises(ValueError):
             stft(np.zeros(100), StftConfig())

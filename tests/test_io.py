@@ -192,6 +192,20 @@ class TestWav:
         assert y[0] == 32767 / 32768.0
         assert y[1] == -1.0
 
+    @pytest.mark.parametrize("rate", [0, -1, 2**31])
+    def test_rate_outside_header_rejected_before_writing(self, tmp_path, rate):
+        # wave fails on these only after it has created the file
+        p = tmp_path / "r.wav"
+        with pytest.raises(ValueError) as err:
+            write_wav(p, np.zeros(4), rate)
+        assert str(err.value) == f"{p}: sample_rate must be in [1, 2147483647], not {rate}"
+        assert not p.exists()
+
+    def test_largest_rate_round_trips(self, tmp_path):
+        p = tmp_path / "r.wav"
+        write_wav(p, np.zeros(4), 2**31 - 1)
+        assert load_wav(p)[1] == 2**31 - 1
+
     def test_stereo_rejected(self, tmp_path):
         p = tmp_path / "s.wav"
         with wave.open(str(p), "wb") as f:

@@ -6,7 +6,7 @@ import pytest
 
 import anmf.training as training
 from anmf.adversarial import WeightModel, adversarial_sets
-from anmf.core import DimensionMismatch, SparsityParams, as_array, init_exemplar, update_latents
+from anmf.core import SparsityParams, as_array, init_exemplar, update_latents
 from anmf.training import (
     TrainSpec,
     grad_parts,
@@ -180,8 +180,13 @@ class TestGradParts:
 
     def test_shape_mismatch_rejected(self):
         W, U, H = np.ones((3, 2)), np.ones((3, 4)), np.ones((2, 4))
-        for args in ((W, U[:2], H), (W, U, H[:1]), (W, U, H[:, :3])):
-            with pytest.raises(DimensionMismatch):
+        # a fault in H names H's shape, not W's and U's, which agree
+        for args, message in (
+            ((W, U[:2], H), r"grad_parts: incompatible shapes \(3, 2\) and \(2, 4\)"),
+            ((W, U, H[:1]), r"grad_parts latents: shape \(1, 4\), need \(2, 4\)"),
+            ((W, U, H[:, :3]), r"grad_parts latents: shape \(2, 3\), need \(2, 4\)"),
+        ):
+            with pytest.raises(ValueError, match=message):
                 grad_parts(*args, 1.0)
 
 
