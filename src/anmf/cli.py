@@ -58,10 +58,6 @@ SAMPLERS = {"log_uniform": (amet.LogUniform, lambda t: {"lo": float, "hi": float
             "choice": (amet.Choice, lambda t: {"options": list[t]})}
 
 
-class CliError(Exception):
-    pass
-
-
 def _load_config(args, keys):
     """The JSON object in --config, checked against keys, a (types, required) pair."""
     return _config_block(aio.read_json(args.config), "config", args.config, *keys)
@@ -70,22 +66,22 @@ def _load_config(args, keys):
 def _config_block(block, name, path, types, required=()):
     """block, the config object called name, checked against types (_typed, whose
     conversions it keeps): a non-object, a missing required key, an unknown key or a
-    value of another type is a CliError naming the block, the key and the config file."""
+    value of another type is a ValueError naming the block, the key and the config file."""
     if not isinstance(block, dict):
-        raise CliError(f"{path}: {name} must be a JSON object, not {json.dumps(block)}")
+        raise ValueError(f"{path}: {name} must be a JSON object, not {json.dumps(block)}")
     missing = [k for k in required if k not in block]
     if missing:
-        raise CliError(f"{path}: {name} needs the key {missing[0]!r}")
+        raise ValueError(f"{path}: {name} needs the key {missing[0]!r}")
     unknown = sorted(set(block) - set(types))
     if unknown:
-        raise CliError(f"{path}: unknown {name} keys: {', '.join(unknown)}")
+        raise ValueError(f"{path}: unknown {name} keys: {', '.join(unknown)}")
     for k, v in block.items():
         try:
             block[k] = _typed(v, types[k])
-        except TypeError:
+        except (TypeError, OverflowError):  # OverflowError: an integer beyond float range for a float key
             where = k if name == "config" else f"{name}.{k}"
             t = "a JSON object" if types[k] is dict else formatannotation(types[k])
-            raise CliError(f"{path}: {where} must be {t}, not {json.dumps(v)}") from None
+            raise ValueError(f"{path}: {where} must be {t}, not {json.dumps(v)}") from None
     return block
 
 
@@ -110,7 +106,7 @@ def _weight_model(cfg, n_sources, path):
         return adv.WeightModel.equal(n_sources)
     mode = block.get("mode", "deterministic")
     if mode not in tuple(WEIGHT_MODEL_KEYS):  # a tuple, so an unhashable mode is no TypeError
-        raise CliError(f"{path}: weight_model mode {mode!r} is not one of {', '.join(WEIGHT_MODEL_KEYS)}")
+        raise ValueError(f"{path}: weight_model mode {mode!r} is not one of {', '.join(WEIGHT_MODEL_KEYS)}")
     # the block's keys are WeightModel's fields
     return adv.WeightModel(**_config_block(block, "weight_model", path, *WEIGHT_MODEL_KEYS[mode]))
 
@@ -122,15 +118,15 @@ def build_train_spec(train_cfg, method, seed=None, overrides=None):
     forced values in METHODS, the seed argument, the tuning overrides,
     the train block, the method's defaults and TrainSpec's own defaults.
     The callers check keys and types (_config_method, _parse_space); anmf
-    with tau_A <= 0 and danmf with tau_S outside (0, 1) are CliErrors.
+    with tau_A <= 0 and danmf with tau_S outside (0, 1) are ValueErrors.
     """
     forced, defaults = METHODS[method]
     seeded = {} if seed is None else {"seed": seed}
     cfg = {**defaults, **(train_cfg or {}), **(overrides or {}), **seeded, **forced}
     if method == "anmf" and cfg["tau_A"] <= 0:
-        raise CliError("anmf needs tau_A > 0")
+        raise ValueError("anmf needs tau_A > 0")
     if method == "danmf" and not 0.0 < cfg["tau_S"] < 1.0:
-        raise CliError("danmf needs tau_S in (0, 1)")
+        raise ValueError("danmf needs tau_S in (0, 1)")
     spec = TrainSpec()
     sparsity = replace(spec.sparsity, **{k: cfg.pop(k) for k in ("mu_W", "mu_H", "eps") if k in cfg})
     return replace(spec, sparsity=sparsity, **cfg)
@@ -147,9 +143,6 @@ def train_with_method(method, sources, sets, mixes, supervised, spec):
         # the known sources train first (adversarially when tau_A > 0, with
         # the mixes and the other sources as adversarial data); the unknown
         # source's basis is then fitted from the mixes alone
-        for block, value in (("data.sources", sources), ("data.mixes", mixes)):
-            if value is None:
-                raise CliError(f"semi needs {block}")
         train_spec = replace(spec, d=spec.dims(len(sources) + 1)[:-1], gamma=None)
     state = train_smu(sources, train_spec, adversarial=sets, supervised=supervised)
     if method == "semi":
@@ -175,7 +168,7 @@ def score_separation(filtered, references, metric, weights, peak=1.0):
 
 def _check_shape(path, mat, other_path, other):
     if mat.shape != other.shape:
-        raise CliError(f"{path} has shape {mat.shape}, but {other_path} has shape {other.shape}")
+        raise ValueError(f"{path} has shape {mat.shape}, but {other_path} has shape {other.shape}")
 
 
 def _write_metrics_csv(path, rows):
@@ -193,7 +186,7 @@ def cmd_mix(args):
     out = _config_block(cfg["output"], "output", args.config, {"mix": str, "ground_truth": list[str], "weights": str},
                         ("mix",))
     if "snr_db" in cfg and "weight_model" in cfg:
-        raise CliError(f"{args.config}: snr_db and weight_model exclude each other; SNR mixing reads no weight model")
+        raise ValueError(f"{args.config}: snr_db and weight_model exclude each other; SNR mixing reads no weight model")
     sources = [aio.load_data_matrix(p, args.clamp_negatives) for p in cfg["sources"]]
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     snr_db = cfg.get("snr_db")
@@ -211,15 +204,17 @@ def _config_method(cfg, path):
     """The method of a train or tune config and its train block, whose keys are a bundle's train_spec keys."""
     method = cfg.get("method", "nmf")
     if method not in tuple(METHODS):  # a tuple, so an unhashable method is no TypeError
-        raise CliError(f"{path}: unknown method {method!r}")
+        raise ValueError(f"{path}: unknown method {method!r}")
     return method, _config_block(cfg.get("train", {}), "train", path, TRAIN_TYPES)
 
 
 def _training_inputs(clamp, cfg, path, method, seed, adversarial):
     """The sources, adversarial sets, mixes and supervised (sources, mix)
     pair of a train or tune config read from path, each None when there is
-    none. A supervised source whose shape is not the supervised mix's is a
-    CliError naming both files.
+    none. The data a method needs are checked first: semi trains on the
+    sources and fits its last basis from the mixes, and the adversarial
+    sets are built from the sources. A missing one, or a supervised source
+    whose shape is not the supervised mix's, is a ValueError.
 
     With adversarial true, the sets are built here, once, with betas
     seeded [seed, 77, i] (adversarial.adversarial_sets): each source is
@@ -227,6 +222,10 @@ def _training_inputs(clamp, cfg, path, method, seed, adversarial):
     arrays are not kept, and the mixes are kept only for semi.
     """
     data = _config_block(cfg.get("data", {}), "data", path, {"sources": list[str], "mixes": str, "supervised": dict})
+    needs = ("sources", "mixes") if method == "semi" else ("sources",) if adversarial else ()
+    for key in needs:
+        if not data.get(key):
+            raise ValueError(f"{method} needs data.{key}")
     sources = [aio.load_data_matrix(p, clamp) for p in data.get("sources", [])] or None
     mixes = aio.load_data_matrix(data["mixes"], clamp) if data.get("mixes") else None
     supervised = None
@@ -242,8 +241,6 @@ def _training_inputs(clamp, cfg, path, method, seed, adversarial):
             _check_shape(src_path, u, sup["mix"], supervised[1])
     sets = None
     if adversarial:
-        if sources is None:
-            raise CliError(f"{method} needs data.sources")
         wm = _weight_model(cfg, max(len(sources), 2), path)
         sets, sources = adv.adversarial_sets(sources, mixes, wm, seed)
         if method != "semi":
@@ -268,11 +265,12 @@ def cmd_train(args):
 
 
 def cmd_separate(args):
-    if not args.peak > 0:
-        raise CliError(f"--peak must be positive, not {args.peak}")
+    if not 0 < args.peak < math.inf:  # NaN too
+        raise ValueError(f"--peak must be positive and finite, not {args.peak}")
+    p = SparsityParams(mu_H=float(args.mu_h), eps=1e-12)
     bundle = aio.load_bundle(args.model)
     if args.references is not None and len(args.references) != len(bundle.bases):
-        raise CliError(f"need one reference per basis: {len(bundle.bases)} bases, {len(args.references)} references")
+        raise ValueError(f"need one reference per basis: {len(bundle.bases)} bases, {len(args.references)} references")
     clamp = args.clamp_negatives
     V = aio.load_data_matrix(args.input, clamp)
     # the references are checked before any source file is written
@@ -280,7 +278,6 @@ def cmd_separate(args):
     for path in args.references or ():
         refs.append(aio.load_data_matrix(path, clamp))
         _check_shape(path, refs[-1], args.input, V)
-    p = SparsityParams(mu_H=float(args.mu_h), eps=1e-12)
     result = separate(V, bundle.bases, p, max_iter=args.max_iter)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -299,27 +296,27 @@ def cmd_separate(args):
 
 
 def cmd_denoise(args):
+    p = SparsityParams(mu_H=float(args.mu_h))
     bundle = aio.load_bundle(args.model)
     # one basis has nothing to separate the speech from: its mask is 1
     mode = args.mode or ("project" if len(bundle.bases) == 1 else "separate")
     if mode == "separate" and len(bundle.bases) == 1:
-        raise CliError("denoise --mode separate needs a bundle of two or more bases")
+        raise ValueError("denoise --mode separate needs a bundle of two or more bases")
     n_fft = 2 * (bundle.manifest["m"] - 1)  # the bases are STFT magnitudes, n_fft/2 + 1 rows
     if n_fft < 2 or n_fft & (n_fft - 1):
-        raise CliError(f"{args.model}: {n_fft // 2 + 1} basis rows are not n_fft/2 + 1 for a power-of-two n_fft")
+        raise ValueError(f"{args.model}: {n_fft // 2 + 1} basis rows are not n_fft/2 + 1 for a power-of-two n_fft")
     samples, rate = aio.load_wav(args.input)
     # the reference is checked before any work, so a mismatch writes
     # nothing; it is read again for scoring, so the fit does not hold it
     if args.reference:
         ref, ref_rate = aio.load_wav(args.reference)
         if (ref_rate, len(ref)) != (rate, len(samples)):
-            raise CliError(f"{args.reference} has {len(ref)} samples at {ref_rate} Hz, "
-                           f"but {args.input} has {len(samples)} samples at {rate} Hz")
+            raise ValueError(f"{args.reference} has {len(ref)} samples at {ref_rate} Hz, "
+                             f"but {args.input} has {len(samples)} samples at {rate} Hz")
         del ref
     cfg = feat.StftConfig(n_fft=n_fft, hop=args.hop)
     spectrum = feat.stft(samples, cfg)
     mag = np.abs(spectrum)
-    p = SparsityParams(mu_H=float(args.mu_h))
     # projection denoising fits the speech basis alone; the unexplained
     # remainder acts as the noise magnitude for the soft mask
     bases = bundle.bases[:1] if mode == "project" else bundle.bases
@@ -349,41 +346,51 @@ def cmd_tune(args):
     trials, folds = tuning.get("trials", 15), tuning.get("folds", 5)
     for key, value, least in (("trials", trials, 1), ("folds", folds, 2)):
         if value < least:
-            raise CliError(f"{args.config}: tuning.{key} must be >= {least}, not {value}")
+            raise ValueError(f"{args.config}: tuning.{key} must be >= {least}, not {value}")
     space = _parse_space(tuning["space"], args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     # every trial and the retrained winner share one seed
     if "seed" in base_train_cfg or "seed" in space.params:
-        raise CliError("tune takes its seed from --seed or the config's top-level seed, "
-                       "not from the train block or the tuning space")
+        raise ValueError("tune takes its seed from --seed or the config's top-level seed, "
+                         "not from the train block or the tuning space")
     # every trial's score reads the metric and the peak; a bad one would fail them all
     metric = cfg.get("metric", "psnr")
     if metric not in ("psnr", "sisdr"):
-        raise CliError(f"{args.config}: metric {metric!r} is not one of psnr, sisdr")
+        raise ValueError(f"{args.config}: metric {metric!r} is not one of psnr, sisdr")
     peak = cfg.get("peak", 1.0)
-    if not peak > 0:
-        raise CliError(f"{args.config}: peak must be positive, not {peak}")
+    if not 0 < peak < math.inf:
+        raise ValueError(f"{args.config}: peak must be positive and finite, not {peak}")
+    # the untuned train keys, and each of them with every value a trial can draw (each
+    # choice option, each end of a range), must make a spec before any data is read:
+    # a value the method rejects would otherwise fail its trials one by one
+    untuned_cfg = {k: v for k, v in base_train_cfg.items() if k not in space.params}
+    untuned = build_train_spec(untuned_cfg, method, seed)
+    for name, sampler in space.params.items():
+        for value in sampler.options if isinstance(sampler, amet.Choice) else (sampler.lo, sampler.hi):
+            try:
+                build_train_spec(untuned_cfg, method, seed, overrides={name: value})
+            except ValueError as e:
+                raise ValueError(f"{args.config}: tuning.space.{name} value {json.dumps(value)}: {e}") from None
     # trials change neither the data, the weight model nor the seed, so one
     # build of the adversarial sets serves every trial and fold; it is made
     # when the train block or the search can give tau_A > 0
-    untuned = build_train_spec({k: v for k, v in base_train_cfg.items() if k not in space.params}, method, seed)
     tuned_tau_A = "tau_A" in space.params and "tau_A" not in METHODS[method][0]
     data = _training_inputs(args.clamp_negatives, cfg, args.config, method, seed, untuned.tau_A > 0 or tuned_tau_A)
     sources, sets, mixes, supervised = data
     if supervised is None:
-        raise CliError("the tune config needs a data.supervised block (sources and mix) to score trials on")
+        raise ValueError("the tune config needs a data.supervised block (sources and mix) to score trials on")
     sup_sources, sup_mix = supervised
     # the supervised data score every trial; split them when training reads them too
     use_cv = METHODS[method][0].get("tau_S") != 0.0
     if use_cv and folds > sup_mix.shape[1]:
-        raise CliError(f"{args.config}: tuning.folds must be at most the {sup_mix.shape[1]} supervised columns, "
-                       f"not {folds}")
+        raise ValueError(f"{args.config}: tuning.folds must be at most the {sup_mix.shape[1]} supervised columns, "
+                         f"not {folds}")
     mweights = cfg.get("metric_weights") or [1.0 / len(sup_sources)] * len(sup_sources)
     try:
         # every trial's score applies this check; a failure here would fail them all
         amet.weighted_score([0.0] * len(sup_sources), mweights)
     except ValueError as e:
-        raise CliError(f"metric_weights: {e}") from None
+        raise ValueError(f"metric_weights: {e}") from None
 
     def evaluate(params, train_idx, val_idx):
         spec = build_train_spec(base_train_cfg, method, seed, overrides=params)
@@ -428,10 +435,11 @@ def _parse_space(block, path):
         # an entry without a type is rejected by _config_block below
         has_type = "type" in entry
         if has_type and entry["type"] not in tuple(SAMPLERS):  # a tuple, so an unhashable type is no TypeError
-            raise CliError(f"{path}: {where} type {entry['type']!r} is not one of {', '.join(SAMPLERS)}")
+            raise ValueError(f"{path}: {where} type {entry['type']!r} is not one of {', '.join(SAMPLERS)}")
         sampler, keys = SAMPLERS[entry["type"]] if has_type else (None, lambda t: {})
         if sampler in (amet.Uniform, amet.LogUniform) and t is not float:
-            raise CliError(f"{path}: {where} type {entry['type']!r} draws floats, but {name} is {formatannotation(t)}")
+            raise ValueError(f"{path}: {where} type {entry['type']!r} draws floats, "
+                             f"but {name} is {formatannotation(t)}")
         _config_block(entry, where, path, {"type": str, **keys(t)}, ("type", *keys(t)))
         params[name] = sampler(*(entry[k] for k in keys(t)))
     return amet.SearchSpace(params)
@@ -439,12 +447,12 @@ def _parse_space(block, path):
 
 def cmd_eval(args):
     if len(args.estimates) != len(args.references):
-        raise CliError("need one reference per estimate")
+        raise ValueError("need one reference per estimate")
     rows = []
     all_scores = {}
     for i, (e, r) in enumerate(zip(args.estimates, args.references)):
-        est = aio.load_data_matrix(e, True)
-        ref = aio.load_data_matrix(r, True)
+        est = aio.load_data_matrix(e, args.clamp_negatives)
+        ref = aio.load_data_matrix(r, args.clamp_negatives)
         _check_shape(r, ref, e, est)
         scores = _per_column_scores(est, ref, args.metric, args.peak)
         all_scores[i] = scores
@@ -475,7 +483,7 @@ def cmd_synth(args):
                              {"n_fft": int, "hop": int, "window": str, "sample_rate": int, "length": int},
                              ("n_fft", "hop", "window", "sample_rate"))
     if cfg_data["window"] != "hann":
-        raise CliError(f"unsupported window {cfg_data['window']!r}")
+        raise ValueError(f"unsupported window {cfg_data['window']!r}")
     cfg = feat.StftConfig(n_fft=cfg_data["n_fft"], hop=cfg_data["hop"])
     mag_path, phase_path = args.input_prefix + ".mag.anmf", args.input_prefix + ".phase.anmf"
     mag, phase = aio.read_matrix(mag_path), aio.read_matrix(phase_path)
@@ -527,7 +535,7 @@ def _build_parser():
     p.add_argument("--max-iter", type=int, default=500)
     p.set_defaults(func=cmd_denoise)
 
-    p = sub.add_parser("eval", parents=[seed])
+    p = sub.add_parser("eval", parents=[seed, clamp])
     p.add_argument("--estimates", nargs="+", required=True)
     p.add_argument("--references", nargs="+", required=True)
     p.add_argument("--metric", choices=("psnr", "sisdr"), default="psnr")
@@ -558,7 +566,7 @@ def run_cli(argv):
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (CliError, aio.FormatError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"anmf: error: {e}", file=sys.stderr)
         return 1
 

@@ -50,10 +50,11 @@ class SparsityParams:
     eps: float = EPS
 
     def __post_init__(self):
-        if self.mu_W < 0 or self.mu_H < 0:
-            raise ValueError("sparsity penalties must be non-negative")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        # NaN fails every comparison, so each check also rejects it
+        if not (0 <= self.mu_W < np.inf and 0 <= self.mu_H < np.inf):
+            raise ValueError("sparsity penalties must be non-negative and finite")
+        if not 0 < self.eps < np.inf:
+            raise ValueError("eps must be positive and finite")
 
 
 @dataclass

@@ -5,6 +5,7 @@ reading, synthetic mixing, and model bundle persistence.
 """
 
 import json
+import math
 import os
 import struct
 import sys
@@ -23,17 +24,23 @@ MATRIX_VERSION = 1
 IDX_IMAGE_MAGIC = 0x00000803
 
 
-class FormatError(ValueError):
-    """Raised on malformed or truncated input files."""
+def _finite(literal):
+    # json's parse_float and parse_constant hook: NaN, Infinity, -Infinity and a
+    # literal beyond float range, such as 1e400, are no finite numbers
+    x = float(literal)
+    if not math.isfinite(x):
+        raise ValueError(f"{literal} is not a finite number")
+    return x
 
 
 def read_json(path):
-    """The JSON value in the file at path; text that is not JSON is a
-    FormatError naming the file."""
+    """The JSON value in the file at path; text that is not JSON, or a number
+    that is not finite, is a ValueError naming the file."""
     try:
-        return json.loads(Path(path).read_text())
-    except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError for a binary file
-        raise FormatError(f"{path}: not a JSON file ({e})") from None
+        return json.loads(Path(path).read_text(), parse_float=_finite, parse_constant=_finite)
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError for a binary file, or _finite's
+        why = f"not a JSON file ({e})" if isinstance(e, (json.JSONDecodeError, UnicodeDecodeError)) else e
+        raise ValueError(f"{path}: {why}") from None
 
 
 def write_matrix(path, matrix):
@@ -56,30 +63,30 @@ def read_matrix(path):
     so a corrupt header cannot request a huge array; the payload is then
     read straight into the result, with no second copy of the file. The
     result is a writable, native float64 array in the file's column-major
-    layout that owns its memory. NaN or inf entries are a FormatError
+    layout that owns its memory. NaN or inf entries are a ValueError
     naming the file.
     """
     with open(path, "rb") as f:
         head = f.read(24)
         if len(head) < 24 or head[:4] != MATRIX_MAGIC:
-            raise FormatError(f"{path}: not a matrix file (bad magic)")
+            raise ValueError(f"{path}: not a matrix file (bad magic)")
         version, rows, cols = struct.unpack("<IQQ", head[4:])
         if version != MATRIX_VERSION:
-            raise FormatError(f"{path}: unsupported matrix file version {version}")
+            raise ValueError(f"{path}: unsupported matrix file version {version}")
         size = os.fstat(f.fileno()).st_size
         expected = 24 + rows * cols * 8
         if size != expected:
-            raise FormatError(f"{path}: payload truncated ({size} bytes, expected {expected})")
+            raise ValueError(f"{path}: payload truncated ({size} bytes, expected {expected})")
         mat = np.empty((rows, cols), order="F")
         # the transpose is the same memory in C order, which readinto needs
         got = f.readinto(mat.T)
         if got != expected - 24:
-            raise FormatError(f"{path}: payload truncated ({24 + got} bytes read, expected {expected})")
+            raise ValueError(f"{path}: payload truncated ({24 + got} bytes read, expected {expected})")
     if sys.byteorder == "big":
         mat.byteswap(inplace=True)
     # one min/max pair shows NaN, +inf and -inf; the entries are counted only for the message
     if mat.size and not (np.isfinite(mat.min()) and np.isfinite(mat.max())):
-        raise FormatError(f"{path}: {np.count_nonzero(~np.isfinite(mat))} non-finite (NaN or inf) entries")
+        raise ValueError(f"{path}: {np.count_nonzero(~np.isfinite(mat))} non-finite (NaN or inf) entries")
     return mat
 
 
@@ -91,19 +98,19 @@ def load_idx_images(path):
     """
     data = Path(path).read_bytes()
     if len(data) < 16:
-        raise FormatError(f"{path}: truncated IDX header")
+        raise ValueError(f"{path}: truncated IDX header")
     magic, count, rows, cols = struct.unpack(">IIII", data[:16])
     if magic != IDX_IMAGE_MAGIC:
-        raise FormatError(f"{path}: bad IDX magic 0x{magic:08x}")
+        raise ValueError(f"{path}: bad IDX magic 0x{magic:08x}")
     expected = 16 + count * rows * cols
     if len(data) < expected:
-        raise FormatError(f"{path}: truncated IDX payload ({len(data)} bytes, expected {expected})")
+        raise ValueError(f"{path}: truncated IDX payload ({len(data)} bytes, expected {expected})")
     pixels = np.frombuffer(data[16:expected], dtype=np.uint8).reshape(count, rows, cols)
     return pixels.transpose(2, 1, 0).reshape(rows * cols, count).astype(float) / 255.0
 
 
 def load_wav(path):
-    """Read a PCM16 mono WAV file; any other file is a FormatError naming it.
+    """Read a PCM16 mono WAV file; any other file is a ValueError naming it.
 
     Returns:
         (samples, sample_rate) with samples in [-1, 1).
@@ -111,13 +118,13 @@ def load_wav(path):
     try:
         with wave.open(str(path), "rb") as f:
             if f.getsampwidth() != 2:
-                raise FormatError(f"{path}: only 16-bit PCM is supported")
+                raise ValueError(f"{path}: only 16-bit PCM is supported")
             if f.getnchannels() != 1:
-                raise FormatError(f"{path}: only mono WAV is supported")
+                raise ValueError(f"{path}: only mono WAV is supported")
             rate = f.getframerate()
             raw = f.readframes(f.getnframes())
     except (wave.Error, EOFError) as e:
-        raise FormatError(f"{path}: not a PCM WAV file ({str(e) or 'truncated'})") from None
+        raise ValueError(f"{path}: not a PCM WAV file ({str(e) or 'truncated'})") from None
     samples = np.frombuffer(raw, dtype="<i2").astype(float) / 32768.0
     return samples, rate
 
@@ -139,14 +146,14 @@ def write_wav(path, samples, sample_rate):
 def load_data_matrix(path, clamp_negatives=False):
     """Load a data matrix, dispatching on extension (.anmf or .idx).
 
-    NaN or inf entries are a FormatError; so are negative entries, unless
+    NaN or inf entries are a ValueError; so are negative entries, unless
     clamp_negatives sets them to 0.
     """
     path = Path(path)
     mat = load_idx_images(path) if path.suffix == ".idx" else read_matrix(path)
     if mat.size and np.min(mat) < 0:
         if not clamp_negatives:
-            raise FormatError(f"{path}: negative entries (pass --clamp-negatives to clamp to 0)")
+            raise ValueError(f"{path}: negative entries (pass --clamp-negatives to clamp to 0)")
         np.maximum(mat, 0.0, out=mat)
     return mat
 
@@ -202,12 +209,12 @@ class ModelBundle:
 
 def save_bundle(directory, bases, train_spec=None, history=None, metadata=None):
     """Persist bases and a JSON manifest into a directory; a NaN, inf or
-    negative basis raises a ValueError before anything is written."""
+    negative basis, or a non-finite number in the manifest (such as a
+    history entry), raises a ValueError before anything is written."""
     arrays = [as_array(b) for b in bases]
     for i, a in enumerate(arrays):
         _check_nonneg(a, f"basis {i}")
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format_version": 1,
         "n_sources": len(arrays),
@@ -217,32 +224,38 @@ def save_bundle(directory, bases, train_spec=None, history=None, metadata=None):
         "history": list(history or []),
         "metadata": {"created": datetime.now(timezone.utc).isoformat(), **(metadata or {})},
     }
+    # strict JSON, as read_json reads it: a bundle that could not be loaded is never written
+    try:
+        text = json.dumps(manifest, indent=2, allow_nan=False)
+    except ValueError as e:
+        raise ValueError(f"{directory}: the manifest holds a non-finite number ({e})") from None
+    directory.mkdir(parents=True, exist_ok=True)
     for i, a in enumerate(arrays):
         write_matrix(directory / f"basis_{i:03d}.anmf", a)
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    (directory / "manifest.json").write_text(text)
 
 
 def load_bundle(directory):
     """Load a bundle, checking basis files for finite entries and against
     the manifest dimensions. A manifest that is not JSON, or not a JSON
-    object with n_sources >= 1 and one d entry per source, is a FormatError;
+    object with n_sources >= 1 and one d entry per source, is a ValueError;
     so is a format_version other than 1 or an m that is not a positive int."""
     directory = Path(directory)
     path = directory / "manifest.json"
     manifest = read_json(path)
     n = manifest.get("n_sources") if isinstance(manifest, dict) else None
     if not (type(n) is int and n >= 1 and isinstance(manifest.get("d"), list) and len(manifest["d"]) == n):
-        raise FormatError(f"{path}: need a JSON object with n_sources >= 1 and one d entry per source")
+        raise ValueError(f"{path}: need a JSON object with n_sources >= 1 and one d entry per source")
     if manifest.get("format_version") != 1:
-        raise FormatError(f"{path}: unsupported format_version {manifest.get('format_version')!r} (need 1)")
+        raise ValueError(f"{path}: unsupported format_version {manifest.get('format_version')!r} (need 1)")
     m = manifest.get("m")
     if not (type(m) is int and m >= 1):
-        raise FormatError(f"{path}: m must be a positive int, got {m!r}")
+        raise ValueError(f"{path}: m must be a positive int, got {m!r}")
     bases = []
     for i in range(n):
         a = read_matrix(directory / f"basis_{i:03d}.anmf")
         if a.shape != (m, manifest["d"][i]):
-            raise FormatError(
+            raise ValueError(
                 f"basis {i} shape {a.shape} does not match manifest "
                 f"({m}, {manifest['d'][i]})"
             )

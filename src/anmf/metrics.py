@@ -14,8 +14,8 @@ def _psnr_inputs(estimate, reference, peak):
     estimate, reference = as_array(estimate), as_array(reference)
     if estimate.shape != reference.shape:
         raise ValueError(f"shape mismatch {estimate.shape} vs {reference.shape}")
-    if peak <= 0:
-        raise ValueError("peak must be positive")
+    if not 0 < peak < math.inf:  # NaN too
+        raise ValueError(f"peak must be positive and finite, not {peak}")
     return estimate, reference
 
 

@@ -68,8 +68,8 @@ class TrainSpec:
     init: str = "exemplar"
 
     def __post_init__(self):
-        if self.tau_A < 0:
-            raise ValueError("tau_A must be >= 0")
+        if not 0 <= self.tau_A < np.inf:  # NaN too
+            raise ValueError("tau_A must be >= 0 and finite")
         if not 0.0 <= self.tau_S <= 1.0:
             raise ValueError("tau_S must lie in [0, 1]")
         if self.epochs < 0 or self.batch_size < 1:
@@ -88,7 +88,7 @@ class TrainSpec:
         if self.gamma is None:
             return np.ones(n_sources)
         g = np.asarray(self.gamma, dtype=float)
-        if len(g) != n_sources or np.any(g <= 0):
+        if len(g) != n_sources or not np.all((g > 0) & (g < np.inf)):  # NaN fails both
             raise ValueError("gamma must be a positive vector, one entry per source")
         return g
 

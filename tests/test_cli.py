@@ -50,9 +50,7 @@ class TestBuildTrainSpec:
         assert spec.init == "exemplar"
 
     def test_anmf_requires_positive_tau(self):
-        from anmf.cli import CliError
-
-        with pytest.raises(CliError):
+        with pytest.raises(ValueError, match=r"^anmf needs tau_A > 0$"):
             build_train_spec({"tau_A": 0.0}, "anmf")
 
     def test_overrides_win(self):
@@ -657,15 +655,24 @@ class TestErrors:
         )
 
     @pytest.mark.parametrize("missing", ["sources", "mixes"])
-    def test_semi_names_missing_data(self, tmp_path, missing, capsys):
+    def test_semi_names_missing_data(self, tmp_path, monkeypatch, missing, capsys):
+        # the data a method needs are checked before training starts: in tune, before the first
+        # trial, which would otherwise record the error and go on to the next
         rng = np.random.default_rng(0)
         write_matrix(tmp_path / "mix.anmf", rng.random((8, 20)))
         data = {"sources": make_sources(tmp_path, rng, s=1), "mixes": str(tmp_path / "mix.anmf")}
         del data[missing]
-        cfg = write_config(tmp_path, "semi.json", {"method": "semi", "data": data, "train": {"d": [2, 2]},
-                                                   "output": str(tmp_path / "model")})
-        assert run_cli(["train", "--config", cfg]) == 1
-        assert capsys.readouterr().err.rstrip().endswith(f"semi needs data.{missing}")
+        sup = make_sources(tmp_path, rng, n=12, prefix="sup")
+        write_matrix(tmp_path / "sup_mix.anmf", sum(read_matrix(p) for p in sup))
+        monkeypatch.setattr(anmf.cli, "train_with_method", lambda *a: pytest.fail("a model was trained"))
+        for command, extra in [("train", {}), ("tune", {"tuning": {"trials": 2, "space": {}}})]:
+            if command == "tune":
+                data["supervised"] = {"sources": sup, "mix": str(tmp_path / "sup_mix.anmf")}
+            cfg = write_config(tmp_path, "semi.json", {"method": "semi", "data": data, "train": {"d": [2, 2]},
+                                                       "output": str(tmp_path / "model"), **extra})
+            assert run_cli([command, "--config", cfg]) == 1
+            assert capsys.readouterr().err.splitlines() == [f"anmf: error: semi needs data.{missing}"]
+            assert not (tmp_path / "model").exists()
 
     @pytest.mark.parametrize("method", ["anmf", "danmf"])
     def test_adversarial_methods_name_missing_sources(self, tmp_path, method, capsys):
@@ -713,13 +720,14 @@ class TestErrors:
         sup = make_sources(tmp_path, rng, n=12, prefix="sup")
         write_matrix(tmp_path / "sup_mix.anmf", sum(read_matrix(p) for p in sup))
         out = tmp_path / "out"
-        # batch_size 0 fails TrainSpec's validation inside the trial
+        # three latent dimensions for two sources make a spec, so they pass the
+        # checks before the trials, and fail train_smu inside each trial that draws them
         cfg = write_config(tmp_path, "tune.json", {
             "method": "nmf",
             "data": {"sources": make_sources(tmp_path, rng),
                      "supervised": {"sources": sup, "mix": str(tmp_path / "sup_mix.anmf")}},
             "train": {"d": 2, "epochs": 3},
-            "tuning": {"trials": 6, "space": {"batch_size": {"type": "choice", "options": [0, 5]}}},
+            "tuning": {"trials": 6, "space": {"d": {"type": "choice", "options": [[2, 2, 2], 2]}}},
             "output": str(out),
         })
         assert run_cli(["tune", "--config", cfg]) == 0
@@ -728,10 +736,10 @@ class TestErrors:
             raise AssertionError(f"{name} is not JSON")
 
         trials = json.loads((out / "tune_result.json").read_text(), parse_constant=strict)["trials"]
-        assert {t["params"]["batch_size"] for t in trials} == {0, 5}
+        assert {json.dumps(t["params"]["d"]) for t in trials} == {"[2, 2, 2]", "2"}
         for t in trials:
-            if t["params"]["batch_size"] == 0:
-                assert t["error"].startswith("ValueError(") and "batch_size" in t["error"]
+            if t["params"]["d"] == [2, 2, 2]:
+                assert t["error"] == "ValueError('need 2 latent dimensions, got 3')"
                 assert t["mean_score"] is None
             else:
                 assert t["error"] is None and len(t["fold_scores"]) == 1
@@ -809,6 +817,27 @@ class TestErrors:
                         "--output-dir", str(tmp_path / "sep"), "--references", *refs]) == 1
         assert f"anmf: error: {refs[0]} has shape (8, {cols}), but {mix} has shape (8, 5)" in capsys.readouterr().err
         assert not (tmp_path / "sep").exists()
+
+    def test_eval_clamps_negatives_only_when_asked(self, tmp_path, capsys):
+        rng = np.random.default_rng(16)
+        ref = rng.random((8, 5))
+        est = ref + 0.3 * rng.standard_normal((8, 5))
+        assert est.min() < 0
+        est_path, ref_path, out = (str(tmp_path / name) for name in ("est.anmf", "ref.anmf", "o.csv"))
+        write_matrix(est_path, est)
+        write_matrix(ref_path, ref)
+        argv = ["eval", "--estimates", est_path, "--references", ref_path, "--output", out]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"anmf: error: {est_path}: negative entries (pass --clamp-negatives to clamp to 0)"]
+        assert not Path(out).exists()
+        assert run_cli(argv + ["--clamp-negatives"]) == 0
+        with open(out) as f:
+            rows = list(csv.reader(f))[1:]
+        scores = [float(r[3]) for r in rows if r[0] not in ("median", "bootstrap_se")]
+        # the CSV's floats round-trip, so the clamped estimate's scores match exactly
+        assert scores == [metrics.psnr(np.maximum(est[:, k], 0.0), ref[:, k]) for k in range(5)]
+        assert scores != [metrics.psnr(est[:, k], ref[:, k]) for k in range(5)]
 
     @pytest.mark.parametrize("cols", [3, 9])
     def test_eval_rejects_reference_of_other_shape(self, tmp_path, cols, capsys):
@@ -982,7 +1011,7 @@ class TestErrors:
         (["tune"], lambda c: c["tuning"].update(space={"mu_H": [1, 2]}),
          "tuning.space.mu_H must be a JSON object, not [1, 2]"),
         (["tune"], lambda c: c.pop("output"), "config needs the key 'output'"),
-        (["tune"], lambda c: c.update(peak=0), "peak must be positive, not 0.0"),
+        (["tune"], lambda c: c.update(peak=0), "peak must be positive and finite, not 0.0"),
         (["tune"], lambda c: c.update(metric="psrn"), "metric 'psrn' is not one of psnr, sisdr"),
         # a kind that is a list is no kind, and no TypeError
         (["train"], lambda c: c.update(method=["nmf"]), "unknown method ['nmf']"),
@@ -1024,9 +1053,9 @@ class TestErrors:
         (SEPARATE + ["--max-iter", "0"], None, "max_iter must be at least 1, got 0"),
         (["denoise", "--model", "voice", "--input", "x.wav", "--output", "out", "--max-iter", "-3"], None,
          "max_iter must be at least 1, got -3"),
-        (SEPARATE + ["--clip", "--peak", "-1"], None, "--peak must be positive, not -1.0"),
+        (SEPARATE + ["--clip", "--peak", "-1"], None, "--peak must be positive and finite, not -1.0"),
         (SEPARATE + ["--peak", "0", "--references", "src_0.anmf", "src_1.anmf"], None,
-         "--peak must be positive, not 0.0"),
+         "--peak must be positive and finite, not 0.0"),
         (["train", "--config", "bad.json"], None,
          "bad.json: not a JSON file (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
         # a sidecar rate the WAV header cannot hold, and a negative length
@@ -1039,6 +1068,35 @@ class TestErrors:
          "float.wav: not a PCM WAV file (unknown format: 3)"),
         (["denoise", "--model", "voice", "--input", "short.wav", "--output", "out"], None,
          "short.wav: not a PCM WAV file (truncated)"),
+        # no NaN or infinity gets in: json reads NaN and Infinity, and argparse's float reads nan and inf
+        (["train"], lambda c: c.update(method="anmf") or c["train"].update(eps=np.inf),
+         "Infinity is not a finite number"),
+        (["train"], lambda c: c.update(method="anmf") or c["train"].update(mu_H=np.inf),
+         "Infinity is not a finite number"),
+        (["train"], lambda c: c.update(method="anmf") or c["train"].update(tau_A=np.nan), "NaN is not a finite number"),
+        (["mix"], lambda c: c.update(snr_db=np.nan), "NaN is not a finite number"),
+        (["train"], lambda c: c["train"].update(mu_H=10**400), f"train.mu_H must be float, not {10**400}"),
+        (["tune"], lambda c: c.update(peak=np.inf), "Infinity is not a finite number"),
+        (SEPARATE + ["--mu-h", "nan"], None, "sparsity penalties must be non-negative and finite"),
+        (SEPARATE + ["--mu-h", "inf"], None, "sparsity penalties must be non-negative and finite"),
+        (SEPARATE + ["--peak", "inf"], None, "--peak must be positive and finite, not inf"),
+        (["denoise", "--model", "voice", "--input", "x.wav", "--output", "out", "--mu-h", "nan"], None,
+         "sparsity penalties must be non-negative and finite"),
+        (["eval", "--estimates", "src_0.anmf", "--references", "src_1.anmf", "--output", "out.csv", "--peak", "nan"],
+         None, "peak must be positive and finite, not nan"),
+        # every value a trial can draw is checked before any data is read
+        (["tune"], lambda c: c.update(method="danmf") or c["tuning"].update(
+            space={"tau_S": {"type": "choice", "options": [0.5, 1.0]}}),
+         "tuning.space.tau_S value 1.0: danmf needs tau_S in (0, 1)"),
+        (["tune"], lambda c: c["tuning"].update(space={"mu_H": {"type": "choice", "options": [1e-3, -1.0]}}),
+         "tuning.space.mu_H value -1.0: sparsity penalties must be non-negative and finite"),
+        (["tune"], lambda c: c["tuning"].update(space={"mu_W": {"type": "uniform", "lo": -0.5, "hi": 0.5}}),
+         "tuning.space.mu_W value -0.5: sparsity penalties must be non-negative and finite"),
+        (["tune"], lambda c: c["tuning"].update(space={"batch_size": {"type": "choice", "options": [5, 0]}}),
+         "tuning.space.batch_size value 0: epochs must be >= 0 and batch_size >= 1"),
+        (["tune"], lambda c: c.update(method="anmf") or c["tuning"].update(
+            space={"tau_A": {"type": "log_uniform", "lo": 0.01, "hi": 0.1}, "eps": {"type": "choice", "options": [0]}}),
+         "tuning.space.eps value 0.0: eps must be positive and finite"),
     ], ids=["train_block_list", "mix_output_string", "mix_output_misspelt", "space_entry_without_type",
             "space_entry_list", "tune_without_output", "tune_peak_0", "tune_metric_misspelt",
             "method_list", "weight_model_mode_list", "space_type_list",
@@ -1050,7 +1108,12 @@ class TestErrors:
             "sidecar_without_window", "sidecar_not_json", "separate_max_iter_0", "denoise_max_iter_negative",
             "separate_clip_negative_peak", "separate_peak_0_references", "config_not_json",
             "sidecar_sample_rate_0", "sidecar_sample_rate_2_31", "sidecar_length_negative",
-            "features_float_wav", "denoise_truncated_wav"])
+            "features_float_wav", "denoise_truncated_wav",
+            "train_eps_infinity", "train_mu_H_infinity", "train_tau_A_nan", "mix_snr_db_nan",
+            "train_mu_H_int_beyond_float", "tune_peak_infinity", "separate_mu_h_nan", "separate_mu_h_inf",
+            "separate_peak_inf", "denoise_mu_h_nan", "eval_peak_nan",
+            "space_danmf_tau_S_1", "space_choice_mu_H_negative", "space_uniform_mu_W_negative",
+            "space_batch_size_0", "space_eps_0"])
     def test_bad_input_fails_before_any_work(self, tmp_path, monkeypatch, argv, edit, message, capsys):
         # valid inputs beside the one at fault: a two-basis bundle and a mix
         # with references, a one-basis STFT bundle and a WAV, synth prefixes
@@ -1206,7 +1269,7 @@ class TestErrors:
         (["denoise", "--model", "m", "--input", "x", "--output", "y"], ["--clamp-negatives"]),
         (["denoise", "--model", "m", "--input", "x", "--output", "y"], ["--n-fft", "256"]),
         (["eval", "--estimates", "a", "--references", "a", "--output", "o"], ["--config", "c"]),
-        (["eval", "--estimates", "a", "--references", "a", "--output", "o"], ["--clamp-negatives"]),
+        (["eval", "--estimates", "a", "--references", "a", "--output", "o"], ["--clip"]),
         (FEATURES, ["--seed", "1"]),
         (FEATURES, ["--config", "c"]),
         (FEATURES, ["--clamp-negatives"]),

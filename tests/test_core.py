@@ -40,6 +40,14 @@ class TestContainers:
         with pytest.raises(ValueError):
             SparsityParams(eps=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("key", ["mu_W", "mu_H", "eps"])
+    def test_sparsity_must_be_finite(self, key, bad):
+        # an infinite penalty or floor zeroes every latent update; NaN fails no comparison
+        message = "eps must be positive and finite" if key == "eps" else "penalties must be non-negative and finite"
+        with pytest.raises(ValueError, match=message):
+            SparsityParams(**{key: bad})
+
 
 class TestUpdateLatents:
     def test_identity_basis_one_step(self):

@@ -7,18 +7,40 @@ import pytest
 
 from anmf.adversarial import WeightModel
 from anmf.io import (
-    FormatError,
     load_bundle,
     load_data_matrix,
     load_idx_images,
     load_wav,
     mix_synthetic,
+    read_json,
     read_matrix,
     save_bundle,
     write_matrix,
     write_wav,
 )
 from oracles import float32_wav_bytes
+
+
+class TestReadJson:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_number_rejected(self, tmp_path, literal):
+        # json reads the three constants, and a literal beyond float range as inf
+        p = tmp_path / "c.json"
+        p.write_text(f'{{"train": {{"eps": {literal}}}}}')
+        with pytest.raises(ValueError, match=f"^{p}: {literal} is not a finite number$"):
+            read_json(p)
+
+    def test_numbers_read_as_json_reads_them(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text('{"a": 0.1, "b": [1e-300, -2.5e10, 3], "c": 5e-324}')
+        assert read_json(p) == {"a": 0.1, "b": [1e-300, -2.5e10, 3], "c": 5e-324}
+        assert type(read_json(p)["b"][2]) is int
+
+    def test_not_json_named(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_bytes(b"\xff\xfe")
+        with pytest.raises(ValueError, match=f"^{p}: not a JSON file \\("):
+            read_json(p)
 
 
 class TestMatrixFile:
@@ -97,13 +119,13 @@ class TestMatrixFile:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.anmf"
         p.write_bytes(b"NOPE" + b"\x00" * 40)
-        with pytest.raises(FormatError):
+        with pytest.raises(ValueError, match=f"^{p}: not a matrix file \\(bad magic\\)$"):
             read_matrix(p)
 
     def test_bad_version(self, tmp_path):
         p = tmp_path / "bad.anmf"
         p.write_bytes(b"ANMF" + struct.pack("<IQQ", 9, 1, 1) + b"\x00" * 8)
-        with pytest.raises(FormatError):
+        with pytest.raises(ValueError, match=f"^{p}: unsupported matrix file version 9$"):
             read_matrix(p)
 
     def test_one_dimensional_array_rejected(self, tmp_path):
@@ -116,7 +138,7 @@ class TestMatrixFile:
         p = tmp_path / "m.anmf"
         write_matrix(p, np.ones((3, 3)))
         p.write_bytes(p.read_bytes()[:-8])
-        with pytest.raises(FormatError):
+        with pytest.raises(ValueError, match=f"^{p}: payload truncated \\(88 bytes, expected 96\\)$"):
             read_matrix(p)
 
     def test_oversized_header_checked_before_reading(self, tmp_path):
@@ -129,7 +151,7 @@ class TestMatrixFile:
         p.write_bytes(bytes(data))
         tracemalloc.start()
         try:
-            with pytest.raises(FormatError, match="payload truncated"):
+            with pytest.raises(ValueError, match=f"^{p}: payload truncated "):
                 read_matrix(p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -157,19 +179,19 @@ class TestIdx:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.idx"
         p.write_bytes(struct.pack(">IIII", 0x00000801, 1, 1, 1) + b"\x00")
-        with pytest.raises(FormatError):
+        with pytest.raises(ValueError, match=f"^{p}: bad IDX magic 0x00000801$"):
             load_idx_images(p)
 
     def test_truncated(self, tmp_path):
         p, _ = self.make_idx(tmp_path)
         p.write_bytes(p.read_bytes()[:-3])
-        with pytest.raises(FormatError):
+        with pytest.raises(ValueError, match=f"^{p}: truncated IDX payload \\(37 bytes, expected 40\\)$"):
             load_idx_images(p)
 
     def test_truncated_header(self, tmp_path):
         p = tmp_path / "short.idx"
         p.write_bytes(struct.pack(">II", 0x00000803, 3))
-        with pytest.raises(FormatError, match=f"^{p}: truncated IDX header$"):
+        with pytest.raises(ValueError, match=f"^{p}: truncated IDX header$"):
             load_idx_images(p)
 
 
@@ -213,7 +235,7 @@ class TestWav:
             f.setsampwidth(2)
             f.setframerate(8000)
             f.writeframes(b"\x00" * 8)
-        with pytest.raises(FormatError):
+        with pytest.raises(ValueError, match=f"^{p}: only mono WAV is supported$"):
             load_wav(p)
 
     @pytest.mark.parametrize("name, message", [
@@ -223,7 +245,7 @@ class TestWav:
     ])
     def test_other_files_named(self, tmp_path, name, message):
         # the standard library raises its own errors on a non-PCM format
-        # and a truncated header; each is a FormatError naming the file
+        # and a truncated header; each is a ValueError naming the file
         p = tmp_path / name
         if name == "pcm8.wav":
             with wave.open(str(p), "wb") as f:
@@ -233,7 +255,7 @@ class TestWav:
                 f.writeframes(b"\x80" * 8)
         else:
             p.write_bytes(float32_wav_bytes([0.0, 0.5], 8000) if name == "float.wav" else b"RIFF\x00")
-        with pytest.raises(FormatError) as err:
+        with pytest.raises(ValueError) as err:
             load_wav(p)
         assert str(err.value) == f"{p}: {message}"
 
@@ -247,7 +269,7 @@ class TestLoadDataMatrix:
     def test_negative_entries(self, tmp_path):
         p = tmp_path / "m.anmf"
         write_matrix(p, np.array([[1.0, -0.5]]))
-        with pytest.raises(FormatError):
+        with pytest.raises(ValueError, match=f"^{p}: negative entries \\(pass --clamp-negatives to clamp to 0\\)$"):
             load_data_matrix(p)
         mat = load_data_matrix(p, clamp_negatives=True)
         assert np.array_equal(mat, [[1.0, 0.0]])
@@ -257,7 +279,7 @@ class TestLoadDataMatrix:
         p = tmp_path / "m.anmf"
         write_matrix(p, np.array([[1.0, bad]]))
         for clamp in (False, True):
-            with pytest.raises(FormatError, match="non-finite"):
+            with pytest.raises(ValueError, match=f"^{p}: 1 non-finite \\(NaN or inf\\) entries$"):
                 load_data_matrix(p, clamp_negatives=clamp)
 
 
@@ -319,14 +341,21 @@ class TestBundle:
             save_bundle(tmp_path / "model", [np.ones((4, 2)), worse])
         assert not (tmp_path / "model").exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_history_rejected_before_writing(self, tmp_path, bad):
+        # read_json rejects a manifest with NaN or Infinity, so none is written
+        with pytest.raises(ValueError, match=f"^{tmp_path / 'model'}: the manifest holds a non-finite number"):
+            save_bundle(tmp_path / "model", [np.ones((4, 2))], history=[1.0, bad])
+        assert not (tmp_path / "model").exists()
+
     def test_dimension_check(self, tmp_path):
         save_bundle(tmp_path / "model", [np.random.default_rng(7).random((4, 2))])
         write_matrix(tmp_path / "model" / "basis_000.anmf", np.ones((4, 3)))
-        with pytest.raises(FormatError):
+        with pytest.raises(ValueError, match=r"^basis 0 shape \(4, 3\) does not match manifest \(4, 2\)$"):
             load_bundle(tmp_path / "model")
 
     def test_non_finite_basis_rejected(self, tmp_path):
         save_bundle(tmp_path / "model", [np.ones((4, 2))])
         write_matrix(tmp_path / "model" / "basis_000.anmf", np.array([[1.0, np.nan]] * 4))
-        with pytest.raises(FormatError, match="basis_000.anmf"):
+        with pytest.raises(ValueError, match=f"^{tmp_path / 'model' / 'basis_000.anmf'}: 4 non-finite "):
             load_bundle(tmp_path / "model")

@@ -41,6 +41,13 @@ class TestPsnr:
         with pytest.raises(ValueError):
             psnr(np.ones(3), np.ones(3), peak=0.0)
 
+    @pytest.mark.parametrize("peak", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_peak_must_be_finite(self, peak):
+        # a NaN peak scores NaN and an infinite one +inf, whatever the estimate
+        for score in (psnr, psnr_columns):
+            with pytest.raises(ValueError, match=f"^peak must be positive and finite, not {peak}$"):
+                score(np.ones((3, 2)), np.zeros((3, 2)), peak=peak)
+
 
 class TestPsnrColumns:
     @pytest.mark.parametrize("order", ["C", "F"])

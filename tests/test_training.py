@@ -372,8 +372,14 @@ class TestTrainSmu:
         (lambda U: train_smu(U, make_spec(gamma=[1.0])), "gamma must be a positive vector, one entry per source"),
         (lambda U: train_smu(U, make_spec(gamma=[1.0, 0.0])), "gamma must be a positive vector"),
         (lambda U: train_smu(None, make_spec()), "no training data given"),
+        (lambda U: make_spec(tau_A=np.nan), "tau_A must be >= 0 and finite"),
+        (lambda U: make_spec(tau_A=np.inf), "tau_A must be >= 0 and finite"),
+        (lambda U: make_spec(tau_S=np.nan), r"tau_S must lie in \[0, 1\]"),
+        (lambda U: train_smu(U, make_spec(gamma=[np.nan, 1.0])), "gamma must be a positive vector"),
+        (lambda U: train_smu(U, make_spec(gamma=[1.0, np.inf])), "gamma must be a positive vector"),
     ], ids=["tau_A_negative", "tau_S_negative", "tau_S_above_1", "init_unknown", "d_per_source",
-            "gamma_per_source", "gamma_zero", "no_data"])
+            "gamma_per_source", "gamma_zero", "no_data", "tau_A_nan", "tau_A_inf", "tau_S_nan",
+            "gamma_nan", "gamma_inf"])
     def test_bad_arguments_named(self, run, message):
         U = [np.ones((3, 4)), np.ones((3, 4))]
         with pytest.raises(ValueError, match=message):
