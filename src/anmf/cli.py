@@ -360,17 +360,24 @@ def cmd_tune(args):
     peak = cfg.get("peak", 1.0)
     if not 0 < peak < math.inf:
         raise ValueError(f"{args.config}: peak must be positive and finite, not {peak}")
-    # the untuned train keys, and each of them with every value a trial can draw (each
-    # choice option, each end of a range), must make a spec before any data is read:
-    # a value the method rejects would otherwise fail its trials one by one
+    # the untuned train keys, and each of them with every value a trial can draw, must
+    # make a spec before any data is read: a value the method rejects would otherwise
+    # fail its trials one by one. A trial draws each choice option; uniform and
+    # log_uniform draw from [lo, hi), and lo itself almost never, so a range is
+    # checked at each end one step inward (a tau_S range [0, 1] is valid for danmf)
     untuned_cfg = {k: v for k, v in base_train_cfg.items() if k not in space.params}
     untuned = build_train_spec(untuned_cfg, method, seed)
     for name, sampler in space.params.items():
-        for value in sampler.options if isinstance(sampler, amet.Choice) else (sampler.lo, sampler.hi):
+        if isinstance(sampler, amet.Choice):
+            drawn = [(value, "") for value in sampler.options]
+        else:
+            lo, hi = sampler.lo, sampler.hi
+            drawn = [(float(np.nextafter(a, b)), f" of the range [{lo}, {hi})") for a, b in ((lo, hi), (hi, lo))]
+        for value, of in drawn:
             try:
                 build_train_spec(untuned_cfg, method, seed, overrides={name: value})
             except ValueError as e:
-                raise ValueError(f"{args.config}: tuning.space.{name} value {json.dumps(value)}: {e}") from None
+                raise ValueError(f"{args.config}: tuning.space.{name} value {json.dumps(value)}{of}: {e}") from None
     # trials change neither the data, the weight model nor the seed, so one
     # build of the adversarial sets serves every trial and fold; it is made
     # when the train block or the search can give tau_A > 0
@@ -451,8 +458,7 @@ def cmd_eval(args):
     rows = []
     all_scores = {}
     for i, (e, r) in enumerate(zip(args.estimates, args.references)):
-        est = aio.load_data_matrix(e, args.clamp_negatives)
-        ref = aio.load_data_matrix(r, args.clamp_negatives)
+        est, ref = aio.read_matrix(e), aio.read_matrix(r)
         _check_shape(r, ref, e, est)
         scores = _per_column_scores(est, ref, args.metric, args.peak)
         all_scores[i] = scores
@@ -535,7 +541,7 @@ def _build_parser():
     p.add_argument("--max-iter", type=int, default=500)
     p.set_defaults(func=cmd_denoise)
 
-    p = sub.add_parser("eval", parents=[seed, clamp])
+    p = sub.add_parser("eval", parents=[seed])
     p.add_argument("--estimates", nargs="+", required=True)
     p.add_argument("--references", nargs="+", required=True)
     p.add_argument("--metric", choices=("psnr", "sisdr"), default="psnr")

@@ -34,13 +34,12 @@ def _finite(literal):
 
 
 def read_json(path):
-    """The JSON value in the file at path; text that is not JSON, or a number
-    that is not finite, is a ValueError naming the file."""
+    """The JSON value in the file at path; text that is not JSON, including a
+    number that is not finite (RFC 8259 has none), is a ValueError naming the file."""
     try:
         return json.loads(Path(path).read_text(), parse_float=_finite, parse_constant=_finite)
     except ValueError as e:  # JSONDecodeError, UnicodeDecodeError for a binary file, or _finite's
-        why = f"not a JSON file ({e})" if isinstance(e, (json.JSONDecodeError, UnicodeDecodeError)) else e
-        raise ValueError(f"{path}: {why}") from None
+        raise ValueError(f"{path}: not a JSON file ({e})") from None
 
 
 def write_matrix(path, matrix):

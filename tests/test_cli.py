@@ -818,7 +818,7 @@ class TestErrors:
         assert f"anmf: error: {refs[0]} has shape (8, {cols}), but {mix} has shape (8, 5)" in capsys.readouterr().err
         assert not (tmp_path / "sep").exists()
 
-    def test_eval_clamps_negatives_only_when_asked(self, tmp_path, capsys):
+    def test_eval_scores_negative_estimate_as_written(self, tmp_path):
         rng = np.random.default_rng(16)
         ref = rng.random((8, 5))
         est = ref + 0.3 * rng.standard_normal((8, 5))
@@ -826,18 +826,13 @@ class TestErrors:
         est_path, ref_path, out = (str(tmp_path / name) for name in ("est.anmf", "ref.anmf", "o.csv"))
         write_matrix(est_path, est)
         write_matrix(ref_path, ref)
-        argv = ["eval", "--estimates", est_path, "--references", ref_path, "--output", out]
-        assert run_cli(argv) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"anmf: error: {est_path}: negative entries (pass --clamp-negatives to clamp to 0)"]
-        assert not Path(out).exists()
-        assert run_cli(argv + ["--clamp-negatives"]) == 0
+        assert run_cli(["eval", "--estimates", est_path, "--references", ref_path, "--output", out]) == 0
         with open(out) as f:
             rows = list(csv.reader(f))[1:]
         scores = [float(r[3]) for r in rows if r[0] not in ("median", "bootstrap_se")]
-        # the CSV's floats round-trip, so the clamped estimate's scores match exactly
-        assert scores == [metrics.psnr(np.maximum(est[:, k], 0.0), ref[:, k]) for k in range(5)]
-        assert scores != [metrics.psnr(est[:, k], ref[:, k]) for k in range(5)]
+        # the CSV's floats round-trip, so the estimate's scores match exactly, and no entry was clamped
+        assert scores == [metrics.psnr(est[:, k], ref[:, k]) for k in range(5)]
+        assert scores != [metrics.psnr(np.maximum(est[:, k], 0.0), ref[:, k]) for k in range(5)]
 
     @pytest.mark.parametrize("cols", [3, 9])
     def test_eval_rejects_reference_of_other_shape(self, tmp_path, cols, capsys):
@@ -884,6 +879,20 @@ class TestErrors:
             "tune": {**train, "data": {"sources": src, "supervised": supervised},
                      "tuning": {"trials": 2, "space": {}}},
         }
+
+    @pytest.mark.parametrize("method, space", [
+        ("danmf", {"tau_S": {"type": "uniform", "lo": 0.0, "hi": 1.0}}),
+        ("danmf", {"tau_S": {"type": "log_uniform", "lo": 0.1, "hi": 1.0}}),
+        ("anmf", {"tau_A": {"type": "uniform", "lo": 0.0, "hi": 0.5}}),
+    ], ids=["danmf_tau_S_uniform_0_1", "danmf_tau_S_log_uniform_to_1", "anmf_tau_A_uniform_from_0"])
+    def test_tune_range_ends_no_trial_draws_are_not_checked(self, tmp_path, method, space):
+        # a range draws from [lo, hi): an end the method rejects is never drawn
+        cfg = self._configs(tmp_path)["tune"]
+        cfg["method"] = method
+        cfg["tuning"]["space"] = space
+        assert run_cli(["tune", "--config", write_config(tmp_path, "c.json", cfg)]) == 0
+        trials = json.loads((tmp_path / "out" / "tune_result.json").read_text())["trials"]
+        assert len(trials) == 2 and all(t["error"] is None for t in trials)
 
     @pytest.mark.parametrize("command, extra, named", [
         ("mix", {"clamp_negatives": True}, "clamp_negatives"),
@@ -1070,13 +1079,14 @@ class TestErrors:
          "short.wav: not a PCM WAV file (truncated)"),
         # no NaN or infinity gets in: json reads NaN and Infinity, and argparse's float reads nan and inf
         (["train"], lambda c: c.update(method="anmf") or c["train"].update(eps=np.inf),
-         "Infinity is not a finite number"),
+         "not a JSON file (Infinity is not a finite number)"),
         (["train"], lambda c: c.update(method="anmf") or c["train"].update(mu_H=np.inf),
-         "Infinity is not a finite number"),
-        (["train"], lambda c: c.update(method="anmf") or c["train"].update(tau_A=np.nan), "NaN is not a finite number"),
-        (["mix"], lambda c: c.update(snr_db=np.nan), "NaN is not a finite number"),
+         "not a JSON file (Infinity is not a finite number)"),
+        (["train"], lambda c: c.update(method="anmf") or c["train"].update(tau_A=np.nan),
+         "not a JSON file (NaN is not a finite number)"),
+        (["mix"], lambda c: c.update(snr_db=np.nan), "not a JSON file (NaN is not a finite number)"),
         (["train"], lambda c: c["train"].update(mu_H=10**400), f"train.mu_H must be float, not {10**400}"),
-        (["tune"], lambda c: c.update(peak=np.inf), "Infinity is not a finite number"),
+        (["tune"], lambda c: c.update(peak=np.inf), "not a JSON file (Infinity is not a finite number)"),
         (SEPARATE + ["--mu-h", "nan"], None, "sparsity penalties must be non-negative and finite"),
         (SEPARATE + ["--mu-h", "inf"], None, "sparsity penalties must be non-negative and finite"),
         (SEPARATE + ["--peak", "inf"], None, "--peak must be positive and finite, not inf"),
@@ -1091,7 +1101,8 @@ class TestErrors:
         (["tune"], lambda c: c["tuning"].update(space={"mu_H": {"type": "choice", "options": [1e-3, -1.0]}}),
          "tuning.space.mu_H value -1.0: sparsity penalties must be non-negative and finite"),
         (["tune"], lambda c: c["tuning"].update(space={"mu_W": {"type": "uniform", "lo": -0.5, "hi": 0.5}}),
-         "tuning.space.mu_W value -0.5: sparsity penalties must be non-negative and finite"),
+         "tuning.space.mu_W value -0.49999999999999994 of the range [-0.5, 0.5): "
+         "sparsity penalties must be non-negative and finite"),
         (["tune"], lambda c: c["tuning"].update(space={"batch_size": {"type": "choice", "options": [5, 0]}}),
          "tuning.space.batch_size value 0: epochs must be >= 0 and batch_size >= 1"),
         (["tune"], lambda c: c.update(method="anmf") or c["tuning"].update(
@@ -1269,7 +1280,7 @@ class TestErrors:
         (["denoise", "--model", "m", "--input", "x", "--output", "y"], ["--clamp-negatives"]),
         (["denoise", "--model", "m", "--input", "x", "--output", "y"], ["--n-fft", "256"]),
         (["eval", "--estimates", "a", "--references", "a", "--output", "o"], ["--config", "c"]),
-        (["eval", "--estimates", "a", "--references", "a", "--output", "o"], ["--clip"]),
+        (["eval", "--estimates", "a", "--references", "a", "--output", "o"], ["--clamp-negatives"]),
         (FEATURES, ["--seed", "1"]),
         (FEATURES, ["--config", "c"]),
         (FEATURES, ["--clamp-negatives"]),

@@ -27,7 +27,7 @@ class TestReadJson:
         # json reads the three constants, and a literal beyond float range as inf
         p = tmp_path / "c.json"
         p.write_text(f'{{"train": {{"eps": {literal}}}}}')
-        with pytest.raises(ValueError, match=f"^{p}: {literal} is not a finite number$"):
+        with pytest.raises(ValueError, match=f"^{p}: not a JSON file \\({literal} is not a finite number\\)$"):
             read_json(p)
 
     def test_numbers_read_as_json_reads_them(self, tmp_path):
