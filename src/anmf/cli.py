@@ -46,6 +46,7 @@ TRAIN_TYPES = {g.name: g.type for f in fields(TrainSpec)
                for g in (fields(SparsityParams) if f.name == "sparsity" else [f])}
 MIX_KEYS = ({"sources": list[str], "output": dict, "seed": int, "snr_db": float, "weight_model": dict},
             ("sources", "output"))
+DATA_TYPES = {"sources": list[str], "mixes": str, "supervised": dict}
 TRAIN_KEYS = ({"output": str, "method": object, "data": dict, "train": dict, "weight_model": dict}, ("output",))
 TUNE_KEYS = ({**TRAIN_KEYS[0], "seed": int, "tuning": dict, "metric": str, "metric_weights": list[float],
               "peak": float}, ("output",))
@@ -221,7 +222,7 @@ def _training_inputs(clamp, cfg, path, method, seed, adversarial):
     then a view of its unscaled copy in another source's set, so the loaded
     arrays are not kept, and the mixes are kept only for semi.
     """
-    data = _config_block(cfg.get("data", {}), "data", path, {"sources": list[str], "mixes": str, "supervised": dict})
+    data = _config_block(cfg.get("data", {}), "data", path, DATA_TYPES)
     needs = ("sources", "mixes") if method == "semi" else ("sources",) if adversarial else ()
     for key in needs:
         if not data.get(key):
@@ -361,12 +362,22 @@ def cmd_tune(args):
     if not 0 < peak < math.inf:
         raise ValueError(f"{args.config}: peak must be positive and finite, not {peak}")
     # the untuned train keys, and each of them with every value a trial can draw, must
-    # make a spec before any data is read: a value the method rejects would otherwise
-    # fail its trials one by one. A trial draws each choice option; uniform and
-    # log_uniform draw from [lo, hi), and lo itself almost never, so a range is
-    # checked at each end one step inward (a tau_S range [0, 1] is valid for danmf)
+    # make a spec, with one latent dimension per basis, before any data is read: a
+    # value the method rejects would otherwise fail its trials one by one. A trial
+    # draws each choice option; uniform and log_uniform draw from [lo, hi), and lo
+    # itself almost never, so a range is checked at each end one step inward (a tau_S
+    # range [0, 1] is valid for danmf). semi fits one basis more than its sources.
+    source_paths = _config_block(cfg.get("data", {}), "data", args.config, DATA_TYPES).get("sources")
+    n_bases = len(source_paths) + (method == "semi") if source_paths else 0
     untuned_cfg = {k: v for k, v in base_train_cfg.items() if k not in space.params}
-    untuned = build_train_spec(untuned_cfg, method, seed)
+
+    def checked_spec(overrides):
+        spec = build_train_spec(untuned_cfg, method, seed, overrides=overrides)
+        if n_bases:  # with no sources, _training_inputs or training names what is missing
+            spec.dims(n_bases)
+        return spec
+
+    untuned = checked_spec({})
     for name, sampler in space.params.items():
         if isinstance(sampler, amet.Choice):
             drawn = [(value, "") for value in sampler.options]
@@ -375,7 +386,7 @@ def cmd_tune(args):
             drawn = [(float(np.nextafter(a, b)), f" of the range [{lo}, {hi})") for a, b in ((lo, hi), (hi, lo))]
         for value, of in drawn:
             try:
-                build_train_spec(untuned_cfg, method, seed, overrides={name: value})
+                checked_spec({name: value})
             except ValueError as e:
                 raise ValueError(f"{args.config}: tuning.space.{name} value {json.dumps(value)}{of}: {e}") from None
     # trials change neither the data, the weight model nor the seed, so one

@@ -252,11 +252,9 @@ def load_bundle(directory):
         raise ValueError(f"{path}: m must be a positive int, got {m!r}")
     bases = []
     for i in range(n):
-        a = read_matrix(directory / f"basis_{i:03d}.anmf")
+        basis_path = directory / f"basis_{i:03d}.anmf"
+        a = read_matrix(basis_path)
         if a.shape != (m, manifest["d"][i]):
-            raise ValueError(
-                f"basis {i} shape {a.shape} does not match manifest "
-                f"({m}, {manifest['d'][i]})"
-            )
+            raise ValueError(f"{basis_path}: shape {a.shape} does not match the manifest's ({m}, {manifest['d'][i]})")
         bases.append(Basis(a))
     return ModelBundle(bases, manifest)

@@ -21,12 +21,10 @@ class SeparationResult:
     filtered: list
 
 
-def fit_sources(V, bases, p=None, max_iter=500, tol=1e-8):
+def fit_sources(V, bases, p=None, max_iter=500, tol=1e-3):
     """Per-source raw reconstructions W_i h_i of the columns of V, where
-    h = solve_nnls minimizes ||V - [W_1 ... W_S] h||_F^2 + mu_H |h|_1 over
-    h >= 0 and h_i is its block of rows for W_i. The stopping test is taken
-    over the whole block of columns, so when tol ends the run early a
-    column's latents depend on the other columns solved with it."""
+    h = solve_nnls minimizes 1/2 ||v - [W_1 ... W_S] h||^2 + mu_H |h|_1
+    over h >= 0 for each column v, and h_i is its block of rows for W_i."""
     V = as_array(V)
     W = [as_array(b) for b in bases]
     m = V.shape[0]
@@ -39,9 +37,13 @@ def fit_sources(V, bases, p=None, max_iter=500, tol=1e-8):
     return [w @ h[offsets[i] : offsets[i + 1]] for i, w in enumerate(W)]
 
 
-def separate(V, bases, p=None, max_iter=500, tol=1e-8):
+def separate(V, bases, p=None, max_iter=500, tol=1e-3):
     """Separate the columns of V against a list of bases: fit_sources,
-    then Wiener-filter the raw reconstructions so that they sum to V."""
+    then Wiener-filter the raw reconstructions so that they sum to V.
+
+    Each column is fitted on its own, as solve_nnls states: every 10th
+    update checks its KKT residual, it stops once that is at most tol
+    (default 1e-3) times ||W.T v||, and max_iter caps its updates."""
     p = p or SparsityParams()
     raw = fit_sources(V, bases, p, max_iter, tol)
     return SeparationResult(raw, wiener_filter(V, raw, p.eps))

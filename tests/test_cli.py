@@ -715,19 +715,27 @@ class TestErrors:
         assert run_cli(["tune", "--config", cfg, "--clamp-negatives"]) == 1
         assert "data.supervised" in capsys.readouterr().err
 
-    def test_tune_records_trial_errors(self, tmp_path):
+    def test_tune_records_trial_errors(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(0)
         sup = make_sources(tmp_path, rng, n=12, prefix="sup")
         write_matrix(tmp_path / "sup_mix.anmf", sum(read_matrix(p) for p in sup))
         out = tmp_path / "out"
-        # three latent dimensions for two sources make a spec, so they pass the
-        # checks before the trials, and fail train_smu inside each trial that draws them
+        # every value passes the checks before the trials; training fails
+        # inside each trial that draws batch_size 7
+        train = anmf.cli.train_with_method
+
+        def failing(method, sources, sets, mixes, supervised, spec):
+            if spec.batch_size == 7:
+                raise ValueError("no batch of 7")
+            return train(method, sources, sets, mixes, supervised, spec)
+
+        monkeypatch.setattr(anmf.cli, "train_with_method", failing)
         cfg = write_config(tmp_path, "tune.json", {
             "method": "nmf",
             "data": {"sources": make_sources(tmp_path, rng),
                      "supervised": {"sources": sup, "mix": str(tmp_path / "sup_mix.anmf")}},
             "train": {"d": 2, "epochs": 3},
-            "tuning": {"trials": 6, "space": {"d": {"type": "choice", "options": [[2, 2, 2], 2]}}},
+            "tuning": {"trials": 6, "space": {"batch_size": {"type": "choice", "options": [7, 100]}}},
             "output": str(out),
         })
         assert run_cli(["tune", "--config", cfg]) == 0
@@ -736,10 +744,10 @@ class TestErrors:
             raise AssertionError(f"{name} is not JSON")
 
         trials = json.loads((out / "tune_result.json").read_text(), parse_constant=strict)["trials"]
-        assert {json.dumps(t["params"]["d"]) for t in trials} == {"[2, 2, 2]", "2"}
+        assert {t["params"]["batch_size"] for t in trials} == {7, 100}
         for t in trials:
-            if t["params"]["d"] == [2, 2, 2]:
-                assert t["error"] == "ValueError('need 2 latent dimensions, got 3')"
+            if t["params"]["batch_size"] == 7:
+                assert t["error"] == "ValueError('no batch of 7')"
                 assert t["mean_score"] is None
             else:
                 assert t["error"] is None and len(t["fold_scores"]) == 1
@@ -893,6 +901,16 @@ class TestErrors:
         assert run_cli(["tune", "--config", write_config(tmp_path, "c.json", cfg)]) == 0
         trials = json.loads((tmp_path / "out" / "tune_result.json").read_text())["trials"]
         assert len(trials) == 2 and all(t["error"] is None for t in trials)
+
+    @pytest.mark.parametrize("method, d, need", [("nmf", [2, 2, 2], 2), ("semi", [2, 2], 3)])
+    def test_tune_checks_untuned_d_before_reading_data(self, tmp_path, monkeypatch, method, d, need, capsys):
+        # semi fits one basis more than its two sources
+        cfg = self._configs(tmp_path)["tune"]
+        cfg["method"] = method
+        cfg["train"]["d"] = d
+        monkeypatch.setattr(anmf.io, "load_data_matrix", lambda *a: pytest.fail("data were read"))
+        assert run_cli(["tune", "--config", write_config(tmp_path, "c.json", cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"anmf: error: need {need} latent dimensions, got {len(d)}"]
 
     @pytest.mark.parametrize("command, extra, named", [
         ("mix", {"clamp_negatives": True}, "clamp_negatives"),
@@ -1108,6 +1126,8 @@ class TestErrors:
         (["tune"], lambda c: c.update(method="anmf") or c["tuning"].update(
             space={"tau_A": {"type": "log_uniform", "lo": 0.01, "hi": 0.1}, "eps": {"type": "choice", "options": [0]}}),
          "tuning.space.eps value 0.0: eps must be positive and finite"),
+        (["tune"], lambda c: c["tuning"].update(space={"d": {"type": "choice", "options": [2, [2, 2, 2]]}}),
+         "tuning.space.d value [2, 2, 2]: need 2 latent dimensions, got 3"),
     ], ids=["train_block_list", "mix_output_string", "mix_output_misspelt", "space_entry_without_type",
             "space_entry_list", "tune_without_output", "tune_peak_0", "tune_metric_misspelt",
             "method_list", "weight_model_mode_list", "space_type_list",
@@ -1124,7 +1144,7 @@ class TestErrors:
             "train_mu_H_int_beyond_float", "tune_peak_infinity", "separate_mu_h_nan", "separate_mu_h_inf",
             "separate_peak_inf", "denoise_mu_h_nan", "eval_peak_nan",
             "space_danmf_tau_S_1", "space_choice_mu_H_negative", "space_uniform_mu_W_negative",
-            "space_batch_size_0", "space_eps_0"])
+            "space_batch_size_0", "space_eps_0", "space_d_of_three_for_two_sources"])
     def test_bad_input_fails_before_any_work(self, tmp_path, monkeypatch, argv, edit, message, capsys):
         # valid inputs beside the one at fault: a two-basis bundle and a mix
         # with references, a one-basis STFT bundle and a WAV, synth prefixes

@@ -12,7 +12,7 @@ from anmf.core import (
     solve_nnls,
     update_latents,
 )
-from oracles import nnls_grid_1d, nnls_grid_2d
+from oracles import nnls_grid_1d, nnls_grid_2d, nnls_per_column
 
 P0 = SparsityParams(0.0, 0.0)
 
@@ -120,83 +120,107 @@ class TestUpdateLatents:
             prev = cur
 
 
-def reference_solve(V, W, p, max_iter, tol):
-    """Reference solver: update_latents repeated from all ones with the
-    whole-block stopping rule. Returns (H, iterations run)."""
-    H = np.ones((W.shape[1], V.shape[1]))
-    for it in range(1, max_iter + 1):
-        H_new = update_latents(H, W, V, p)
-        delta = np.linalg.norm(H_new - H)
-        H = H_new
-        if delta <= tol * max(np.linalg.norm(H), p.eps):
-            break
-    return H, it
-
-
 class TestSolveNnls:
     def test_bitwise_reference_at_max_iter(self):
+        # with tol = 0 no column stops, and the block runs max_iter plain
+        # updates; the all-zero column is exactly 0 either way
         rng = np.random.default_rng(21)
         W = rng.random((12, 5))
         V = rng.random((12, 30))
         V[:, 4] = 0.0
         p = SparsityParams(0.0, 1e-3)
-        H_ref, iters = reference_solve(V, W, p, max_iter=60, tol=0.0)
-        assert iters == 60
+        H_ref = np.ones((5, 30))
+        for _ in range(60):
+            H_ref = update_latents(H_ref, W, V, p)
         assert np.array_equal(solve_nnls(V, W, p, max_iter=60, tol=0.0), H_ref)
 
-    def test_bitwise_reference_when_tol_stops_early(self):
+    def test_matches_per_column_reference_when_tol_stops_early(self):
+        # the per-column loop multiplies by vectors, the solver by blocks,
+        # and compaction can change the BLAS kernel: equal to rounding
         rng = np.random.default_rng(22)
         W = rng.random((6, 3))
         V = W @ rng.random((3, 9))
-        H_ref, iters = reference_solve(V, W, P0, max_iter=20000, tol=1e-6)
-        assert iters < 20000
-        assert np.array_equal(solve_nnls(V, W, P0, max_iter=20000, tol=1e-6), H_ref)
+        H_ref, iters, _ = nnls_per_column(V, W, P0, max_iter=20000, tol=1e-6)
+        assert iters.max() < 20000 and len(set(iters)) > 1
+        H = solve_nnls(V, W, P0, max_iter=20000, tol=1e-6)
+        np.testing.assert_allclose(H, H_ref, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_stop_at_the_tolerance_boundary(self, seed):
-        # tol is the relative change reference_solve sees at iteration k, or
-        # 1e-13 either side of it: there the norm bound cannot decide, and
-        # the exact rule must stop where the reference stops
+        # tol sits a hair above or below column j's residual ratio at check
+        # c, a check whose ratio is below every earlier one: just above, it
+        # stops after 10 (c + 1) updates; just below, later. The ratio is
+        # above 1e-6, where the residual's rounding, about 1e-16 ||b||,
+        # cannot move the decision
         rng = np.random.default_rng([seed, 40])
         W = rng.random((int(rng.integers(3, 12)), int(rng.integers(2, 6))))
         V = rng.random((W.shape[0], int(rng.integers(1, 20))))
         p = SparsityParams(0.0, float(rng.choice([0.0, 1e-3])))
-        H, rel = np.ones((W.shape[1], V.shape[1])), []
-        for _ in range(30):
-            H_new = update_latents(H, W, V, p)
-            rel.append(np.linalg.norm(H_new - H) / max(np.linalg.norm(H_new), p.eps))
-            H = H_new
-        # k is an iteration whose relative change is below every earlier one
-        k = int(rng.choice([j + 1 for j in range(1, 30) if rel[j] < min(rel[:j])]))
+        j = int(rng.integers(V.shape[1]))
+        ratios = nnls_per_column(V[:, [j]], W, p, max_iter=300, tol=0.0)[2][0]
+        c = int(rng.choice([i for i in range(1, 30) if 1e-6 < ratios[i] < min(ratios[:i])]))
         stops = []
-        for tol in (rel[k - 1] * (1 - 1e-13), rel[k - 1], rel[k - 1] * (1 + 1e-13)):
-            H_ref, iters = reference_solve(V, W, p, max_iter=40, tol=tol)
-            stops.append(iters)
-            H = solve_nnls(V, W, p, max_iter=40, tol=tol)
+        for tol in (ratios[c] * (1 + 1e-9), ratios[c] * (1 - 1e-9)):
+            H_ref, iters, _ = nnls_per_column(V, W, p, max_iter=400, tol=tol)
+            stops.append(iters[j])
+            H = solve_nnls(V, W, p, max_iter=400, tol=tol)
             assert H.flags.f_contiguous
-            assert np.array_equal(H, H_ref)
-        # the three tolerances straddle the stop at iteration k
-        assert stops[0] > k and stops[2] == k
+            np.testing.assert_allclose(H, H_ref, rtol=1e-12, atol=0)
+        assert stops[0] == 10 * (c + 1) < stops[1]
+
+    def test_each_column_is_its_own_iterate(self):
+        # every column is the plain block iterate H_k, for its own k: a
+        # multiple of 10 where it stopped, max_iter where it did not
+        rng = np.random.default_rng(24)
+        W = rng.random((10, 4))
+        V = rng.random((10, 25))
+        V[:, :8] = W @ rng.random((4, 8))
+        trajectory = [np.ones((4, 25))]
+        for _ in range(75):
+            trajectory.append(update_latents(trajectory[-1], W, V, P0))
+        H = solve_nnls(V, W, P0, max_iter=75, tol=1e-3)
+        ks = []
+        for j in range(25):
+            ks.append(next(k for k in range(76) if np.allclose(H[:, j], trajectory[k][:, j], rtol=1e-12, atol=0)))
+        assert all(k % 10 == 0 or k == 75 for k in ks)
+        assert min(ks) < 75 and max(ks) == 75
+
+    def test_columns_are_solved_alone(self):
+        # enough columns stop for the working arrays to be compacted
+        rng = np.random.default_rng(25)
+        W = rng.random((15, 6))
+        V = rng.random((15, 60))
+        V[:, 20:40] = W @ rng.random((6, 20))
+        V[:, 7] = 0.0
+        H = solve_nnls(V, W, P0)
+        alone = np.concatenate([solve_nnls(V[:, [j]], W, P0) for j in range(60)], axis=1)
+        np.testing.assert_allclose(H, alone, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(H, nnls_per_column(V, W, P0, 500, 1e-3)[0], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("tol", [0.0, 1e-8])
     @pytest.mark.parametrize("n", [0, 6])
     def test_all_zero_and_empty_blocks(self, tol, n):
-        # an all-zero V reaches its fixed point H = 0 in two updates, so even
-        # tol = 0 stops it early; a 0-column V stops after one
         W = np.random.default_rng(41).random((5, 3))
-        V = np.zeros((5, n))
-        H_ref, iters = reference_solve(V, W, P0, max_iter=50, tol=tol)
-        assert iters == (2 if n else 1)
-        assert np.array_equal(solve_nnls(V, W, P0, max_iter=50, tol=tol), H_ref)
+        H = solve_nnls(np.zeros((5, n)), W, P0, max_iter=50, tol=tol)
+        assert H.shape == (3, n) and H.flags.f_contiguous
+        assert not H.any()
+
+    def test_columns_without_gain_over_zero_are_exactly_zero(self):
+        # b = W.T v has no entry above mu_H: h = 0 is the solution, and the
+        # column is 0 itself, not an iterate decaying towards it
+        W = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        V = np.array([[0.0, 0.05, 1.0], [0.0, 0.02, 2.0], [4.0, 0.0, 3.0]])
+        H = solve_nnls(V, W, SparsityParams(0.0, 0.1), tol=0.0)
+        assert not H[:, :2].any()
+        assert np.all(H[:, 2] > 0)
 
     def test_close_to_reference_at_any_shape(self):
-        # the column-major product G @ H may take another BLAS kernel than
-        # the row-major one and round differently; the iterates stay close
         rng = np.random.default_rng(42)
         W = rng.random((60, 40))
         V = rng.random((60, 37))
-        H_ref, _ = reference_solve(V, W, P0, max_iter=100, tol=0.0)
-        assert np.allclose(solve_nnls(V, W, P0, max_iter=100, tol=0.0), H_ref, rtol=1e-12, atol=0.0)
+        H_ref, iters, _ = nnls_per_column(V, W, P0, max_iter=100, tol=0.0)
+        assert np.all(iters == 100)
+        np.testing.assert_allclose(solve_nnls(V, W, P0, max_iter=100, tol=0.0), H_ref, rtol=1e-12, atol=0)
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"solve_nnls: incompatible shapes \(5, 2\) and \(4, 2\)"):

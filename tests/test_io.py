@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 import wave
@@ -351,7 +352,16 @@ class TestBundle:
     def test_dimension_check(self, tmp_path):
         save_bundle(tmp_path / "model", [np.random.default_rng(7).random((4, 2))])
         write_matrix(tmp_path / "model" / "basis_000.anmf", np.ones((4, 3)))
-        with pytest.raises(ValueError, match=r"^basis 0 shape \(4, 3\) does not match manifest \(4, 2\)$"):
+        path = re.escape(str(tmp_path / "model" / "basis_000.anmf"))
+        with pytest.raises(ValueError, match=rf"^{path}: shape \(4, 3\) does not match the manifest's \(4, 2\)$"):
+            load_bundle(tmp_path / "model")
+
+    def test_dimension_check_names_the_basis_file(self, tmp_path):
+        # the second of two bases is the one that does not fit
+        save_bundle(tmp_path / "model", [np.ones((4, 2)), np.ones((4, 3))])
+        write_matrix(tmp_path / "model" / "basis_001.anmf", np.ones((5, 3)))
+        path = re.escape(str(tmp_path / "model" / "basis_001.anmf"))
+        with pytest.raises(ValueError, match=rf"^{path}: shape \(5, 3\) does not match the manifest's \(4, 3\)$"):
             load_bundle(tmp_path / "model")
 
     def test_non_finite_basis_rejected(self, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from anmf.core import SparsityParams, solve_nnls
 from anmf.separation import fit_sources, separate, wiener_filter
-from oracles import nnls_grid_2d
+from oracles import nnls_grid_2d, nnls_per_column, trained_mix
 
 P0 = SparsityParams(0.0, 0.0)
 
@@ -51,6 +51,33 @@ class TestSeparate:
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValueError):
             separate(np.ones((4, 2)), [np.ones((5, 2))], P0)
+
+    def test_each_column_fitted_as_if_alone(self):
+        rng = np.random.default_rng(3)
+        bases = [rng.random((8, 4)), rng.random((8, 3))]
+        V = rng.random((8, 50))
+        V[:, 10:30] = bases[0] @ rng.random((4, 20))
+        V[:, 5] = 0.0
+        raw = fit_sources(V, bases, P0)
+        alone = [fit_sources(V[:, [j]], bases, P0) for j in range(50)]
+        for i in range(2):
+            np.testing.assert_allclose(raw[i], np.concatenate([a[i] for a in alone], axis=1), rtol=1e-12, atol=0)
+        assert not raw[0][:, 5].any() and not raw[1][:, 5].any()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_benchmark_shaped_mix_stops_early(self, seed):
+        # d = 128 trained bases and a 200-column mix at the default tol:
+        # every column stops by its own check or at max_iter, and on average
+        # well before it. Entries decaying towards 0 over hundreds of
+        # updates compound the rounding of W.T v, which the column loop
+        # forms by vector products, so they are held to the largest
+        # entry's scale
+        V, W = trained_mix(seed)
+        p = SparsityParams()
+        H_ref, iters, _ = nnls_per_column(V, W, p, max_iter=500, tol=1e-3)
+        H = solve_nnls(V, W, p)
+        np.testing.assert_allclose(H, H_ref, rtol=1e-12, atol=1e-12 * np.abs(H_ref).max())
+        assert iters.mean() < 350 and iters.max() <= 500
 
 
 class TestWienerFilter:

@@ -545,7 +545,8 @@ class TestSemiSupervised:
         W2 = train_semisupervised(V, [W1], spec)
         from anmf.separation import separate
 
-        res = separate(V, [W1, W2], P0, max_iter=2000)
+        # a near-exact fit: solved to the tight tol, not the default
+        res = separate(V, [W1, W2], P0, max_iter=2000, tol=1e-8)
         recon = res.raw[0] + res.raw[1]
         # the joint model reconstructs the representable mix well and the
         # known source takes the larger share
