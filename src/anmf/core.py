@@ -133,29 +133,29 @@ def solve_nnls(V, W, p=None, max_iter=500, tol=1e-3):
         raise ValueError(f"solve_nnls: incompatible shapes {W.shape} and {V.shape}")
     # W.T V is formed row-major and then converted: a column-major matmul
     # output raised denoise's peak memory
-    b = np.asfortranarray(W.T @ V)
-    G = W.T @ W
+    b, G = np.asfortranarray(W.T @ V), W.T @ W
     out = np.zeros_like(b)
     # the columns still iterating; slicing their columns keeps the layout
     live = np.flatnonzero(np.any(b > p.mu_H, axis=0))
-    num, bound = b[:, live], tol * np.linalg.norm(b, axis=0)[live]
+    num = b if live.size == b.shape[1] else b[:, live]
+    bound, stopped = tol * np.linalg.norm(b, axis=0)[live], np.zeros(live.size, dtype=bool)
     H, H_new, denom = np.ones_like(num), np.empty_like(num), np.empty_like(num)
-    stopped = np.zeros(live.size, dtype=bool)
     for k in range(max_iter):
         if not live.size:
             break
         _latent_step(H, num, G, 1.0, p, out=H_new, denom=denom)
         if k % 10 == 0 and k:
             # denom holds G H + mu_H + eps for H = H_k: the residual of H_k, in place
-            denom -= num
-            new = ~stopped & (np.linalg.norm(np.minimum(H, denom, out=denom), axis=0) <= bound)
+            r = np.minimum(H, np.subtract(denom, num, out=denom), out=denom)
+            new = ~stopped & (np.sqrt(np.square(r, out=r).sum(axis=0)) <= bound)
             out[:, live[new]] = H[:, new]
             stopped |= new
-            # stopped columns are carried along until they are a tenth
-            if np.count_nonzero(stopped) >= 0.1 * stopped.size:
-                keep = ~stopped
-                live, num, bound, H_new = live[keep], num[:, keep], bound[keep], H_new[:, keep]
-                H, denom, stopped = np.empty_like(num), np.empty_like(num), stopped[keep]
+            # once a tenth have stopped, the live columns j move to the front of free buffers
+            j = np.flatnonzero(~stopped)
+            if stopped.size - j.size >= 0.1 * stopped.size:
+                num, denom = np.take(num.T, j, 0, denom[:, : j.size].T, "clip").T, num[:, : j.size]
+                H_new, H = np.take(H_new.T, j, 0, H[:, : j.size].T, "clip").T, H_new[:, : j.size]
+                live, bound, stopped = live[j], bound[j], stopped[j]
         H, H_new = H_new, H
     out[:, live[~stopped]] = H[:, ~stopped]
     return out
