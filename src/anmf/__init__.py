@@ -29,7 +29,6 @@ from .training import (
     TrainSpec,
     TrainState,
     grad_parts,
-    train_semisupervised,
     train_smu,
     update_basis,
 )

@@ -27,7 +27,7 @@ from . import io as aio
 from . import metrics as amet
 from .core import SparsityParams, as_array
 from .separation import fit_sources, separate, wiener_mask
-from .training import TrainSpec, train_semisupervised, train_smu
+from .training import TrainSpec, train_smu
 
 # method -> (train values it forces, defaults it puts under the train
 # block); everything else falls back to TrainSpec's own defaults
@@ -37,7 +37,6 @@ METHODS = {
     "anmf": ({"tau_S": 0.0}, {"tau_A": 0.1}),
     "dnmf": ({"tau_A": 0.0, "tau_S": 1.0}, {}),
     "danmf": ({}, {"tau_A": 0.1, "tau_S": 0.5}),
-    "semi": ({"tau_S": 0.0}, {}),
 }
 CSV_HEADER = ["sample_index", "source", "metric", "value"]
 # a config block's keys with their types (_typed) and the keys it requires; the train
@@ -133,24 +132,6 @@ def build_train_spec(train_cfg, method, seed=None, overrides=None):
     return replace(spec, sparsity=sparsity, **cfg)
 
 
-def train_with_method(method, sources, sets, mixes, supervised, spec):
-    """Run the training pipeline for one method on _training_inputs' data.
-
-    Returns:
-        (bases, history): list of basis arrays and per-epoch objectives.
-    """
-    train_spec = spec
-    if method == "semi":
-        # the known sources train first (adversarially when tau_A > 0, with
-        # the mixes and the other sources as adversarial data); the unknown
-        # source's basis is then fitted from the mixes alone
-        train_spec = replace(spec, d=spec.dims(len(sources) + 1)[:-1], gamma=None)
-    state = train_smu(sources, train_spec, adversarial=sets, supervised=supervised)
-    if method == "semi":
-        state.bases.append(train_semisupervised(mixes, state.bases, spec))
-    return state.bases, state.history
-
-
 def _per_column_scores(estimates, references, metric, peak):
     """metric per column for one source, capped by metrics.cap_scores;
     returns a list of floats."""
@@ -170,6 +151,13 @@ def score_separation(filtered, references, metric, weights, peak=1.0):
 def _check_shape(path, mat, other_path, other):
     if mat.shape != other.shape:
         raise ValueError(f"{path} has shape {mat.shape}, but {other_path} has shape {other.shape}")
+
+
+def _check_reference(path, ref, metric):
+    # si_sdr has no projection onto a reference column of zero energy
+    zero = np.flatnonzero(np.einsum("ij,ij->j", ref, ref) == 0) if metric == "sisdr" else []
+    if len(zero):
+        raise ValueError(f"{path}: column {zero[0]} is zero, and sisdr needs a nonzero reference")
 
 
 def _write_metrics_csv(path, rows):
@@ -210,22 +198,22 @@ def _config_method(cfg, path):
 
 
 def _training_inputs(clamp, cfg, path, method, seed, adversarial):
-    """The sources, adversarial sets, mixes and supervised (sources, mix)
-    pair of a train or tune config read from path, each None when there is
-    none. The data a method needs are checked first: semi trains on the
-    sources and fits its last basis from the mixes, and the adversarial
-    sets are built from the sources. A missing one, or a supervised source
-    whose shape is not the supervised mix's, is a ValueError.
+    """The sources, adversarial sets and supervised (sources, mix) pair of
+    a train or tune config read from path, each None when there is none.
+    The data a method trains on are checked before any file is read: every
+    method but dnmf, whose true-data term is off, needs data.sources, and
+    dnmf and danmf need data.supervised. A missing one, or a supervised
+    source whose shape is not the supervised mix's, is a ValueError; so,
+    under a tune config's sisdr metric, is a zero supervised source column.
 
-    With adversarial true, the sets are built here, once, with betas
-    seeded [seed, 77, i] (adversarial.adversarial_sets): each source is
-    then a view of its unscaled copy in another source's set, so the loaded
-    arrays are not kept, and the mixes are kept only for semi.
+    With adversarial true, the sets are built here, once, from the sources
+    and data.mixes, with betas seeded [seed, 77, i]
+    (adversarial.adversarial_sets): each source is then a view of its
+    unscaled copy in another source's set, so the loaded arrays are not kept.
     """
     data = _config_block(cfg.get("data", {}), "data", path, DATA_TYPES)
-    needs = ("sources", "mixes") if method == "semi" else ("sources",) if adversarial else ()
-    for key in needs:
-        if not data.get(key):
+    for key, needed in (("sources", method != "dnmf"), ("supervised", method in ("dnmf", "danmf"))):
+        if needed and not data.get(key):
             raise ValueError(f"{method} needs data.{key}")
     sources = [aio.load_data_matrix(p, clamp) for p in data.get("sources", [])] or None
     mixes = aio.load_data_matrix(data["mixes"], clamp) if data.get("mixes") else None
@@ -240,19 +228,19 @@ def _training_inputs(clamp, cfg, path, method, seed, adversarial):
         # the pairs score tune's trials column by column, also when training does not read them
         for src_path, u in zip(sup["sources"], supervised[0]):
             _check_shape(src_path, u, sup["mix"], supervised[1])
+            _check_reference(src_path, u, cfg.get("metric"))
     sets = None
     if adversarial:
         wm = _weight_model(cfg, max(len(sources), 2), path)
         sets, sources = adv.adversarial_sets(sources, mixes, wm, seed)
-        if method != "semi":
-            mixes = None
-    return sources, sets, mixes, supervised
+    return sources, sets, supervised
 
 
 def _train_and_save(out, method, data, spec):
-    bases, history = train_with_method(method, *data, spec)
+    sources, sets, supervised = data
+    state = train_smu(sources, spec, adversarial=sets, supervised=supervised)
     echo = {k: getattr(spec.sparsity if hasattr(spec.sparsity, k) else spec, k) for k in TRAIN_TYPES}
-    aio.save_bundle(out, bases, echo, history, {"method": method})
+    aio.save_bundle(out, state.bases, echo, state.history, {"method": method})
 
 
 def cmd_train(args):
@@ -279,6 +267,7 @@ def cmd_separate(args):
     for path in args.references or ():
         refs.append(aio.load_data_matrix(path, clamp))
         _check_shape(path, refs[-1], args.input, V)
+        _check_reference(path, refs[-1], args.metric)
     result = separate(V, bundle.bases, p, max_iter=args.max_iter)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -314,6 +303,8 @@ def cmd_denoise(args):
         if (ref_rate, len(ref)) != (rate, len(samples)):
             raise ValueError(f"{args.reference} has {len(ref)} samples at {ref_rate} Hz, "
                              f"but {args.input} has {len(samples)} samples at {rate} Hz")
+        if not np.dot(ref, ref):
+            raise ValueError(f"{args.reference}: every sample is zero, and sisdr needs a nonzero reference")
         del ref
     cfg = feat.StftConfig(n_fft=n_fft, hop=args.hop)
     spectrum = feat.stft(samples, cfg)
@@ -366,14 +357,14 @@ def cmd_tune(args):
     # value the method rejects would otherwise fail its trials one by one. A trial
     # draws each choice option; uniform and log_uniform draw from [lo, hi), and lo
     # itself almost never, so a range is checked at each end one step inward (a tau_S
-    # range [0, 1] is valid for danmf). semi fits one basis more than its sources.
+    # range [0, 1] is valid for danmf).
     source_paths = _config_block(cfg.get("data", {}), "data", args.config, DATA_TYPES).get("sources")
-    n_bases = len(source_paths) + (method == "semi") if source_paths else 0
+    n_bases = len(source_paths or ())
     untuned_cfg = {k: v for k, v in base_train_cfg.items() if k not in space.params}
 
     def checked_spec(overrides):
         spec = build_train_spec(untuned_cfg, method, seed, overrides=overrides)
-        if n_bases:  # with no sources, _training_inputs or training names what is missing
+        if n_bases:  # 0 without data.sources: _training_inputs names them missing unless the method is dnmf
             spec.dims(n_bases)
         return spec
 
@@ -394,7 +385,7 @@ def cmd_tune(args):
     # when the train block or the search can give tau_A > 0
     tuned_tau_A = "tau_A" in space.params and "tau_A" not in METHODS[method][0]
     data = _training_inputs(args.clamp_negatives, cfg, args.config, method, seed, untuned.tau_A > 0 or tuned_tau_A)
-    sources, sets, mixes, supervised = data
+    sources, sets, supervised = data
     if supervised is None:
         raise ValueError("the tune config needs a data.supervised block (sources and mix) to score trials on")
     sup_sources, sup_mix = supervised
@@ -417,7 +408,7 @@ def cmd_tune(args):
             val = ([u[:, val_idx] for u in sup_sources], sup_mix[:, val_idx])
         else:
             train = val = supervised
-        bases, _ = train_with_method(method, sources, sets, mixes, train, spec)
+        bases = train_smu(sources, spec, adversarial=sets, supervised=train).bases
         result = separate(val[1], bases, SparsityParams(mu_H=spec.sparsity.mu_H))
         return score_separation(result.filtered, val[0], metric, mweights, peak)
 
@@ -471,6 +462,7 @@ def cmd_eval(args):
     for i, (e, r) in enumerate(zip(args.estimates, args.references)):
         est, ref = aio.read_matrix(e), aio.read_matrix(r)
         _check_shape(r, ref, e, est)
+        _check_reference(r, ref, args.metric)
         scores = _per_column_scores(est, ref, args.metric, args.peak)
         all_scores[i] = scores
         rows.extend([k, i, args.metric, v] for k, v in enumerate(scores))

@@ -12,9 +12,7 @@ and the basis step treats them alike (grad_parts): the Gram product
 W L L^T goes to the denominator of the multiplicative update and the data
 product D L^T to the numerator, each scaled by |weight| / N and swapped
 for the subtracted adversarial term; update_basis divides the blended
-sums. train_semisupervised fits one unknown source's basis from mixes
-alone, next to frozen known bases, with the same update_latents,
-grad_parts and update_basis steps.
+sums.
 
 The objective is reported once, as the history: after each epoch, with
 latents paired with their data columns, from m x d and d x d products.
@@ -338,37 +336,3 @@ def _objective_arrays(W, D, L, weight, mu_W, sq_norms):
         out[i] = f
     return out
 
-
-def train_semisupervised(V, pretrained, spec):
-    """Fit one unknown source's basis W_s from mixed data V alone.
-
-    The pretrained bases stay frozen and are never written. W_s has the
-    last entry of spec.d as its latent dimension. Each epoch normalizes
-    W_s, updates all stacked latents jointly against Wcat = [pretrained,
-    W_s] (a Jacobi step, as for train_smu's supervised term, not a sweep
-    over sources), steps W_s with its columns of grad_parts(Wcat, V, H, 1)
-    and normalizes again. No m x N array is formed.
-
-    Returns:
-        The fitted basis as an array.
-    """
-    V = as_array(V)
-    if V.shape[1] == 0:
-        raise ValueError("semi-supervised training needs mixed data")
-    frozen = [as_array(b) for b in pretrained]
-    s = len(frozen) + 1
-    dims = spec.dims(s)
-    p = spec.sparsity
-    n_v = V.shape[1]
-    k = sum(dims[:-1])  # W_s's first column in Wcat and first row in H
-    W_s = _init_basis(spec, V, dims[-1], [spec.seed, 1, s - 1])
-    H = np.ones((k + dims[-1], n_v))
-
-    for _ in range(spec.epochs):
-        W_s, (H[k:],) = normalize_columns(W_s, [H[k:]], p.eps)
-        Wcat = np.concatenate(frozen + [W_s], axis=1)
-        H = update_latents(H, Wcat, V, p, n_scale=n_v)
-        den, num = grad_parts(Wcat, V, H, 1.0)
-        W_s = update_basis(W_s, den[:, k:], num[:, k:], p.mu_W, p.eps)
-        W_s, (H[k:],) = normalize_columns(W_s, [H[k:]], p.eps)
-    return W_s

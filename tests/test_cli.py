@@ -62,7 +62,6 @@ class TestBuildTrainSpec:
 
     def test_unset_keys_take_trainspec_defaults(self):
         assert build_train_spec({}, "nmf") == TrainSpec()
-        assert build_train_spec(None, "semi", overrides={"tau_A": 0.2}) == TrainSpec(tau_A=0.2)
 
     @pytest.mark.parametrize("command, edit, named", [
         ("train", lambda c: c["train"].update(tau_s=0.9, epoch=5), "train keys: epoch, tau_s"),
@@ -75,7 +74,7 @@ class TestBuildTrainSpec:
         cfg = {**TestErrors._configs(tmp_path)[command], "method": "danmf"}
         edit(cfg)
         path = write_config(tmp_path, "c.json", cfg)
-        monkeypatch.setattr(anmf.cli, "train_with_method", lambda *a: pytest.fail("a model was trained"))
+        monkeypatch.setattr(anmf.cli, "train_smu", lambda *a, **k: pytest.fail("a model was trained"))
         assert run_cli([command, "--config", path]) == 1
         assert capsys.readouterr().err.splitlines() == [f"anmf: error: {path}: unknown {named}"]
 
@@ -256,27 +255,6 @@ class TestPipeline:
                 scores = [float(r[3]) for r in list(csv.reader(f))[1:] if r[1] == str(i)]
             ref = read_matrix(ref)
             assert scores == metrics.cap_scores([metrics.psnr(clipped[:, k], ref[:, k]) for k in range(7)])
-
-    def test_semi_bundle(self, tmp_path):
-        rng = np.random.default_rng(6)
-        src_paths = make_sources(tmp_path, rng, s=2)
-        write_matrix(tmp_path / "mix.anmf", rng.random((8, 25)))
-
-        def train(method, name, **train_cfg):
-            cfg = {"method": method, "data": {"sources": src_paths[:1], "mixes": str(tmp_path / "mix.anmf")},
-                   "train": {"epochs": 15, "batch_size": 10, **train_cfg}, "output": str(tmp_path / name)}
-            assert run_cli(["train", "--config", write_config(tmp_path, name + ".json", cfg), "--seed", "4"]) == 0
-            return cfg, load_bundle(tmp_path / name)
-
-        cfg, bundle = train("semi", "semi", d=[3, 2], gamma=[1.0, 2.0])
-        bases = [b.entries for b in bundle.bases]
-        assert [b.shape for b in bases] == [(8, 3), (8, 2)]
-        for b in bases:
-            np.testing.assert_allclose(np.linalg.norm(b, axis=0), 1.0, rtol=1e-12)
-        # at tau_A = 0 the known source trains exactly as plain nmf does
-        _, nmf = train("nmf", "nmf", d=3)
-        assert np.array_equal(bases[0], nmf.bases[0].entries)
-        assert build_train_spec(bundle.manifest["train_spec"], "semi") == build_train_spec(cfg["train"], "semi", 4)
 
     def test_denoise_wav(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -654,41 +632,30 @@ class TestErrors:
             == 1
         )
 
-    @pytest.mark.parametrize("missing", ["sources", "mixes"])
-    def test_semi_names_missing_data(self, tmp_path, monkeypatch, missing, capsys):
-        # the data a method needs are checked before training starts: in tune, before the first
-        # trial, which would otherwise record the error and go on to the next
-        rng = np.random.default_rng(0)
-        write_matrix(tmp_path / "mix.anmf", rng.random((8, 20)))
-        data = {"sources": make_sources(tmp_path, rng, s=1), "mixes": str(tmp_path / "mix.anmf")}
-        del data[missing]
-        sup = make_sources(tmp_path, rng, n=12, prefix="sup")
-        write_matrix(tmp_path / "sup_mix.anmf", sum(read_matrix(p) for p in sup))
-        monkeypatch.setattr(anmf.cli, "train_with_method", lambda *a: pytest.fail("a model was trained"))
-        for command, extra in [("train", {}), ("tune", {"tuning": {"trials": 2, "space": {}}})]:
-            if command == "tune":
-                data["supervised"] = {"sources": sup, "mix": str(tmp_path / "sup_mix.anmf")}
-            cfg = write_config(tmp_path, "semi.json", {"method": "semi", "data": data, "train": {"d": [2, 2]},
-                                                       "output": str(tmp_path / "model"), **extra})
-            assert run_cli([command, "--config", cfg]) == 1
-            assert capsys.readouterr().err.splitlines() == [f"anmf: error: semi needs data.{missing}"]
-            assert not (tmp_path / "model").exists()
+    # the data each method trains on: the true data train every method but dnmf, whose true-data term
+    # is off, and the supervised pairs train dnmf and danmf
+    NEEDS = {"nmf": ["sources"], "enmf": ["sources"], "anmf": ["sources"], "dnmf": ["supervised"],
+             "danmf": ["sources", "supervised"]}
 
-    @pytest.mark.parametrize("method", ["anmf", "danmf"])
-    def test_adversarial_methods_name_missing_sources(self, tmp_path, method, capsys):
-        # the adversarial data are built from the sources; supervised data alone is not enough
+    @pytest.mark.parametrize("method", NEEDS)
+    def test_adversarial_methods_name_missing_sources(self, tmp_path, monkeypatch, method, capsys):
+        # a method's data needs are checked before any file is read: in tune, before the first trial,
+        # which would otherwise record the error and go on to the next
         rng = np.random.default_rng(0)
         sup = make_sources(tmp_path, rng, n=12, prefix="sup")
         write_matrix(tmp_path / "sup_mix.anmf", sum(read_matrix(p) for p in sup))
-        cfg = write_config(tmp_path, "train.json", {
-            "method": method,
-            "data": {"supervised": {"sources": sup, "mix": str(tmp_path / "sup_mix.anmf")}},
-            "train": {"d": 2, "epochs": 1},
-            "output": str(tmp_path / "model"),
-        })
-        assert run_cli(["train", "--config", cfg]) == 1
-        assert capsys.readouterr().err.rstrip().endswith(f"{method} needs data.sources")
-        assert not (tmp_path / "model").exists()
+        data = {"sources": make_sources(tmp_path, rng),
+                "supervised": {"sources": sup, "mix": str(tmp_path / "sup_mix.anmf")}}
+        monkeypatch.setattr(anmf.io, "load_data_matrix", lambda *a: pytest.fail("data were read"))
+        monkeypatch.setattr(anmf.cli, "train_smu", lambda *a, **k: pytest.fail("a model was trained"))
+        for missing in self.NEEDS[method]:
+            for command, extra in [("train", {}), ("tune", {"tuning": {"trials": 2, "space": {}}})]:
+                cfg = write_config(tmp_path, "c.json", {
+                    "method": method, "data": {k: v for k, v in data.items() if k != missing},
+                    "train": {"d": 2, "epochs": 1}, "output": str(tmp_path / "model"), **extra})
+                assert run_cli([command, "--config", cfg]) == 1
+                assert capsys.readouterr().err.splitlines() == [f"anmf: error: {method} needs data.{missing}"]
+                assert not (tmp_path / "model").exists()
 
     def test_tune_needs_supervised_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "tune.json", {
@@ -722,14 +689,12 @@ class TestErrors:
         out = tmp_path / "out"
         # every value passes the checks before the trials; training fails
         # inside each trial that draws batch_size 7
-        train = anmf.cli.train_with_method
-
-        def failing(method, sources, sets, mixes, supervised, spec):
+        def failing(true_data, spec, adversarial=None, supervised=None):
             if spec.batch_size == 7:
                 raise ValueError("no batch of 7")
-            return train(method, sources, sets, mixes, supervised, spec)
+            return train_smu(true_data, spec, adversarial=adversarial, supervised=supervised)
 
-        monkeypatch.setattr(anmf.cli, "train_with_method", failing)
+        monkeypatch.setattr(anmf.cli, "train_smu", failing)
         cfg = write_config(tmp_path, "tune.json", {
             "method": "nmf",
             "data": {"sources": make_sources(tmp_path, rng),
@@ -752,20 +717,21 @@ class TestErrors:
             else:
                 assert t["error"] is None and len(t["fold_scores"]) == 1
 
-    def test_tune_rejects_unknown_method_before_trials(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["pca", "semi"])
+    def test_tune_rejects_unknown_method_before_trials(self, tmp_path, method, capsys):
         rng = np.random.default_rng(0)
         sup = make_sources(tmp_path, rng, n=12)
         write_matrix(tmp_path / "sup_mix.anmf", sum(read_matrix(p) for p in sup))
         out = tmp_path / "out"
         cfg = write_config(tmp_path, "tune.json", {
-            "method": "pca",
+            "method": method,
             "data": {"sources": make_sources(tmp_path, rng),
                      "supervised": {"sources": sup, "mix": str(tmp_path / "sup_mix.anmf")}},
             "tuning": {"trials": 2, "folds": 2, "space": {}},
             "output": str(out),
         })
         assert run_cli(["tune", "--config", cfg]) == 1
-        assert "unknown method 'pca'" in capsys.readouterr().err
+        assert f"unknown method {method!r}" in capsys.readouterr().err
         assert not (out / "tune_result.json").exists()
 
     @pytest.mark.parametrize("tau_S", [0.0, 1.0])
@@ -902,9 +868,8 @@ class TestErrors:
         trials = json.loads((tmp_path / "out" / "tune_result.json").read_text())["trials"]
         assert len(trials) == 2 and all(t["error"] is None for t in trials)
 
-    @pytest.mark.parametrize("method, d, need", [("nmf", [2, 2, 2], 2), ("semi", [2, 2], 3)])
+    @pytest.mark.parametrize("method, d, need", [("nmf", [2, 2, 2], 2)])
     def test_tune_checks_untuned_d_before_reading_data(self, tmp_path, monkeypatch, method, d, need, capsys):
-        # semi fits one basis more than its two sources
         cfg = self._configs(tmp_path)["tune"]
         cfg["method"] = method
         cfg["train"]["d"] = d
@@ -943,7 +908,7 @@ class TestErrors:
             cfg["train"] = {**cfg["train"], "sample_anchor": "supervised"}
         else:
             cfg["tuning"]["space"] = {"sample_anchor": {"type": "choice", "options": ["true_data", "supervised"]}}
-        monkeypatch.setattr(anmf.cli, "train_with_method", lambda *a: pytest.fail("a model was trained"))
+        monkeypatch.setattr(anmf.cli, "train_smu", lambda *a, **k: pytest.fail("a model was trained"))
         path = write_config(tmp_path, "c.json", cfg)
         assert run_cli([command, "--config", path]) == 1
         block = "train" if where == "train" else "tuning.space"
@@ -958,7 +923,7 @@ class TestErrors:
             cfg["train"]["seed"] = 5
         else:
             cfg["tuning"]["space"] = {"seed": {"type": "choice", "options": [1, 2]}}
-        monkeypatch.setattr(anmf.cli, "train_with_method", lambda *a: pytest.fail("a model was trained"))
+        monkeypatch.setattr(anmf.cli, "train_smu", lambda *a, **k: pytest.fail("a model was trained"))
         assert run_cli(["tune", "--config", write_config(tmp_path, "c.json", cfg)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "anmf: error: tune takes its seed from --seed or the config's top-level seed, "
@@ -987,7 +952,7 @@ class TestErrors:
         cfg = self._configs(tmp_path)["tune"]
         wide = make_sources(tmp_path, np.random.default_rng(1), n=30, prefix="wide")
         cfg["data"]["supervised"]["sources"] = wide
-        monkeypatch.setattr(anmf.cli, "train_with_method", lambda *a: pytest.fail("a model was trained"))
+        monkeypatch.setattr(anmf.cli, "train_smu", lambda *a, **k: pytest.fail("a model was trained"))
         assert run_cli(["tune", "--config", write_config(tmp_path, "c.json", cfg)]) == 1
         mix = cfg["data"]["supervised"]["mix"]
         assert capsys.readouterr().err.splitlines() == [
@@ -1020,12 +985,13 @@ class TestErrors:
         cfg = {**self._configs(tmp_path)["tune"], "method": "anmf"}
         edit(cfg)
         path = write_config(tmp_path, "c.json", cfg)
-        monkeypatch.setattr(anmf.cli, "train_with_method", lambda *a: pytest.fail("a model was trained"))
+        monkeypatch.setattr(anmf.cli, "train_smu", lambda *a, **k: pytest.fail("a model was trained"))
         assert run_cli(["tune", "--config", path]) == 1
         assert capsys.readouterr().err.splitlines() == [f"anmf: error: {path}: {message}"]
         assert not (tmp_path / "out").exists()
 
     SEPARATE = ["separate", "--model", "model", "--input", "mix.anmf", "--output-dir", "out"]
+    ZERO_COL = "zero_col.anmf: column 3 is zero, and sisdr needs a nonzero reference"
 
     @pytest.mark.parametrize("argv, edit, message", [
         # config cases: the command, an edit of its _configs config, and the
@@ -1042,6 +1008,7 @@ class TestErrors:
         (["tune"], lambda c: c.update(metric="psrn"), "metric 'psrn' is not one of psnr, sisdr"),
         # a kind that is a list is no kind, and no TypeError
         (["train"], lambda c: c.update(method=["nmf"]), "unknown method ['nmf']"),
+        (["train"], lambda c: c.update(method="semi"), "unknown method 'semi'"),
         (["mix"], lambda c: c.update(weight_model={"mode": ["dirichlet"]}),
          "weight_model mode ['dirichlet'] is not one of deterministic, dirichlet"),
         (["tune"], lambda c: c["tuning"].update(space={"mu_H": {"type": ["uniform"], "lo": 0.0, "hi": 1.0}}),
@@ -1128,9 +1095,17 @@ class TestErrors:
          "tuning.space.eps value 0.0: eps must be positive and finite"),
         (["tune"], lambda c: c["tuning"].update(space={"d": {"type": "choice", "options": [2, [2, 2, 2]]}}),
          "tuning.space.d value [2, 2, 2]: need 2 latent dimensions, got 3"),
+        # sisdr scores against no reference column of zero energy: each reference, and tune's
+        # supervised sources, are checked where they are read
+        (SEPARATE + ["--metric", "sisdr", "--references", "src_0.anmf", "zero_col.anmf"], None, ZERO_COL),
+        (["eval", "--estimates", "src_0.anmf", "--references", "zero_col.anmf", "--output", "out.csv",
+          "--metric", "sisdr"], None, ZERO_COL),
+        (["tune", "--config", "sisdr.json"], None, ZERO_COL),
+        (["denoise", "--model", "voice", "--input", "x.wav", "--output", "out", "--reference", "silent.wav"], None,
+         "silent.wav: every sample is zero, and sisdr needs a nonzero reference"),
     ], ids=["train_block_list", "mix_output_string", "mix_output_misspelt", "space_entry_without_type",
             "space_entry_list", "tune_without_output", "tune_peak_0", "tune_metric_misspelt",
-            "method_list", "weight_model_mode_list", "space_type_list",
+            "method_list", "method_semi", "weight_model_mode_list", "space_type_list",
             "train_epochs_list", "tune_trials_list", "train_output_list", "mix_mc_samples_list",
             "train_epochs_fraction", "train_tau_A_string", "train_seed_true", "mix_seed_true",
             "data_sources_string", "mix_sources_string", "space_uniform_int_key", "space_choice_option_string",
@@ -1144,18 +1119,26 @@ class TestErrors:
             "train_mu_H_int_beyond_float", "tune_peak_infinity", "separate_mu_h_nan", "separate_mu_h_inf",
             "separate_peak_inf", "denoise_mu_h_nan", "eval_peak_nan",
             "space_danmf_tau_S_1", "space_choice_mu_H_negative", "space_uniform_mu_W_negative",
-            "space_batch_size_0", "space_eps_0", "space_d_of_three_for_two_sources"])
+            "space_batch_size_0", "space_eps_0", "space_d_of_three_for_two_sources",
+            "separate_sisdr_zero_reference_column", "eval_sisdr_zero_reference_column",
+            "tune_sisdr_zero_supervised_column", "denoise_silent_reference"])
     def test_bad_input_fails_before_any_work(self, tmp_path, monkeypatch, argv, edit, message, capsys):
         # valid inputs beside the one at fault: a two-basis bundle and a mix
         # with references, a one-basis STFT bundle and a WAV, synth prefixes
         # whose sidecar lacks its window, is not JSON, or holds a bad rate or
-        # length, a config that is not JSON, a float WAV and a truncated one
+        # length, a config that is not JSON, a float WAV and a truncated one, and a
+        # reference whose column 3 is zero, the second supervised source of a sisdr tune config,
+        # and a silent reference WAV
         monkeypatch.chdir(tmp_path)
         rng = np.random.default_rng(15)
         save_bundle("model", [rng.random((8, 2)), rng.random((8, 2))])
         write_matrix("mix.anmf", rng.random((8, 30)))
+        zero_col = rng.random((8, 30))
+        zero_col[:, 3] = 0.0
+        write_matrix("zero_col.anmf", zero_col)
         save_bundle("voice", [rng.random((257, 2))])
         write_wav("x.wav", 0.1 * rng.standard_normal(1024), 16000)
+        write_wav("silent.wav", np.zeros(1024), 16000)
         sidecar = {"n_fft": 512, "hop": 128, "window": "hann", "sample_rate": 16000, "length": 512}
         sidecars = {
             "feat": json.dumps({k: v for k, v in sidecar.items() if k != "window"}),
@@ -1172,12 +1155,15 @@ class TestErrors:
         Path("float.wav").write_bytes(float32_wav_bytes(np.zeros(1024), 16000))
         Path("short.wav").write_bytes(b"RIFF\x00")
         configs = self._configs(tmp_path)  # writes src_0.anmf and src_1.anmf, 8 x 30
+        supervised = {"sources": ["src_0.anmf", "zero_col.anmf"], "mix": "mix.anmf"}
+        write_config(tmp_path, "sisdr.json", {**configs["tune"], "metric": "sisdr",
+                                              "data": {**configs["tune"]["data"], "supervised": supervised}})
         if edit is not None:
             cfg = configs[argv[0]]
             edit(cfg)
             path = write_config(tmp_path, "c.json", cfg)
             argv, message = [argv[0], "--config", path], f"{path}: {message}"
-        monkeypatch.setattr(anmf.cli, "train_with_method", lambda *a: pytest.fail("a model was trained"))
+        monkeypatch.setattr(anmf.cli, "train_smu", lambda *a, **k: pytest.fail("a model was trained"))
         assert run_cli(argv) == 1
         assert capsys.readouterr().err.splitlines() == [f"anmf: error: {message}"]
         assert not list(tmp_path.glob("out*"))

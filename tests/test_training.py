@@ -6,11 +6,10 @@ import pytest
 
 import anmf.training as training
 from anmf.adversarial import WeightModel, adversarial_sets
-from anmf.core import SparsityParams, as_array, init_exemplar, update_latents
+from anmf.core import SparsityParams, as_array, init_exemplar
 from anmf.training import (
     TrainSpec,
     grad_parts,
-    train_semisupervised,
     train_smu,
     update_basis,
 )
@@ -534,82 +533,3 @@ class TestObjective:
         assert per_source[0] * n > 1e-8 * np.linalg.norm(U) ** 2  # no direct-form fallback
         assert peak < U.nbytes
 
-
-class TestSemiSupervised:
-    def test_known_source_explains_mix(self):
-        rng = np.random.default_rng(9)
-        W1 = rng.random((6, 3))
-        H1 = rng.random((3, 30))
-        V = W1 @ H1
-        spec = make_spec(d=[3, 2], epochs=300, seed=4, sparsity=SparsityParams(0.0, 0.0))
-        W2 = train_semisupervised(V, [W1], spec)
-        from anmf.separation import separate
-
-        # a near-exact fit: solved to the tight tol, not the default
-        res = separate(V, [W1, W2], P0, max_iter=2000, tol=1e-8)
-        recon = res.raw[0] + res.raw[1]
-        # the joint model reconstructs the representable mix well and the
-        # known source takes the larger share
-        assert np.linalg.norm(V - recon) <= 1e-3 * np.linalg.norm(V)
-        assert np.linalg.norm(res.raw[0]) > np.linalg.norm(res.raw[1])
-
-    def test_single_source_matches_plain_nmf(self):
-        rng = np.random.default_rng(10)
-        V = rng.random((6, 14))
-        spec = make_spec(d=3, epochs=25, seed=7)
-        W_semi = train_semisupervised(V, [], spec)
-        state = train_smu([V.copy()], spec)
-        assert np.allclose(W_semi, as_array(state.bases[0]), rtol=1e-8, atol=1e-10)
-
-    def test_zero_epochs_returns_initial(self):
-        V = np.random.default_rng(11).random((5, 9))
-        spec = make_spec(d=2, epochs=0, seed=3)
-        W = train_semisupervised(V, [np.ones((5, 2))], spec)
-        assert np.array_equal(W, init_exemplar(V, 2, [3, 1, 1]))
-
-    def test_empty_mix_rejected(self):
-        with pytest.raises(ValueError):
-            train_semisupervised(np.zeros((4, 0)), [np.ones((4, 2))], make_spec(d=2))
-
-    def test_forms_no_m_by_n_array(self):
-        # 257 x 4000 mix, d = [32, 16]: the working memory stays below one
-        # m x N float64 array
-        rng = np.random.default_rng(12)
-        V = rng.random((257, 4000))
-        frozen = rng.random((257, 32))
-        spec = make_spec(d=[32, 16], epochs=2, seed=1)
-        tracemalloc.start()
-        try:
-            train_semisupervised(V, [frozen], spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < V.nbytes
-
-    def test_one_latent_and_one_basis_step_per_epoch(self, monkeypatch):
-        rng = np.random.default_rng(13)
-        frozen = [rng.random((7, 3)), rng.random((7, 2))]
-        kept = [f.copy() for f in frozen]
-        V = rng.random((7, 25))
-        latent_calls, basis_calls = [], []
-
-        def spy_latents(H, W, U, p=None, n_scale=1.0):
-            latent_calls.append(as_array(W).copy())
-            return update_latents(H, W, U, p, n_scale)
-
-        def spy_update(W, den, num, mu_W, eps):
-            basis_calls.append(as_array(W).copy())
-            return update_basis(W, den, num, mu_W, eps)
-
-        monkeypatch.setattr(training, "update_latents", spy_latents)
-        monkeypatch.setattr(training, "update_basis", spy_update)
-        W_s = train_semisupervised(V, frozen, make_spec(d=[3, 2, 4], epochs=3, seed=2))
-        assert len(latent_calls) == len(basis_calls) == 3
-        for Wcat, W_step in zip(latent_calls, basis_calls):
-            # the latent step runs on [frozen bases, W_s], the basis step on W_s
-            assert Wcat.shape == (7, 9) and W_step.shape == (7, 4)
-            assert np.array_equal(Wcat[:, :5], np.concatenate(kept, axis=1))
-            assert np.array_equal(Wcat[:, 5:], W_step)
-        assert W_s.shape == (7, 4)
-        for f, k in zip(frozen, kept):
-            assert np.array_equal(f, k)
