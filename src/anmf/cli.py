@@ -197,6 +197,14 @@ def _config_method(cfg, path):
     return method, _config_block(cfg.get("train", {}), "train", path, TRAIN_TYPES)
 
 
+def _supervised_block(data, path):
+    # the checked data.supervised block of a config's checked data block; {} when there is none
+    if "supervised" not in data:
+        return {}
+    return _config_block(data["supervised"], "data.supervised", path, {"sources": list[str], "mix": str},
+                         ("sources", "mix"))
+
+
 def _training_inputs(clamp, cfg, path, method, seed, adversarial):
     """The sources, adversarial sets and supervised (sources, mix) pair of
     a train or tune config read from path, each None when there is none.
@@ -219,8 +227,7 @@ def _training_inputs(clamp, cfg, path, method, seed, adversarial):
     mixes = aio.load_data_matrix(data["mixes"], clamp) if data.get("mixes") else None
     supervised = None
     if "supervised" in data:
-        sup = _config_block(data["supervised"], "data.supervised", path, {"sources": list[str], "mix": str},
-                            ("sources", "mix"))
+        sup = _supervised_block(data, path)
         supervised = (
             [aio.load_data_matrix(p, clamp) for p in sup["sources"]],
             aio.load_data_matrix(sup["mix"], clamp),
@@ -307,20 +314,25 @@ def cmd_denoise(args):
             raise ValueError(f"{args.reference}: every sample is zero, and sisdr needs a nonzero reference")
         del ref
     cfg = feat.StftConfig(n_fft=n_fft, hop=args.hop)
-    spectrum = feat.stft(samples, cfg)
-    mag = np.abs(spectrum)
     # projection denoising fits the speech basis alone; the unexplained
     # remainder acts as the noise magnitude for the soft mask
     bases = bundle.bases[:1] if mode == "project" else bundle.bases
-    mags = fit_sources(mag, bases, p, max_iter=args.max_iter)
-    if mode == "project":
-        mags.append(np.maximum(mag - mags[0], 0.0))
-    # soft-mask synthesis of the speech signal alone: the speech mask
-    # multiplies the mix in place, and the mask and magnitudes are dropped
-    # before the inverse transform to bound peak memory
-    feat.apply_gain(spectrum, wiener_mask(mags[0], sum(mags), len(mags)))
-    del mag, mags
-    speech = feat.istft(spectrum, cfg, length=len(samples))
+
+    def speech_block(spectrum):
+        # one block of frames, end to end: every column is fitted on its own,
+        # so the blocks give the whole spectrum's fit up to BLAS rounding (see
+        # solve_nnls), and no spectrum-sized array outlives its block
+        mag = np.abs(spectrum)
+        mags = fit_sources(mag, bases, p, max_iter=args.max_iter)
+        if mode == "project":  # the clipped remainder, in mag's memory
+            mags.append(np.maximum(np.subtract(mag, mags[0], out=mag), 0.0, out=mag))
+        # soft-mask synthesis of the speech signal alone: the speech mask multiplies the mix in place
+        feat.apply_gain(spectrum, wiener_mask(mags[0], sum(mags), len(mags)))
+        return spectrum
+
+    # the padded signal that the blocks are cut from is freed with them
+    speech = feat.istft_blocks(map(speech_block, feat.stft_blocks(samples, cfg)), cfg.n_frames(len(samples)), cfg,
+                               length=len(samples))
     aio.write_wav(args.output, speech, rate)
     if args.reference:
         ref, _ = aio.load_wav(args.reference)
@@ -358,13 +370,15 @@ def cmd_tune(args):
     # draws each choice option; uniform and log_uniform draw from [lo, hi), and lo
     # itself almost never, so a range is checked at each end one step inward (a tau_S
     # range [0, 1] is valid for danmf).
-    source_paths = _config_block(cfg.get("data", {}), "data", args.config, DATA_TYPES).get("sources")
+    # one basis per source: dnmf may train on the supervised sources alone
+    data_cfg = _config_block(cfg.get("data", {}), "data", args.config, DATA_TYPES)
+    source_paths = data_cfg.get("sources") or _supervised_block(data_cfg, args.config).get("sources")
     n_bases = len(source_paths or ())
     untuned_cfg = {k: v for k, v in base_train_cfg.items() if k not in space.params}
 
     def checked_spec(overrides):
         spec = build_train_spec(untuned_cfg, method, seed, overrides=overrides)
-        if n_bases:  # 0 without data.sources: _training_inputs names them missing unless the method is dnmf
+        if n_bases:  # 0 without sources: _training_inputs names the missing data
             spec.dims(n_bases)
         return spec
 
@@ -477,9 +491,14 @@ def cmd_eval(args):
 def cmd_features(args):
     samples, rate = aio.load_wav(args.input)
     cfg = feat.StftConfig(n_fft=args.n_fft, hop=args.hop)
-    spectrum = feat.stft(samples, cfg)
-    aio.write_matrix(args.output_prefix + ".mag.anmf", np.abs(spectrum))
-    aio.write_matrix(args.output_prefix + ".phase.anmf", np.angle(spectrum))
+    blocks = feat.stft_blocks(samples, cfg)
+    shape = cfg.n_bins, cfg.n_frames(len(samples))
+    # each block's magnitude and phase go straight to the files: no spectrum-sized array is held
+    with (aio.matrix_writer(args.output_prefix + ".mag.anmf", *shape) as write_mag,
+          aio.matrix_writer(args.output_prefix + ".phase.anmf", *shape) as write_phase):
+        for block in blocks:
+            write_mag(np.abs(block))
+            write_phase(np.angle(block))
     # the window and rate are recorded for readers of the file; synth checks the window
     meta = {"n_fft": cfg.n_fft, "hop": cfg.hop, "window": "hann", "sample_rate": rate, "length": len(samples)}
     Path(args.output_prefix + ".cfg.json").write_text(json.dumps(meta, indent=2))

@@ -120,7 +120,13 @@ def solve_nnls(V, W, p=None, max_iter=500, tol=1e-3):
     max_iter caps each column's updates; below 1 it is a ValueError, since
     the all-ones start is no solution. A column whose W.T v has no entry
     above mu_H has the solution h = 0 and is exactly 0, after no update.
-    So a column's result does not depend on the columns solved with it.
+    So a column's result does not depend on the other columns' values, up
+    to rounding: OpenBLAS can round a column differently by the width of the
+    product it sits in and its place there (one column takes the
+    matrix-vector path, and the last few columns of some widths a narrower
+    kernel), and live columns are compacted as others stop. Solved in
+    blocks of 1, 7 or 64 columns, denoise's fit moves in its last bits
+    (tests/test_cli.py::TestAudioBlocks).
 
     Returns:
         H, the d x N coefficient matrix, column-major.

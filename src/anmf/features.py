@@ -4,6 +4,12 @@ A spectrum is a plain complex one-sided (n_fft/2 + 1) x T array from
 centered Hann-windowed frames; callers take np.abs or np.angle of it. istft
 inverts it by exact overlap-add, and soft-mask synthesis multiplies a real
 Wiener mask per source into the complex mix spectrum.
+
+Both directions work on blocks of BLOCK_FRAMES frames: stft_blocks yields
+the spectrum block by block, and istft_blocks overlap-adds blocks into the
+signal, so a caller that handles one block at a time holds the signal-length
+arrays and one block, never the whole spectrum. stft and istft are the
+whole-spectrum cases of the two.
 """
 
 from dataclasses import dataclass
@@ -11,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .separation import wiener_mask
+
+BLOCK_FRAMES = 512  # STFT frames per block
 
 
 @dataclass
@@ -32,10 +40,34 @@ class StftConfig:
     def n_bins(self):
         return self.n_fft // 2 + 1
 
+    def n_frames(self, n_samples):
+        """Frames of a signal of n_samples: ceil(n_samples / hop) + 1."""
+        return -(-n_samples // self.hop) + 1
+
     def window_samples(self):
         # periodic Hann
         n = np.arange(self.n_fft)
         return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / self.n_fft)
+
+
+def stft_blocks(signal, cfg=None):
+    """The columns of stft(signal, cfg), BLOCK_FRAMES frames at a time.
+
+    Returns an iterator of complex column-major blocks of n_bins rows, in
+    frame order; a signal shorter than one window is a ValueError here,
+    before any block. The padded signal is framed without a copy, and only
+    the block being transformed is windowed.
+    """
+    cfg = cfg or StftConfig()
+    x = np.asarray(signal, dtype=float).ravel()
+    if len(x) < cfg.n_fft:
+        raise ValueError(f"signal of length {len(x)} is shorter than one window ({cfg.n_fft})")
+    pad = cfg.n_fft // 2
+    xp = np.pad(x, (pad, pad + (-len(x)) % cfg.hop), mode="reflect")
+    frames = np.lib.stride_tricks.sliding_window_view(xp, cfg.n_fft)[:: cfg.hop]
+    window = cfg.window_samples()
+    return (np.fft.rfft(frames[t0 : t0 + BLOCK_FRAMES] * window, axis=1).T
+            for t0 in range(0, len(frames), BLOCK_FRAMES))
 
 
 def stft(signal, cfg=None):
@@ -46,13 +78,13 @@ def stft(signal, cfg=None):
     samples gives ceil(n / hop) + 1 frames.
     """
     cfg = cfg or StftConfig()
-    x = np.asarray(signal, dtype=float).ravel()
-    if len(x) < cfg.n_fft:
-        raise ValueError(f"signal of length {len(x)} is shorter than one window ({cfg.n_fft})")
-    pad = cfg.n_fft // 2
-    xp = np.pad(x, (pad, pad + (-len(x)) % cfg.hop), mode="reflect")
-    frames = np.lib.stride_tricks.sliding_window_view(xp, cfg.n_fft)[:: cfg.hop]
-    return np.fft.rfft(frames * cfg.window_samples(), axis=1).T
+    blocks = stft_blocks(signal, cfg)
+    out = np.empty((cfg.n_bins, cfg.n_frames(np.size(signal))), dtype=complex, order="F")
+    t0 = 0
+    for block in blocks:
+        out[:, t0 : t0 + block.shape[1]] = block
+        t0 += block.shape[1]
+    return out
 
 
 def apply_gain(spectrum, gain):
@@ -62,16 +94,66 @@ def apply_gain(spectrum, gain):
     spectrum *= np.asarray(gain, order="F" if spectrum.flags.f_contiguous else "C")
 
 
-def _overlap_add(segments, t):
-    # segments: r x hop blocks of each frame, shape (t, r, hop) or (r, hop)
-    # for one block set shared by all t frames. Block j of frame k lands in
-    # output block k + j; adding j from last to first gives every output
-    # sample its frames in ascending order, as a loop over frames would.
-    r, hop = segments.shape[-2:]
-    out = np.zeros((t + r - 1, hop))
+def _overlap_add(segments, out):
+    # segments: r x hop blocks of each frame, shape (t, r, hop), or (r, hop)
+    # for one block set shared by all t frames; out: the t + r - 1 rows of
+    # hop samples that the t frames cover. Block j of frame k lands in row
+    # k + j; adding j from last to first gives every row its frames in
+    # ascending order, as a loop over frames would, and so does adding
+    # consecutive frame blocks in ascending order into overlapping rows.
+    r = segments.shape[-2]
+    t = len(out) - r + 1
     for j in reversed(range(r)):
         out[j : j + t] += segments[..., j, :]
-    return out.ravel()
+
+
+def istft_blocks(blocks, n_frames, cfg=None, length=None):
+    """Inverse transform of a spectrum given as consecutive column blocks.
+
+    blocks yields complex blocks of n_bins rows that together hold the
+    n_frames columns of the spectrum in order, as stft_blocks yields them;
+    each block is inverted and overlap-added once it arrives, so only one
+    block's frames are held at a time. The result is bitwise that of istft
+    on the whole spectrum, whatever the blocks' widths. A block of another
+    row count, or blocks of other than n_frames columns in total, is a
+    ValueError; so is a negative length.
+    """
+    cfg = cfg or StftConfig()
+    if length is not None and length < 0:
+        raise ValueError(f"length must be >= 0, not {length}")
+    r = cfg.n_fft // cfg.hop
+    window = cfg.window_samples()
+    out = np.zeros((n_frames + r - 1, cfg.hop))
+    t0 = 0
+    for block in blocks:
+        if block.shape[0] != cfg.n_bins:
+            raise ValueError(f"spectrum has {block.shape[0]} rows; n_fft {cfg.n_fft} needs {cfg.n_bins}")
+        t = block.shape[1]
+        if t0 + t > n_frames:
+            raise ValueError(f"the blocks hold more than {n_frames} frames")
+        frames = np.fft.irfft(block.T, n=cfg.n_fft, axis=1)
+        frames *= window
+        _overlap_add(frames.reshape(t, r, cfg.hop), out[t0 : t0 + t + r - 1])
+        t0 += t
+        del block, frames  # neither is held while the next block is made
+    if t0 != n_frames:
+        raise ValueError(f"the blocks hold {t0} frames, not {n_frames}")
+    # the window-square sums of min(n_frames, r) frames: the first r - 1 rows,
+    # the one row shared by all rows that r frames cover, and the last r - 1
+    wsum = np.zeros((min(n_frames, r) + r - 1, cfg.hop))
+    _overlap_add((window**2).reshape(r, cfg.hop), wsum)
+    parts = [(out, wsum)]
+    if n_frames > r:
+        parts = [(out[: r - 1], wsum[: r - 1]), (out[r - 1 : n_frames], wsum[r - 1]), (out[n_frames:], wsum[r:])]
+    for rows, sums in parts:
+        np.divide(rows, sums, out=rows, where=sums > 1e-15)
+    pad = cfg.n_fft // 2
+    out = out.ravel()[pad : out.size - pad]
+    if length is None:
+        length = (n_frames - 1) * cfg.hop
+    if length <= len(out):
+        return out[:length]
+    return np.pad(out, (0, length - len(out)))
 
 
 def istft(spectrum, cfg=None, length=None):
@@ -79,28 +161,14 @@ def istft(spectrum, cfg=None, length=None):
 
     This inverts stft with the same cfg exactly. length trims or zero-pads
     the output; the default is (T - 1) * hop, the original length for
-    signals divisible by the hop. A negative length is a ValueError.
+    signals divisible by the hop. A spectrum whose row count is not
+    n_fft/2 + 1, or a negative length, is a ValueError. The spectrum is
+    inverted BLOCK_FRAMES columns at a time (istft_blocks).
     """
-    cfg = cfg or StftConfig()
-    if length is not None and length < 0:
-        raise ValueError(f"length must be >= 0, not {length}")
-    if spectrum.shape[0] != cfg.n_bins:
-        raise ValueError(f"spectrum has {spectrum.shape[0]} rows; n_fft {cfg.n_fft} needs {cfg.n_bins}")
-    r = cfg.n_fft // cfg.hop
-    window = cfg.window_samples()
-    frames = np.fft.irfft(spectrum.T, n=cfg.n_fft, axis=1)
-    frames *= window
-    t = frames.shape[0]
-    out = _overlap_add(frames.reshape(t, r, cfg.hop), t)
-    wsum = _overlap_add((window**2).reshape(r, cfg.hop), t)
-    np.divide(out, wsum, out=out, where=wsum > 1e-15)
-    pad = cfg.n_fft // 2
-    out = out[pad : len(out) - pad]
-    if length is None:
-        length = (t - 1) * cfg.hop
-    if length <= len(out):
-        return out[:length]
-    return np.pad(out, (0, length - len(out)))
+    t = spectrum.shape[1]
+    # an empty spectrum is one empty block, so its rows are checked too
+    blocks = (spectrum[:, t0 : t0 + BLOCK_FRAMES] for t0 in range(0, max(t, 1), BLOCK_FRAMES))
+    return istft_blocks(blocks, t, cfg, length)
 
 
 def apply_mask(mix_spectrum, source_mags, cfg=None, eps=1e-12, length=None):

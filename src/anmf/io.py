@@ -10,6 +10,7 @@ import os
 import struct
 import sys
 import wave
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,17 +43,43 @@ def read_json(path):
         raise ValueError(f"{path}: not a JSON file ({e})") from None
 
 
-def write_matrix(path, matrix):
-    """Write a matrix file: 'ANMF' magic, u32 version, u64 rows/cols
-    (little-endian), then column-major little-endian float64 payload."""
-    a = np.asfortranarray(as_array(matrix), dtype="<f8")
-    if a.ndim != 2:
-        raise ValueError("matrix files hold 2-d matrices")
+@contextmanager
+def matrix_writer(path, rows, cols):
+    """Write a rows x cols matrix file one block of columns at a time.
+
+    Yields write(block), which appends the columns of a block of rows rows.
+    The file is the one write_matrix writes: 'ANMF' magic, u32 version, u64
+    rows/cols (little-endian), then the column-major little-endian float64
+    payload. A block of another row count, or blocks of other than cols
+    columns in total, is a ValueError.
+    """
+    written = 0
     with open(path, "wb") as f:
         f.write(MATRIX_MAGIC)
-        f.write(struct.pack("<IQQ", MATRIX_VERSION, a.shape[0], a.shape[1]))
-        # the transpose is the same memory in C order: written with no copy
-        f.write(a.T.data)
+        f.write(struct.pack("<IQQ", MATRIX_VERSION, rows, cols))
+
+        def write(block):
+            nonlocal written
+            a = np.asfortranarray(block, dtype="<f8")
+            if a.ndim != 2 or a.shape[0] != rows or written + a.shape[1] > cols:
+                raise ValueError(f"{path}: a block of shape {a.shape} does not fit the {rows} x {cols} "
+                                 f"matrix after {written} columns")
+            # the transpose is the same memory in C order: written with no copy
+            f.write(a.T.data)
+            written += a.shape[1]
+
+        yield write
+    if written != cols:
+        raise ValueError(f"{path}: {written} of {cols} columns written")
+
+
+def write_matrix(path, matrix):
+    """Write a matrix file in one block (matrix_writer)."""
+    a = as_array(matrix)
+    if a.ndim != 2:
+        raise ValueError("matrix files hold 2-d matrices")
+    with matrix_writer(path, *a.shape) as write:
+        write(a)
 
 
 def read_matrix(path):
@@ -124,7 +151,8 @@ def load_wav(path):
             raw = f.readframes(f.getnframes())
     except (wave.Error, EOFError) as e:
         raise ValueError(f"{path}: not a PCM WAV file ({str(e) or 'truncated'})") from None
-    samples = np.frombuffer(raw, dtype="<i2").astype(float) / 32768.0
+    samples = np.frombuffer(raw, dtype="<i2").astype(float)
+    samples /= 32768.0
     return samples, rate
 
 
@@ -133,8 +161,10 @@ def write_wav(path, samples, sample_rate):
     rate = int(sample_rate)
     if not 1 <= rate <= 2**31 - 1:
         raise ValueError(f"{path}: sample_rate must be in [1, 2147483647], not {rate}")
+    # one float copy, scaled and rounded in place
     x = np.clip(np.asarray(samples, dtype=float), -1.0, 32767.0 / 32768.0)
-    pcm = np.round(x * 32768.0).astype("<i2")
+    x *= 32768.0
+    pcm = np.round(x, out=x).astype("<i2")
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)

@@ -63,7 +63,7 @@ def si_sdr(estimate, reference):
     target_energy = float(np.dot(target, target))
     if target_energy == 0.0:
         return -math.inf
-    residual = target - estimate
+    residual = np.subtract(target, estimate, out=target)
     noise = float(np.dot(residual, residual))
     if noise == 0.0:
         return math.inf

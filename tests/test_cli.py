@@ -8,6 +8,7 @@ import pytest
 
 import anmf.adversarial
 import anmf.cli
+import anmf.features
 import anmf.separation
 from anmf import metrics
 from anmf.adversarial import WeightModel, adversarial_sets, compute_beta
@@ -603,6 +604,84 @@ class TestTrainingInputs:
         assert peak < 2.2 * payload
 
 
+class TestAudioBlocks:
+    """denoise and features work on blocks of features.BLOCK_FRAMES STFT frames."""
+
+    @staticmethod
+    def _audio(tmp_path, seconds, name="noisy"):
+        # a voice-like harmonic tone with noise bursts at 16 kHz and its clean reference
+        rng = np.random.default_rng(15)
+        t = np.arange(round(seconds * 16000)) / 16000.0
+        clean = sum(0.2 / k * np.sin(2 * np.pi * 180.0 * k * t) for k in range(1, 6)) * (1 + np.sin(3 * t))
+        noise = 0.1 * rng.standard_normal(len(t)) * (np.sin(5 * t) > 0)
+        write_wav(tmp_path / f"{name}.wav", clean + noise, 16000)
+        write_wav(tmp_path / f"{name}_clean.wav", clean, 16000)
+
+    @pytest.fixture
+    def audio(self, tmp_path):
+        # 76709 samples: 601 frames at n_fft 512, hop 128, so two blocks of 512 and a
+        # last frame that reaches past the end; a one-basis and a two-basis model
+        self._audio(tmp_path, 76709 / 16000)
+        rng = np.random.default_rng(17)
+        save_bundle(tmp_path / "one", [rng.random((257, 16))])
+        save_bundle(tmp_path / "two", [rng.random((257, 16)), rng.random((257, 8))])
+        return tmp_path
+
+    @staticmethod
+    def _outputs(monkeypatch, tmp_path, block, argv, suffixes, out_suffix=""):
+        # the bytes of the files that argv, given the output path last, writes at this block size
+        monkeypatch.setattr(anmf.features, "BLOCK_FRAMES", block)
+        out = tmp_path / f"b{block}"
+        assert run_cli(argv + [f"{out}{out_suffix}"]) == 0
+        return [Path(f"{out}{s}").read_bytes() for s in suffixes]
+
+    @pytest.mark.parametrize("model, mode", [("one", "project"), ("two", "separate")])
+    def test_denoise_does_not_depend_on_block_size(self, audio, monkeypatch, model, mode):
+        argv = ["denoise", "--model", str(audio / model), "--input", str(audio / "noisy.wav"), "--mode", mode,
+                "--max-iter", "30", "--reference", str(audio / "noisy_clean.wav"), "--output"]
+        want_wav, want_csv = self._outputs(monkeypatch, audio, 10**6, argv, [".wav", ".csv"], ".wav")
+        for block in (1, 7, 64):
+            wav, csv_bytes = self._outputs(monkeypatch, audio, block, argv, [".wav", ".csv"], ".wav")
+            assert wav == want_wav, block
+            # OpenBLAS rounds a column by the width of the product it sits in and its place
+            # there (see solve_nnls), so the fit's last bits move with the block size, and
+            # the SI-SDR of the float signal by up to 3 ulps (6.7e-16) at each size here, in
+            # both modes; the 16-bit samples do not move
+            rows, want_rows = (list(csv.reader(b.decode().splitlines())) for b in (csv_bytes, want_csv))
+            assert [r[:3] for r in rows] == [r[:3] for r in want_rows]
+            got, want = (np.array([float(r[3]) for r in x[1:]]) for x in (rows, want_rows))
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_features_does_not_depend_on_block_size(self, audio, monkeypatch):
+        argv = ["features", "--input", str(audio / "noisy.wav"), "--output-prefix"]
+        suffixes = [".mag.anmf", ".phase.anmf", ".cfg.json"]
+        want = self._outputs(monkeypatch, audio, 10**6, argv, suffixes)
+        for block in (1, 7, 64):
+            assert self._outputs(monkeypatch, audio, block, argv, suffixes) == want, block
+
+    @pytest.mark.parametrize("command, bound", [("denoise", 6), ("features", 4)])
+    def test_peak_memory_grows_by_a_few_signal_arrays(self, tmp_path, command, bound):
+        # the growth of the traced peak from an 8 s to a 32 s input, in float64 arrays of
+        # the added 24 s: a few signal-length arrays, and one block of frames that does not
+        # grow; at n_fft 512, hop 128 a whole complex spectrum would add about 4 on its own
+        save_bundle(tmp_path / "model", [np.random.default_rng(18).random((257, 16))])
+        peaks = []
+        for seconds in (8, 32):
+            self._audio(tmp_path, seconds, f"in{seconds}")
+            wav, out = str(tmp_path / f"in{seconds}.wav"), str(tmp_path / f"out{seconds}")
+            argv = {"denoise": ["denoise", "--model", str(tmp_path / "model"), "--input", wav, "--output", out + ".wav",
+                                "--max-iter", "5", "--reference", str(tmp_path / f"in{seconds}_clean.wav")],
+                    "features": ["features", "--input", wav, "--output-prefix", out]}[command]
+            tracemalloc.start()
+            try:
+                rc = run_cli(argv)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+        assert (peaks[1] - peaks[0]) / (24 * 16000 * 8) <= bound
+
+
 class TestErrors:
     def test_missing_config(self, capsys):
         # argparse requires --config of each configured command
@@ -868,11 +947,14 @@ class TestErrors:
         trials = json.loads((tmp_path / "out" / "tune_result.json").read_text())["trials"]
         assert len(trials) == 2 and all(t["error"] is None for t in trials)
 
-    @pytest.mark.parametrize("method, d, need", [("nmf", [2, 2, 2], 2)])
+    @pytest.mark.parametrize("method, d, need", [("nmf", [2, 2, 2], 2), ("dnmf", [2, 2, 2], 2)])
     def test_tune_checks_untuned_d_before_reading_data(self, tmp_path, monkeypatch, method, d, need, capsys):
         cfg = self._configs(tmp_path)["tune"]
         cfg["method"] = method
         cfg["train"]["d"] = d
+        if method == "dnmf":
+            # dnmf trains on the supervised pairs alone: their sources count the bases
+            del cfg["data"]["sources"]
         monkeypatch.setattr(anmf.io, "load_data_matrix", lambda *a: pytest.fail("data were read"))
         assert run_cli(["tune", "--config", write_config(tmp_path, "c.json", cfg)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"anmf: error: need {need} latent dimensions, got {len(d)}"]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from anmf.features import StftConfig, apply_gain, apply_mask, istft, stft
+import anmf.features
+from anmf.features import StftConfig, apply_gain, apply_mask, istft, istft_blocks, stft
 
 
 class TestStftConfig:
@@ -106,6 +107,41 @@ class TestOverlapAdd:
         # a random real gain, so the spectrum is no longer an exact transform
         spec = spec * rng.random(spec.shape)
         assert np.array_equal(istft(spec, cfg), istft_loop(spec, cfg))
+
+    @pytest.mark.parametrize("t", [1, 3, 4, 5])
+    def test_short_spectrum_equal_to_frame_loop(self, t):
+        # up to n_fft/hop = 4 frames, no output row sums the windows of a full n_fft/hop frames
+        cfg = StftConfig(n_fft=512, hop=128)
+        spec = stft(np.random.default_rng(t).standard_normal(4096), cfg)[:, :t]
+        assert np.array_equal(istft(spec, cfg), istft_loop(spec, cfg))
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("block", [1, 7, 64, 10**6])
+    def test_result_does_not_depend_on_block_size(self, block, monkeypatch):
+        # 601 frames: several blocks at every size below the frame count
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(599 * 128 + 37)
+        gain = rng.random((257, 601))
+        # the single-block results, and those at this block size
+        results = []
+        for size in (10**6, block):
+            monkeypatch.setattr(anmf.features, "BLOCK_FRAMES", size)
+            spec = stft(x)
+            masked = spec * gain
+            results.append([spec, istft(spec), istft(masked), istft(masked, length=len(x)), istft(masked, length=10**5)])
+        for want, got in zip(*results):
+            assert np.array_equal(got, want)
+        assert results[1][0].flags.f_contiguous
+
+    def test_blocks_must_hold_the_frames(self):
+        spec = stft(np.random.default_rng(13).standard_normal(4096))
+        blocks = [spec[:, :10], spec[:, 10:]]
+        assert np.array_equal(istft_blocks(iter(blocks), spec.shape[1]), istft(spec))
+        with pytest.raises(ValueError, match="the blocks hold 33 frames, not 34"):
+            istft_blocks(iter(blocks), 34)
+        with pytest.raises(ValueError, match="more than 32 frames"):
+            istft_blocks(iter(blocks), 32)
 
 
 class TestSpectrogram:

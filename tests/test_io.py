@@ -12,6 +12,7 @@ from anmf.io import (
     load_data_matrix,
     load_idx_images,
     load_wav,
+    matrix_writer,
     mix_synthetic,
     read_json,
     read_matrix,
@@ -116,6 +117,26 @@ class TestMatrixFile:
         finally:
             tracemalloc.stop()
         assert peak < 0.05 * mat.nbytes
+
+    def test_blocks_write_the_matrix_file(self, tmp_path):
+        mat = np.random.default_rng(4).random((5, 9))
+        write_matrix(tmp_path / "one.anmf", mat)
+        with matrix_writer(tmp_path / "blocks.anmf", 5, 9) as write:
+            # an empty block writes nothing
+            for a, b in ((0, 4), (4, 4), (4, 8), (8, 9)):
+                write(mat[:, a:b])
+        assert (tmp_path / "blocks.anmf").read_bytes() == (tmp_path / "one.anmf").read_bytes()
+
+    @pytest.mark.parametrize("blocks, message", [
+        ([np.ones((5, 2))], "2 of 3 columns written"),
+        ([np.ones((5, 2)), np.ones((5, 2))], "a block of shape \\(5, 2\\) does not fit the 5 x 3 matrix after 2 columns"),
+        ([np.ones((4, 3))], "a block of shape \\(4, 3\\) does not fit"),
+    ])
+    def test_blocks_must_fill_the_matrix(self, tmp_path, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            with matrix_writer(tmp_path / "m.anmf", 5, 3) as write:
+                for block in blocks:
+                    write(block)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.anmf"
