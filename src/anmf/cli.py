@@ -491,7 +491,7 @@ def cmd_eval(args):
 def cmd_features(args):
     samples, rate = aio.load_wav(args.input)
     cfg = feat.StftConfig(n_fft=args.n_fft, hop=args.hop)
-    blocks = feat.stft_blocks(samples, cfg)
+    blocks = feat.stft_blocks(samples, cfg)  # a too-short signal fails here, before any file is created
     shape = cfg.n_bins, cfg.n_frames(len(samples))
     # each block's magnitude and phase go straight to the files: no spectrum-sized array is held
     with (aio.matrix_writer(args.output_prefix + ".mag.anmf", *shape) as write_mag,
