@@ -148,16 +148,26 @@ def score_separation(filtered, references, metric, weights, peak=1.0):
     return amet.weighted_score(medians, weights)
 
 
+def _score_rows(pairs, metric, peak):
+    """metrics.csv rows [column, source, metric, score] of each (estimate,
+    reference) pair's _per_column_scores, and those scores by source."""
+    scores = [_per_column_scores(est, ref, metric, peak) for est, ref in pairs]
+    return [[k, i, metric, v] for i, s in enumerate(scores) for k, v in enumerate(s)], scores
+
+
 def _check_shape(path, mat, other_path, other):
     if mat.shape != other.shape:
         raise ValueError(f"{path} has shape {mat.shape}, but {other_path} has shape {other.shape}")
 
 
-def _check_reference(path, ref, metric):
-    # si_sdr has no projection onto a reference column of zero energy
+def _checked_reference(path, ref, other_path, other, metric):
+    # ref, read from path, once it has the shape of its estimate other and, under sisdr, no column
+    # of zero energy, which si_sdr has no projection onto
+    _check_shape(path, ref, other_path, other)
     zero = np.flatnonzero(np.einsum("ij,ij->j", ref, ref) == 0) if metric == "sisdr" else []
     if len(zero):
         raise ValueError(f"{path}: column {zero[0]} is zero, and sisdr needs a nonzero reference")
+    return ref
 
 
 def _write_metrics_csv(path, rows):
@@ -174,6 +184,9 @@ def cmd_mix(args):
     cfg = _load_config(args, MIX_KEYS)
     out = _config_block(cfg["output"], "output", args.config, {"mix": str, "ground_truth": list[str], "weights": str},
                         ("mix",))
+    if len(out.get("ground_truth", cfg["sources"])) != len(cfg["sources"]):
+        raise ValueError(f"{args.config}: output.ground_truth needs one path per source: "
+                         f"{len(cfg['sources'])} sources, {len(out['ground_truth'])} paths")
     if "snr_db" in cfg and "weight_model" in cfg:
         raise ValueError(f"{args.config}: snr_db and weight_model exclude each other; SNR mixing reads no weight model")
     sources = [aio.load_data_matrix(p, args.clamp_negatives) for p in cfg["sources"]]
@@ -197,45 +210,55 @@ def _config_method(cfg, path):
     return method, _config_block(cfg.get("train", {}), "train", path, TRAIN_TYPES)
 
 
-def _supervised_block(data, path):
-    # the checked data.supervised block of a config's checked data block; {} when there is none
-    if "supervised" not in data:
-        return {}
-    return _config_block(data["supervised"], "data.supervised", path, {"sources": list[str], "mix": str},
-                         ("sources", "mix"))
+def _data_block(cfg, path, method, scored=False):
+    """The checked data block of a train or tune config read from path, with
+    its supervised block checked. Every method but dnmf, whose true-data term
+    is off, needs data.sources, and dnmf and danmf need data.supervised; so
+    does a config whose trials are scored (tune), with one source or more.
+    A missing one is a ValueError."""
+    data = _config_block(cfg.get("data", {}), "data", path, DATA_TYPES)
+    for key, needed in (("sources", method != "dnmf"), ("supervised", method in ("dnmf", "danmf"))):
+        if needed and not data.get(key):
+            raise ValueError(f"{method} needs data.{key}")
+    if "supervised" in data:
+        data["supervised"] = _config_block(data["supervised"], "data.supervised", path,
+                                           {"sources": list[str], "mix": str}, ("sources", "mix"))
+    if scored and not data.get("supervised", {}).get("sources"):
+        raise ValueError("the tune config needs a data.supervised block (sources and mix) to score trials on")
+    return data
 
 
-def _training_inputs(clamp, cfg, path, method, seed, adversarial):
+def _training_inputs(clamp, cfg, path, data, seed, adversarial):
     """The sources, adversarial sets and supervised (sources, mix) pair of
-    a train or tune config read from path, each None when there is none.
-    The data a method trains on are checked before any file is read: every
-    method but dnmf, whose true-data term is off, needs data.sources, and
-    dnmf and danmf need data.supervised. A missing one, or a supervised
-    source whose shape is not the supervised mix's, is a ValueError; so,
-    under a tune config's sisdr metric, is a zero supervised source column.
+    data, _data_block's data block of a train or tune config read from path,
+    each None when there is none. Matrices of different row counts are a
+    ValueError naming two of the files; so is a supervised source whose
+    shape is not the supervised mix's and, under a tune config's sisdr
+    metric, a zero supervised source column.
 
     With adversarial true, the sets are built here, once, from the sources
     and data.mixes, with betas seeded [seed, 77, i]
     (adversarial.adversarial_sets): each source is then a view of its
     unscaled copy in another source's set, so the loaded arrays are not kept.
     """
-    data = _config_block(cfg.get("data", {}), "data", path, DATA_TYPES)
-    for key, needed in (("sources", method != "dnmf"), ("supervised", method in ("dnmf", "danmf"))):
-        if needed and not data.get(key):
-            raise ValueError(f"{method} needs data.{key}")
-    sources = [aio.load_data_matrix(p, clamp) for p in data.get("sources", [])] or None
-    mixes = aio.load_data_matrix(data["mixes"], clamp) if data.get("mixes") else None
+    loaded = []  # (path, matrix) of each file read, for the row check
+
+    def load(name):
+        loaded.append((name, aio.load_data_matrix(name, clamp)))
+        return loaded[-1][1]
+
+    sources = [load(p) for p in data.get("sources", [])] or None
+    mixes = load(data["mixes"]) if data.get("mixes") else None
     supervised = None
-    if "supervised" in data:
-        sup = _supervised_block(data, path)
-        supervised = (
-            [aio.load_data_matrix(p, clamp) for p in sup["sources"]],
-            aio.load_data_matrix(sup["mix"], clamp),
-        )
+    if sup := data.get("supervised"):
+        supervised = [load(p) for p in sup["sources"]], load(sup["mix"])
         # the pairs score tune's trials column by column, also when training does not read them
         for src_path, u in zip(sup["sources"], supervised[0]):
-            _check_shape(src_path, u, sup["mix"], supervised[1])
-            _check_reference(src_path, u, cfg.get("metric"))
+            _checked_reference(src_path, u, sup["mix"], supervised[1], cfg.get("metric"))
+    (path0, a0), *_ = loaded  # the data needs checked by _data_block name at least one file
+    for p, a in loaded:
+        if a.shape[0] != a0.shape[0]:
+            raise ValueError(f"{p} has {a.shape[0]} rows, but {path0} has {a0.shape[0]}")
     sets = None
     if adversarial:
         wm = _weight_model(cfg, max(len(sources), 2), path)
@@ -255,7 +278,8 @@ def cmd_train(args):
     method, train = _config_method(cfg, args.config)
     # the spec comes first: whether the adversarial sets are built, and their betas' seed, are read from it
     spec = build_train_spec(train, method, args.seed)
-    data = _training_inputs(args.clamp_negatives, cfg, args.config, method, spec.seed, spec.tau_A > 0)
+    data = _training_inputs(args.clamp_negatives, cfg, args.config, _data_block(cfg, args.config, method),
+                            spec.seed, spec.tau_A > 0)
     _train_and_save(cfg["output"], method, data, spec)
     return 0
 
@@ -270,11 +294,8 @@ def cmd_separate(args):
     clamp = args.clamp_negatives
     V = aio.load_data_matrix(args.input, clamp)
     # the references are checked before any source file is written
-    refs = []
-    for path in args.references or ():
-        refs.append(aio.load_data_matrix(path, clamp))
-        _check_shape(path, refs[-1], args.input, V)
-        _check_reference(path, refs[-1], args.metric)
+    refs = [_checked_reference(path, aio.load_data_matrix(path, clamp), args.input, V, args.metric)
+            for path in args.references or ()]
     result = separate(V, bundle.bases, p, max_iter=args.max_iter)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -284,10 +305,7 @@ def cmd_separate(args):
         estimates.append(u)
         aio.write_matrix(out_dir / f"source_{i:03d}.anmf", u)
     if refs:
-        rows = []
-        for i, (est, ref) in enumerate(zip(estimates, refs)):
-            scores = _per_column_scores(est, ref, args.metric, args.peak)
-            rows.extend([k, i, args.metric, v] for k, v in enumerate(scores))
+        rows, _ = _score_rows(zip(estimates, refs), args.metric, args.peak)
         _write_metrics_csv(out_dir / "metrics.csv", rows)
     return 0
 
@@ -370,16 +388,14 @@ def cmd_tune(args):
     # draws each choice option; uniform and log_uniform draw from [lo, hi), and lo
     # itself almost never, so a range is checked at each end one step inward (a tau_S
     # range [0, 1] is valid for danmf).
+    data_block = _data_block(cfg, args.config, method, scored=True)
     # one basis per source: dnmf may train on the supervised sources alone
-    data_cfg = _config_block(cfg.get("data", {}), "data", args.config, DATA_TYPES)
-    source_paths = data_cfg.get("sources") or _supervised_block(data_cfg, args.config).get("sources")
-    n_bases = len(source_paths or ())
+    n_bases = len(data_block.get("sources") or data_block["supervised"]["sources"])
     untuned_cfg = {k: v for k, v in base_train_cfg.items() if k not in space.params}
 
     def checked_spec(overrides):
         spec = build_train_spec(untuned_cfg, method, seed, overrides=overrides)
-        if n_bases:  # 0 without sources: _training_inputs names the missing data
-            spec.dims(n_bases)
+        spec.dims(n_bases)
         return spec
 
     untuned = checked_spec({})
@@ -398,10 +414,8 @@ def cmd_tune(args):
     # build of the adversarial sets serves every trial and fold; it is made
     # when the train block or the search can give tau_A > 0
     tuned_tau_A = "tau_A" in space.params and "tau_A" not in METHODS[method][0]
-    data = _training_inputs(args.clamp_negatives, cfg, args.config, method, seed, untuned.tau_A > 0 or tuned_tau_A)
+    data = _training_inputs(args.clamp_negatives, cfg, args.config, data_block, seed, untuned.tau_A > 0 or tuned_tau_A)
     sources, sets, supervised = data
-    if supervised is None:
-        raise ValueError("the tune config needs a data.supervised block (sources and mix) to score trials on")
     sup_sources, sup_mix = supervised
     # the supervised data score every trial; split them when training reads them too
     use_cv = METHODS[method][0].get("tau_S") != 0.0
@@ -471,17 +485,12 @@ def _parse_space(block, path):
 def cmd_eval(args):
     if len(args.estimates) != len(args.references):
         raise ValueError("need one reference per estimate")
-    rows = []
-    all_scores = {}
-    for i, (e, r) in enumerate(zip(args.estimates, args.references)):
-        est, ref = aio.read_matrix(e), aio.read_matrix(r)
-        _check_shape(r, ref, e, est)
-        _check_reference(r, ref, args.metric)
-        scores = _per_column_scores(est, ref, args.metric, args.peak)
-        all_scores[i] = scores
-        rows.extend([k, i, args.metric, v] for k, v in enumerate(scores))
+    # each pair is read and checked when its turn to be scored comes, not all pairs up front
+    pairs = ((est, _checked_reference(r, aio.read_matrix(r), e, est, args.metric))
+             for e, r in zip(args.estimates, args.references) for est in [aio.read_matrix(e)])
+    rows, all_scores = _score_rows(pairs, args.metric, args.peak)
     seed = args.seed if args.seed is not None else 0
-    for i, scores in all_scores.items():
+    for i, scores in enumerate(all_scores):
         rows.append(["median", i, args.metric, float(np.median(scores))])
         rows.append(["bootstrap_se", i, args.metric, amet.median_bootstrap_se(scores, seed=seed)])
     _write_metrics_csv(args.output, rows)
@@ -532,6 +541,12 @@ def _build_parser():
     clamp.add_argument("--clamp-negatives", action="store_true")
     configured = argparse.ArgumentParser(add_help=False, parents=[seed, clamp])
     configured.add_argument("--config", required=True)
+    scored = argparse.ArgumentParser(add_help=False)  # separate --references and eval
+    scored.add_argument("--metric", choices=("psnr", "sisdr"), default="psnr")
+    scored.add_argument("--peak", type=float, default=1.0)
+    fitted = argparse.ArgumentParser(add_help=False)  # separate and denoise
+    fitted.add_argument("--mu-h", type=float, default=1e-10)
+    fitted.add_argument("--max-iter", type=int, default=500)
     # no abbreviations: synth --input would otherwise be read as --input-prefix
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
@@ -540,34 +555,26 @@ def _build_parser():
     sub.add_parser("train", parents=[configured]).set_defaults(func=cmd_train)
     sub.add_parser("tune", parents=[configured]).set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("separate", parents=[clamp])
+    p = sub.add_parser("separate", parents=[clamp, scored, fitted])
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output-dir", required=True)
     p.add_argument("--references", nargs="*", default=None)
-    p.add_argument("--metric", choices=("psnr", "sisdr"), default="psnr")
-    p.add_argument("--peak", type=float, default=1.0)
-    p.add_argument("--mu-h", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--clip", action="store_true", help="clamp outputs to [0, peak]")
     p.set_defaults(func=cmd_separate)
 
-    p = sub.add_parser("denoise")
+    p = sub.add_parser("denoise", parents=[fitted])
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--reference", default=None)
     p.add_argument("--mode", choices=("project", "separate"), help="default: project for one basis, else separate")
     p.add_argument("--hop", type=int, default=128)
-    p.add_argument("--mu-h", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=500)
     p.set_defaults(func=cmd_denoise)
 
-    p = sub.add_parser("eval", parents=[seed])
+    p = sub.add_parser("eval", parents=[seed, scored])
     p.add_argument("--estimates", nargs="+", required=True)
     p.add_argument("--references", nargs="+", required=True)
-    p.add_argument("--metric", choices=("psnr", "sisdr"), default="psnr")
-    p.add_argument("--peak", type=float, default=1.0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_eval)
 

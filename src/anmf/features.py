@@ -2,8 +2,8 @@
 
 A spectrum is a plain complex one-sided (n_fft/2 + 1) x T array from
 centered Hann-windowed frames; callers take np.abs or np.angle of it. istft
-inverts it by exact overlap-add, and soft-mask synthesis multiplies a real
-Wiener mask per source into the complex mix spectrum.
+inverts it by exact overlap-add, and soft-mask synthesis inverts the
+Wiener-filtered mix spectrum of each source.
 
 Both directions work on blocks of BLOCK_FRAMES frames: stft_blocks yields
 the spectrum block by block, and istft_blocks overlap-adds blocks into the
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .separation import wiener_mask
+from .separation import wiener_filter
 
 BLOCK_FRAMES = 512  # STFT frames per block
 
@@ -172,23 +172,9 @@ def istft(spectrum, cfg=None, length=None):
 
 
 def apply_mask(mix_spectrum, source_mags, cfg=None, eps=1e-12, length=None):
-    """Soft-mask the mix spectrum and synthesize per-source signals.
-
-    Source i gets the real mask wiener_mask(mag_i, sum_j mag_j, S, eps):
-    mag_i / sum_j mag_j, an equal split 1/S where the denominator is
-    <= eps. Each mask multiplies the complex mix spectrum, and each masked
-    spectrum is inverted separately with cfg. The masked spectra sum to the
-    mix spectrum wherever the denominator exceeds eps.
+    """Soft-mask the mix spectrum and synthesize per-source signals: the
+    complex spectra of separation.wiener_filter(mix_spectrum, source_mags,
+    eps), each inverted with cfg and length. They sum to the mix spectrum
+    wherever sum_j mag_j exceeds eps.
     """
-    mags = [np.asarray(m, dtype=float) for m in source_mags]
-    for m in mags:
-        if m.shape != mix_spectrum.shape:
-            raise ValueError(f"mask shape {m.shape} does not match spectrogram {mix_spectrum.shape}")
-    total = sum(mags)
-    parts = []
-    for m in mags:
-        # np.copy keeps stft's column-major layout for apply_gain
-        part = np.copy(mix_spectrum)
-        apply_gain(part, wiener_mask(m, total, len(mags), eps))
-        parts.append(istft(part, cfg, length))
-    return parts
+    return [istft(u, cfg, length) for u in wiener_filter(mix_spectrum, source_mags, eps)]

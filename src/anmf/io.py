@@ -201,10 +201,11 @@ def mix_synthetic(sources, wm=None, snr_db=None, seed=0):
         weighted per-source contributions, and the S x N weight matrix.
     """
     arrays = [as_array(u) for u in sources]
-    cols = {a.shape[1] for a in arrays}
-    if len(cols) != 1:
-        raise ValueError(f"sources must have equal column counts, got {sorted(cols)}")
-    n = cols.pop()
+    for axis, what in enumerate(("row", "column")):
+        counts = {a.shape[axis] for a in arrays}
+        if len(counts) != 1:
+            raise ValueError(f"sources must have equal {what} counts, got {sorted(counts)}")
+    n = arrays[0].shape[1]
     s = len(arrays)
     if snr_db is not None:
         if s != 2:
@@ -237,17 +238,22 @@ class ModelBundle:
 
 
 def save_bundle(directory, bases, train_spec=None, history=None, metadata=None):
-    """Persist bases and a JSON manifest into a directory; a NaN, inf or
-    negative basis, or a non-finite number in the manifest (such as a
-    history entry), raises a ValueError before anything is written."""
+    """Persist bases and a JSON manifest into a directory; no basis, bases
+    of different row counts, a NaN, inf or negative basis, or a non-finite
+    number in the manifest (such as a history entry), raises a ValueError
+    before anything is written."""
     arrays = [as_array(b) for b in bases]
+    if not arrays:
+        raise ValueError(f"{directory}: a bundle needs at least one basis")
     for i, a in enumerate(arrays):
         _check_nonneg(a, f"basis {i}")
+        if a.shape[0] != arrays[0].shape[0]:
+            raise ValueError(f"{directory}: basis {i} has {a.shape[0]} rows, but basis 0 has {arrays[0].shape[0]}")
     directory = Path(directory)
     manifest = {
         "format_version": 1,
         "n_sources": len(arrays),
-        "m": arrays[0].shape[0] if arrays else 0,
+        "m": arrays[0].shape[0],
         "d": [a.shape[1] for a in arrays],
         "train_spec": train_spec or {},
         "history": list(history or []),

@@ -40,10 +40,7 @@ def fit_sources(V, bases, p=None, max_iter=500, tol=1e-3):
 def separate(V, bases, p=None, max_iter=500, tol=1e-3):
     """Separate the columns of V against a list of bases: fit_sources,
     then Wiener-filter the raw reconstructions so that they sum to V.
-
-    Each column is fitted on its own, as solve_nnls states: every 10th
-    update checks its KKT residual, it stops once that is at most tol
-    (default 1e-3) times ||W.T v||, and max_iter caps its updates."""
+    max_iter and tol are solve_nnls's."""
     p = p or SparsityParams()
     raw = fit_sources(V, bases, p, max_iter, tol)
     return SeparationResult(raw, wiener_filter(V, raw, p.eps))
@@ -64,10 +61,11 @@ def wiener_filter(v, raw, eps=1e-12):
     u_i = v * raw_i / sum_j raw_j entrywise, that is v times
     wiener_mask(raw_i, sum_j raw_j, S, eps); where the denominator is
     <= eps the mix is split equally across sources. The outputs sum to v
-    wherever the denominator exceeds eps. A raw reconstruction of another
-    shape than v's is a ValueError.
+    wherever the denominator exceeds eps. v may be complex, such as an STFT
+    spectrum (features.apply_mask). A raw reconstruction of another shape
+    than v's is a ValueError.
     """
-    v = as_array(v)
+    v = np.asarray(v)
     raw = [as_array(r) for r in raw]
     for i, r in enumerate(raw):
         if r.shape != v.shape:

@@ -736,22 +736,27 @@ class TestErrors:
                 assert capsys.readouterr().err.splitlines() == [f"anmf: error: {method} needs data.{missing}"]
                 assert not (tmp_path / "model").exists()
 
-    def test_tune_needs_supervised_block(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "tune.json", {
-            "method": "nmf",
-            "data": {"sources": make_sources(tmp_path, np.random.default_rng(0))},
-            "tuning": {"space": {}},
-            "output": str(tmp_path / "out"),
-        })
-        assert run_cli(["tune", "--config", cfg]) == 1
-        assert "data.supervised" in capsys.readouterr().err
+    def test_tune_needs_supervised_block(self, tmp_path, monkeypatch, capsys):
+        # tune scores its trials on data.supervised: a config without it, or with no supervised
+        # source, is rejected before any file is read
+        sources = make_sources(tmp_path, np.random.default_rng(0))
+        monkeypatch.setattr(anmf.io, "load_data_matrix", lambda *a: pytest.fail("data were read"))
+        for method, data in [("nmf", {"sources": sources}),
+                             ("dnmf", {"supervised": {"sources": [], "mix": sources[0]}})]:
+            cfg = write_config(tmp_path, "tune.json", {
+                "method": method, "data": data, "tuning": {"space": {}}, "output": str(tmp_path / "out")})
+            assert run_cli(["tune", "--config", cfg]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                "anmf: error: the tune config needs a data.supervised block (sources and mix) to score trials on"]
+            assert not (tmp_path / "out").exists()
 
     def test_tune_honours_clamp_negatives(self, tmp_path, capsys):
         src = tmp_path / "neg.anmf"
         write_matrix(src, np.array([[1.0, -0.5], [0.2, 0.3]]))
+        write_matrix(tmp_path / "wide.anmf", np.ones((2, 3)))
         cfg = write_config(tmp_path, "tune.json", {
             "method": "nmf",
-            "data": {"sources": [str(src)]},
+            "data": {"sources": [str(src)], "supervised": {"sources": [str(src)], "mix": str(tmp_path / "wide.anmf")}},
             "tuning": {"space": {}},
             "output": str(tmp_path / "out"),
         })
@@ -759,7 +764,38 @@ class TestErrors:
         assert "negative entries" in capsys.readouterr().err
         # with the flag the source loads and the run stops at the next check
         assert run_cli(["tune", "--config", cfg, "--clamp-negatives"]) == 1
-        assert "data.supervised" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            f"anmf: error: {src} has shape (2, 2), but {tmp_path / 'wide.anmf'} has shape (2, 3)"]
+
+    @pytest.mark.parametrize("command", ["train", "tune"])
+    @pytest.mark.parametrize("odd", ["source", "supervised"])
+    def test_inputs_of_other_row_counts_rejected(self, tmp_path, monkeypatch, command, odd, capsys):
+        # a bundle's bases share one row count: train fails before it trains, tune before its first trial
+        cfg = TestErrors._configs(tmp_path)["tune"]
+        if command == "train":
+            cfg.pop("tuning")
+        rng = np.random.default_rng(1)
+        if odd == "source":  # the second of the 8-row sources
+            named = cfg["data"]["sources"][1]
+            write_matrix(named, rng.random((9, 30)))
+        else:  # every supervised matrix, sources and mix, so that only the row check fails
+            sup = cfg["data"]["supervised"]
+            named = sup["sources"][0]
+            for p in [*sup["sources"], sup["mix"]]:
+                write_matrix(p, rng.random((9, 12)))
+        monkeypatch.setattr(anmf.cli, "train_smu", lambda *a, **k: pytest.fail("a model was trained"))
+        assert run_cli([command, "--config", write_config(tmp_path, "c.json", cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"anmf: error: {named} has 9 rows, but {cfg['data']['sources'][0]} has 8"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", [{}, {"snr_db": 0.0}], ids=["weights", "snr"])
+    def test_mix_sources_of_other_row_counts_rejected(self, tmp_path, mode, capsys):
+        cfg = {**TestErrors._configs(tmp_path)["mix"], **mode}
+        write_matrix(cfg["sources"][1], np.random.default_rng(1).random((9, 30)))
+        assert run_cli(["mix", "--config", write_config(tmp_path, "c.json", cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["anmf: error: sources must have equal row counts, got [8, 9]"]
+        assert not (tmp_path / "out").exists()
 
     def test_tune_records_trial_errors(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(0)
@@ -1121,6 +1157,9 @@ class TestErrors:
          "snr_db and weight_model exclude each other; SNR mixing reads no weight model"),
         (["mix"], lambda c: c.update(snr_db=0.0, weight_model={"values": [0.5, 0.5]}),
          "snr_db and weight_model exclude each other; SNR mixing reads no weight model"),
+        # one ground truth per source: mix would otherwise write as many as the list holds
+        (["mix"], lambda c: c["output"].update(ground_truth=["out_gt.anmf"]),
+         "output.ground_truth needs one path per source: 2 sources, 1 paths"),
         # flag cases: the whole argv, and the error
         (["synth", "--input-prefix", "feat", "--output", "out"], None,
          "feat.cfg.json: config needs the key 'window'"),
@@ -1192,7 +1231,7 @@ class TestErrors:
             "train_epochs_fraction", "train_tau_A_string", "train_seed_true", "mix_seed_true",
             "data_sources_string", "mix_sources_string", "space_uniform_int_key", "space_choice_option_string",
             "tune_trials_0", "tune_folds_1", "tune_folds_over_columns", "mix_snr_db_and_weight_model",
-            "mix_snr_db_and_valid_weight_model",
+            "mix_snr_db_and_valid_weight_model", "mix_ground_truth_short",
             "sidecar_without_window", "sidecar_not_json", "separate_max_iter_0", "denoise_max_iter_negative",
             "separate_clip_negative_peak", "separate_peak_0_references", "config_not_json",
             "sidecar_sample_rate_0", "sidecar_sample_rate_2_31", "sidecar_length_negative",

@@ -342,6 +342,12 @@ class TestMixSynthetic:
         with pytest.raises(ValueError):
             mix_synthetic([np.ones((2, 3)), np.ones((2, 4))])
 
+    @pytest.mark.parametrize("snr_db", [None, 0.0])
+    def test_row_count_mismatch(self, snr_db):
+        # numpy would otherwise fail to broadcast the weighted sources
+        with pytest.raises(ValueError, match=r"^sources must have equal row counts, got \[2, 3\]$"):
+            mix_synthetic([np.ones((3, 4)), np.ones((2, 4))], snr_db=snr_db)
+
 
 class TestBundle:
     def test_save_load_round_trip(self, tmp_path):
@@ -361,6 +367,15 @@ class TestBundle:
         worse[1, 1] = bad
         with pytest.raises(ValueError, match="basis 1"):
             save_bundle(tmp_path / "model", [np.ones((4, 2)), worse])
+        assert not (tmp_path / "model").exists()
+
+    @pytest.mark.parametrize("bases, message", [
+        ([], "a bundle needs at least one basis"),
+        ([np.ones((4, 2)), np.ones((5, 2))], "basis 1 has 5 rows, but basis 0 has 4"),
+    ], ids=["none", "other_rows"])
+    def test_unloadable_bundle_not_written(self, tmp_path, bases, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'model'))}: {message}$"):
+            save_bundle(tmp_path / "model", bases)
         assert not (tmp_path / "model").exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anmf.core import SparsityParams, solve_nnls
-from anmf.separation import fit_sources, separate, wiener_filter
+from anmf.separation import fit_sources, separate, wiener_filter, wiener_mask
 from oracles import nnls_grid_2d, nnls_per_column, trained_mix
 
 P0 = SparsityParams(0.0, 0.0)
@@ -115,6 +115,19 @@ class TestWienerFilter:
         raw = [rng.random((5, 5)), rng.random((5, 5))]
         for u in wiener_filter(v, raw):
             assert np.all(u >= 0)
+
+    def test_complex_mix_masked_as_is(self):
+        # features.apply_mask filters an STFT spectrum: the mix is not cast to float
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9))
+        raw = [rng.random((5, 9)), rng.random((5, 9)), np.zeros((5, 9))]
+        raw[0][0, :3] = raw[1][0, :3] = 0.0  # an equal split where the total is 0
+        out = wiener_filter(v, raw)
+        total = sum(raw)
+        for u, r in zip(out, raw):
+            assert u.dtype == complex
+            assert np.array_equal(u, v * wiener_mask(r, total, 3, 1e-12))
+        assert np.allclose(sum(out), v, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(4, 1), (1, 5)])
     def test_raw_of_other_shape_rejected(self, shape):
