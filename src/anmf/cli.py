@@ -212,10 +212,10 @@ def _config_method(cfg, path):
 
 def _data_block(cfg, path, method, scored=False):
     """The checked data block of a train or tune config read from path, with
-    its supervised block checked. Every method but dnmf, whose true-data term
-    is off, needs data.sources, and dnmf and danmf need data.supervised; so
-    does a config whose trials are scored (tune), with one source or more.
-    A missing one is a ValueError."""
+    its supervised block checked, and the number of bases it trains. Every
+    method but dnmf, whose true-data term is off, needs data.sources, and
+    dnmf and danmf need data.supervised; so does a config whose trials are
+    scored (tune), with one source or more. A missing one is a ValueError."""
     data = _config_block(cfg.get("data", {}), "data", path, DATA_TYPES)
     for key, needed in (("sources", method != "dnmf"), ("supervised", method in ("dnmf", "danmf"))):
         if needed and not data.get(key):
@@ -225,7 +225,8 @@ def _data_block(cfg, path, method, scored=False):
                                            {"sources": list[str], "mix": str}, ("sources", "mix"))
     if scored and not data.get("supervised", {}).get("sources"):
         raise ValueError("the tune config needs a data.supervised block (sources and mix) to score trials on")
-    return data
+    # one basis per source: dnmf may train on the supervised sources alone
+    return data, len(data.get("sources") or data["supervised"]["sources"])
 
 
 def _training_inputs(clamp, cfg, path, data, seed, adversarial):
@@ -276,10 +277,12 @@ def _train_and_save(out, method, data, spec):
 def cmd_train(args):
     cfg = _load_config(args, TRAIN_KEYS)
     method, train = _config_method(cfg, args.config)
-    # the spec comes first: whether the adversarial sets are built, and their betas' seed, are read from it
+    # the spec comes first: whether the adversarial sets are built, and their betas' seed, are read from it;
+    # it needs one latent dimension per basis before any data is read
     spec = build_train_spec(train, method, args.seed)
-    data = _training_inputs(args.clamp_negatives, cfg, args.config, _data_block(cfg, args.config, method),
-                            spec.seed, spec.tau_A > 0)
+    data_block, n_bases = _data_block(cfg, args.config, method)
+    spec.dims(n_bases)
+    data = _training_inputs(args.clamp_negatives, cfg, args.config, data_block, spec.seed, spec.tau_A > 0)
     _train_and_save(cfg["output"], method, data, spec)
     return 0
 
@@ -331,7 +334,7 @@ def cmd_denoise(args):
         if not np.dot(ref, ref):
             raise ValueError(f"{args.reference}: every sample is zero, and sisdr needs a nonzero reference")
         del ref
-    cfg = feat.StftConfig(n_fft=n_fft, hop=args.hop)
+    cfg = feat.StftConfig(n_fft=n_fft)
     # projection denoising fits the speech basis alone; the unexplained
     # remainder acts as the noise magnitude for the soft mask
     bases = bundle.bases[:1] if mode == "project" else bundle.bases
@@ -388,9 +391,7 @@ def cmd_tune(args):
     # draws each choice option; uniform and log_uniform draw from [lo, hi), and lo
     # itself almost never, so a range is checked at each end one step inward (a tau_S
     # range [0, 1] is valid for danmf).
-    data_block = _data_block(cfg, args.config, method, scored=True)
-    # one basis per source: dnmf may train on the supervised sources alone
-    n_bases = len(data_block.get("sources") or data_block["supervised"]["sources"])
+    data_block, n_bases = _data_block(cfg, args.config, method, scored=True)
     untuned_cfg = {k: v for k, v in base_train_cfg.items() if k not in space.params}
 
     def checked_spec(overrides):
@@ -499,7 +500,7 @@ def cmd_eval(args):
 
 def cmd_features(args):
     samples, rate = aio.load_wav(args.input)
-    cfg = feat.StftConfig(n_fft=args.n_fft, hop=args.hop)
+    cfg = feat.StftConfig(n_fft=args.n_fft)
     blocks = feat.stft_blocks(samples, cfg)  # a too-short signal fails here, before any file is created
     shape = cfg.n_bins, cfg.n_frames(len(samples))
     # each block's magnitude and phase go straight to the files: no spectrum-sized array is held
@@ -569,7 +570,6 @@ def _build_parser():
     p.add_argument("--output", required=True)
     p.add_argument("--reference", default=None)
     p.add_argument("--mode", choices=("project", "separate"), help="default: project for one basis, else separate")
-    p.add_argument("--hop", type=int, default=128)
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("eval", parents=[seed, scored])
@@ -582,7 +582,6 @@ def _build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--output-prefix", required=True)
     p.add_argument("--n-fft", type=int, default=512)
-    p.add_argument("--hop", type=int, default=128)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("synth")

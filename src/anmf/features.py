@@ -23,16 +23,21 @@ BLOCK_FRAMES = 512  # STFT frames per block
 
 @dataclass
 class StftConfig:
-    """Transform parameters. Defaults: 512-sample FFT, 75% overlap."""
+    """Transform parameters. Defaults: 512-sample FFT and a hop of n_fft // 4
+    (75% overlap; 1 for n_fft 2). The hop must be below n_fft: the periodic
+    Hann window is 0 at each frame's first sample, which only an overlapping
+    frame can restore."""
 
     n_fft: int = 512
-    hop: int = 128
+    hop: int | None = None
 
     def __post_init__(self):
         if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
             raise ValueError("n_fft must be a power of two")
-        if not 0 < self.hop <= self.n_fft:
-            raise ValueError("hop must lie in (0, n_fft]")
+        if self.hop is None:
+            self.hop = max(1, self.n_fft // 4)
+        if not 0 < self.hop < self.n_fft:
+            raise ValueError("hop must lie in (0, n_fft)")
         if self.n_fft % self.hop:
             raise ValueError("hop must divide n_fft for exact reconstruction")
 

@@ -238,14 +238,16 @@ class ModelBundle:
 
 
 def save_bundle(directory, bases, train_spec=None, history=None, metadata=None):
-    """Persist bases and a JSON manifest into a directory; no basis, bases
-    of different row counts, a NaN, inf or negative basis, or a non-finite
-    number in the manifest (such as a history entry), raises a ValueError
-    before anything is written."""
+    """Persist bases and a JSON manifest into a directory; no basis, a basis
+    that is not 2-D, bases of different row counts, a NaN, inf or negative
+    basis, or a non-finite number in the manifest (such as a history entry),
+    raises a ValueError before anything is written."""
     arrays = [as_array(b) for b in bases]
     if not arrays:
         raise ValueError(f"{directory}: a bundle needs at least one basis")
     for i, a in enumerate(arrays):
+        if a.ndim != 2:
+            raise ValueError(f"{directory}: basis {i} must be a matrix, not {a.ndim}-D")
         _check_nonneg(a, f"basis {i}")
         if a.shape[0] != arrays[0].shape[0]:
             raise ValueError(f"{directory}: basis {i} has {a.shape[0]} rows, but basis 0 has {arrays[0].shape[0]}")

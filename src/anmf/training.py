@@ -1,18 +1,19 @@
 """Basis training: multiplicative updates and the stochastic epoch loop.
 
-Covers the whole method family through two weights: tau_S blends the
-weakly supervised (per-source samples) objective against the strongly
-supervised (paired mixes) one, and tau_A controls how hard the bases are
-pushed away from the adversarial data. tau_A = tau_S = 0 is standard NMF,
-tau_S = 1 is discriminative NMF, tau_A > 0 with tau_S = 0 is adversarial
-NMF, anything else is the combined method.
+The objective is one weighted sum of fits weight * ||D - W L||^2 / N, with
+one signed weight per term and source (_term_weights): 1 - tau_S for the
+true data, -tau_A (1 - tau_S) for the adversarial data and tau_S gamma_i
+for source i's supervised data. So tau_S blends the weakly supervised
+(per-source samples) objective against the strongly supervised (paired
+mixes) one, and tau_A sets how hard the bases are pushed away from the
+adversarial data. tau_A = tau_S = 0 is standard NMF, tau_S = 1 is
+discriminative NMF, tau_A > 0 with tau_S = 0 is adversarial NMF, anything
+else is the combined method.
 
-Every term of the objective is a weighted fit weight * ||D - W L||^2 / N,
-and the basis step treats them alike (grad_parts): the Gram product
+The basis step treats every term alike (grad_parts): the Gram product
 W L L^T goes to the denominator of the multiplicative update and the data
 product D L^T to the numerator, each scaled by |weight| / N and swapped
-for the subtracted adversarial term; update_basis divides the blended
-sums.
+for a negative weight; update_basis divides their sums.
 
 The objective is reported once, as the history: after each epoch, with
 latents paired with their data columns, from m x d and d x d products.
@@ -139,21 +140,13 @@ def update_basis(W, den, num, mu_W, eps):
 
 
 def _term_weights(spec, n_sources):
-    """Each term's (blend, per-source weights); the objective weighs source
-    i's term by blend * weights[i], and a term is active when that product
-    is nonzero.
-
-    tau_S blends the weakly supervised objective (true data minus tau_A
-    times adversarial) against the strongly supervised one; the weight is
-    the term's sign and scale inside its objective, gamma_i for source i's
-    supervised term.
-    """
+    """Each term's signed weight per source, as an array (see the module
+    docstring); a term is active when any of its weights is nonzero."""
     w_true = 1.0 - spec.tau_S
-    ones = np.ones(n_sources)
     return {
-        "true_data": (w_true, ones),
-        "adversarial": (w_true, -spec.tau_A * ones),
-        "supervised": (spec.tau_S, spec.gammas(n_sources)),
+        "true_data": np.full(n_sources, w_true),
+        "adversarial": np.full(n_sources, -spec.tau_A * w_true),
+        "supervised": spec.tau_S * spec.gammas(n_sources),
     }
 
 
@@ -167,7 +160,7 @@ def _term_table(spec, true_data, adversarial, supervised):
     weight = _term_weights(spec, s)
     data = {}
     for name, sets in zip(TERMS, (true_data, adversarial, supervised[0] if supervised is not None else None)):
-        if not np.any(np.multiply(*weight[name])):
+        if not np.any(weight[name]):
             continue
         if sets is None or any(x is None for x in sets):
             raise ValueError(f"{name} term is active but its data is missing")
@@ -217,9 +210,8 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
     data (the supervised data when tau_S = 1), is covered by the batches;
     the others are resampled with replacement to the same batch count. A
     batch's basis step sums each active term's gradient parts, scaled by
-    the term's weight (gamma_i for the supervised term) and then by its
-    tau_S blend. The recorded history is the total objective after each
-    epoch, the sum over sources of what those steps descend.
+    the term's signed weight. The recorded history is the total objective
+    after each epoch, the sum over sources of what those steps descend.
 
     Returns:
         TrainState with final bases, true-data latents and objective history.
@@ -287,18 +279,8 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
                 L[name][i] = update_latents(L[name][i], W[i], data[name][i], p, n_scale=data[name][i].shape[1])
             n_batches = max(1, math.ceil(data[anchor][i].shape[1] / spec.batch_size))
             for b in range(n_batches):
-                den = num = None
-                for name in data:
-                    blend, w = weight[name]
-                    g_den, g_num = grad_parts(W[i], *term_batch(name, i, b, n_batches), w[i])
-                    g_den *= blend
-                    g_num *= blend
-                    if den is None:
-                        den, num = g_den, g_num
-                    else:
-                        den += g_den
-                        num += g_num
-                W[i] = update_basis(W[i], den, num, p.mu_W, p.eps)
+                parts = [grad_parts(W[i], *term_batch(name, i, b, n_batches), weight[name][i]) for name in data]
+                W[i] = update_basis(W[i], *map(sum, zip(*parts)), p.mu_W, p.eps)
 
         for i in range(s):
             normalize_source(i)
@@ -317,7 +299,7 @@ def _sq_norms(D):
 
 
 def _objective_arrays(W, D, L, weight, mu_W, sq_norms):
-    # per source: mu_W |W_i|_1 plus, for each term in D, blend * weight_i
+    # per source: mu_W |W_i|_1 plus, for each term in D, its signed weight_i
     # times ||D_i - W_i L_i||^2 / N_i, the squared fit expanded as
     # ||D_i||^2 + <W_i, W_i (L_i L_i^T) - 2 D_i L_i^T>. Every product is
     # m x d or d x d, which BLAS forms from either memory layout without a
@@ -331,8 +313,7 @@ def _objective_arrays(W, D, L, weight, mu_W, sq_norms):
             sq = dd + np.vdot(w, w @ (h @ h.T) - 2 * (x @ h.T))
             if sq <= 1e-8 * dd:
                 sq = np.linalg.norm(x - w @ h) ** 2
-            blend, wt = weight[name]
-            f += blend * wt[i] * sq / x.shape[1]
+            f += weight[name][i] * sq / x.shape[1]
         out[i] = f
     return out
 

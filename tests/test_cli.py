@@ -465,6 +465,29 @@ class TestPipeline:
         # one quantization round trip of error
         assert np.max(np.abs(y[:n] - x[:n])) <= 1.0 / 32768.0 + 1e-9
 
+    def test_features_hop_follows_n_fft(self, tmp_path):
+        # at n_fft 128 the hop is 32: with no overlap (hop 128) the periodic Hann
+        # window, 0 at each frame's first sample, would lose those samples
+        x = np.clip(0.2 * np.random.default_rng(5).standard_normal(16000), -0.99, 0.99)
+        write_wav(tmp_path / "x.wav", x, 16000)
+        prefix = str(tmp_path / "feat")
+        assert run_cli(["features", "--input", str(tmp_path / "x.wav"), "--output-prefix", prefix,
+                        "--n-fft", "128"]) == 0
+        assert json.loads((tmp_path / "feat.cfg.json").read_text())["hop"] == 32
+        assert run_cli(["synth", "--input-prefix", prefix, "--output", str(tmp_path / "y.wav")]) == 0
+        (x_pcm, _), (y_pcm, _) = load_wav(tmp_path / "x.wav"), load_wav(tmp_path / "y.wav")
+        assert np.array_equal(x_pcm, y_pcm)
+
+    def test_denoise_small_n_fft_model(self, tmp_path):
+        # a basis of 33 rows is n_fft 64, transformed at hop 16: the input comes back
+        # nearly whole when the basis explains it
+        save_bundle(tmp_path / "model", [self._tone(tmp_path, n_fft=64)])
+        assert run_cli(["denoise", "--model", str(tmp_path / "model"), "--input", str(tmp_path / "clean.wav"),
+                        "--output", str(tmp_path / "out.wav"), "--reference", str(tmp_path / "clean.wav")]) == 0
+        with open(tmp_path / "out.csv") as f:
+            scores = {r[1]: float(r[3]) for r in list(csv.reader(f))[1:]}
+        assert scores["0"] > 20.0
+
 
 class TestTrainingInputs:
     """anmf train holds each input once: the sources train from their
@@ -995,6 +1018,20 @@ class TestErrors:
         assert run_cli(["tune", "--config", write_config(tmp_path, "c.json", cfg)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"anmf: error: need {need} latent dimensions, got {len(d)}"]
 
+    @pytest.mark.parametrize("method", ["nmf", "anmf", "danmf", "dnmf"])
+    def test_train_checks_d_before_reading_data(self, tmp_path, monkeypatch, method, capsys):
+        # as tune does: the bases are counted from data.sources, else data.supervised.sources
+        cfg = self._configs(tmp_path)["tune"]
+        del cfg["tuning"]
+        cfg["method"] = method
+        cfg["train"]["d"] = [2, 2, 2]
+        if method == "dnmf":
+            del cfg["data"]["sources"]
+        monkeypatch.setattr(anmf.io, "load_data_matrix", lambda *a: pytest.fail("data were read"))
+        assert run_cli(["train", "--config", write_config(tmp_path, "c.json", cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["anmf: error: need 2 latent dimensions, got 3"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, extra, named", [
         ("mix", {"clamp_negatives": True}, "clamp_negatives"),
         ("train", {"clamp_negatives": True}, "clamp_negatives"),
@@ -1417,6 +1454,9 @@ class TestErrors:
         (SYNTH, ["--input", "x"]),
         # nor is a flag the prefix of one, such as --output of --output-prefix
         (FEATURES, ["--output", "y"]),
+        # the hop is n_fft / 4: neither STFT command takes one
+        (["denoise", "--model", "m", "--input", "x", "--output", "y"], ["--hop", "64"]),
+        (FEATURES, ["--hop", "64"]),
     ])
     def test_unread_flags_rejected(self, argv, flag, capsys):
         assert run_cli(argv + flag) == 2

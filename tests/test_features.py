@@ -18,6 +18,13 @@ class TestStftConfig:
             StftConfig(hop=0)
         with pytest.raises(ValueError):
             StftConfig(n_fft=512, hop=100)
+        # a hop of n_fft leaves no overlap, and the window's zero first sample is lost
+        with pytest.raises(ValueError, match=r"^hop must lie in \(0, n_fft\)$"):
+            StftConfig(n_fft=64, hop=64)
+
+    @pytest.mark.parametrize("n_fft, hop", [(128, 32), (64, 16), (4, 1), (2, 1)])
+    def test_hop_defaults_to_quarter_n_fft(self, n_fft, hop):
+        assert StftConfig(n_fft=n_fft).hop == hop
 
     def test_window_cola(self):
         # the periodic Hann squared window sums to a constant at 75% overlap
@@ -98,7 +105,7 @@ def istft_loop(spec, cfg):
 
 
 class TestOverlapAdd:
-    @pytest.mark.parametrize("n_fft,hop", [(512, 128), (256, 64), (64, 32), (8, 8)])
+    @pytest.mark.parametrize("n_fft,hop", [(512, 128), (256, 64), (64, 32), (8, 4)])
     @pytest.mark.parametrize("extra", [0, 1, 37])
     def test_bitwise_equal_to_frame_loop(self, n_fft, hop, extra):
         rng = np.random.default_rng(n_fft + extra)

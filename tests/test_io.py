@@ -372,7 +372,9 @@ class TestBundle:
     @pytest.mark.parametrize("bases, message", [
         ([], "a bundle needs at least one basis"),
         ([np.ones((4, 2)), np.ones((5, 2))], "basis 1 has 5 rows, but basis 0 has 4"),
-    ], ids=["none", "other_rows"])
+        ([np.ones(4)], "basis 0 must be a matrix, not 1-D"),
+        ([np.ones((4, 2)), np.ones((4, 2, 1))], "basis 1 must be a matrix, not 3-D"),
+    ], ids=["none", "other_rows", "vector", "three_d"])
     def test_unloadable_bundle_not_written(self, tmp_path, bases, message):
         with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'model'))}: {message}$"):
             save_bundle(tmp_path / "model", bases)
