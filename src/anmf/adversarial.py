@@ -79,40 +79,62 @@ def compute_beta(wm, i, seed=0):
     return float(np.mean(gains**2))
 
 
+def _load(x, out=None):
+    # an entry's values in out, or in an array of its own: a file entry
+    # (io.DataFile) loads itself, and an array is copied into out or kept
+    if hasattr(x, "load"):
+        return x.load(out)
+    if out is None:
+        return x
+    out[...] = x
+    return out
+
+
 def adversarial_sets(sources, mixes, wm, seed=0):
     """Every source's adversarial set, built once, and each source's
     training data.
 
     Set i is the other sources with columns, in order, then the mixes
     times sqrt(beta_i), beta_i = compute_beta(wm, i, seed=[seed, 77, i]).
-    Each set is a new array in the inputs' layout; the mix block is scaled
-    in place. Source j's training data is a view of its block in the first
-    other source's set: the same values in the same layout, so the loaded
-    array can be freed. A source that no set holds (one source, or no
-    columns) keeps its own array.
+    Each set is a new array, column-major unless an array entry is not.
+    An entry of sources, and mixes, is an array or a file not yet read
+    (io.DataFile): anything with a shape and load(out=None), which reads
+    the payload into out, an F-contiguous block, or a new array. Each entry
+    is read or copied once, into its block of the first set that holds it,
+    and that block is copied into the other sets; the mix blocks are scaled
+    in place once all are copied. Source j's training data is its block in
+    the first set: the same values in the same layout, and no other copy.
+    A source that no set holds (one source, or no columns) keeps its own
+    array, or is loaded into one.
 
     Returns:
         (sets, true_data): per-source lists; the given lists are unchanged.
     """
-    arrays = [as_array(u) for u in sources]
-    v = as_array(mixes) if mixes is not None else None
-    mix = [v] if v is not None and v.shape[1] else []
-    m_rows = {a.shape[0] for a in arrays + mix if a.size}
+    # the mixes, if any, are the last entry, which every set holds
+    given = list(sources) + ([] if mixes is None else [mixes])
+    entries = [x if hasattr(x, "load") else as_array(x) for x in given]
+    cols = [x.shape[1] for x in entries]
+    n_mix = cols[-1] if mixes is not None else 0
+    m_rows = {x.shape[0] for x, n in zip(entries, cols) if x.shape[0] and n}
     if len(m_rows) > 1:
         raise ValueError(f"row counts differ across datasets: {sorted(m_rows)}")
-    sets, true_data = [], list(arrays)
-    for i in range(len(arrays)):
-        others = [j for j, a in enumerate(arrays) if j != i and a.shape[1]]
-        if not others and not mix:
+    order = "F" if all(x.flags.f_contiguous for x in entries if isinstance(x, np.ndarray)) else "C"
+    held, sets = [None] * len(entries), []
+    for i in range(len(sources)):
+        blocks = [j for j, n in enumerate(cols) if j != i and n]
+        if not blocks:
             raise ValueError(f"no adversarial data available for source {i}")
-        out = np.concatenate([arrays[j] for j in others] + mix, axis=1)
-        if mix:
-            out[:, -v.shape[1] :] *= np.sqrt(compute_beta(wm, i, seed=[seed, 77, i]))
+        out = np.empty((entries[blocks[0]].shape[0], sum(cols[j] for j in blocks)), order=order)
         col = 0
-        for j in others:
-            n = arrays[j].shape[1]
-            if true_data[j] is arrays[j]:
-                true_data[j] = out[:, col : col + n]
-            col += n
+        for j in blocks:
+            block = out[:, col : col + cols[j]]
+            if held[j] is None:
+                held[j] = _load(entries[j], block)
+            else:
+                block[...] = held[j]
+            col += cols[j]
         sets.append(out)
-    return sets, true_data
+    if n_mix:
+        for i, out in enumerate(sets):
+            out[:, -n_mix:] *= np.sqrt(compute_beta(wm, i, seed=[seed, 77, i]))
+    return sets, [_load(x) if h is None else h for x, h in zip(entries[: len(sources)], held)]

@@ -232,39 +232,40 @@ def _data_block(cfg, path, method, scored=False):
 def _training_inputs(clamp, cfg, path, data, seed, adversarial):
     """The sources, adversarial sets and supervised (sources, mix) pair of
     data, _data_block's data block of a train or tune config read from path,
-    each None when there is none. Matrices of different row counts are a
-    ValueError naming two of the files; so is a supervised source whose
+    each None when there is none. Every file's header is read first:
+    matrices of different row counts are a ValueError naming two of the
+    files before any payload is read. So is a supervised source whose
     shape is not the supervised mix's and, under a tune config's sisdr
     metric, a zero supervised source column.
 
-    With adversarial true, the sets are built here, once, from the sources
-    and data.mixes, with betas seeded [seed, 77, i]
-    (adversarial.adversarial_sets): each source is then a view of its
-    unscaled copy in another source's set, so the loaded arrays are not kept.
+    With adversarial true, the sets are built here, once, from the source
+    files and data.mixes, with betas seeded [seed, 77, i]
+    (adversarial.adversarial_sets): each source is read straight into its
+    block of a set and trains from it. Without, data.mixes is not read.
     """
-    loaded = []  # (path, matrix) of each file read, for the row check
-
-    def load(name):
-        loaded.append((name, aio.load_data_matrix(name, clamp)))
-        return loaded[-1][1]
-
-    sources = [load(p) for p in data.get("sources", [])] or None
-    mixes = load(data["mixes"]) if data.get("mixes") else None
-    supervised = None
-    if sup := data.get("supervised"):
-        supervised = [load(p) for p in sup["sources"]], load(sup["mix"])
-        # the pairs score tune's trials column by column, also when training does not read them
-        for src_path, u in zip(sup["sources"], supervised[0]):
-            _checked_reference(src_path, u, sup["mix"], supervised[1], cfg.get("metric"))
-    (path0, a0), *_ = loaded  # the data needs checked by _data_block name at least one file
-    for p, a in loaded:
-        if a.shape[0] != a0.shape[0]:
-            raise ValueError(f"{p} has {a.shape[0]} rows, but {path0} has {a0.shape[0]}")
+    sources = [aio.DataFile(p, clamp) for p in data.get("sources", [])]
+    mixes = aio.DataFile(data["mixes"], clamp) if adversarial and data.get("mixes") else None
+    sup = data.get("supervised")
+    sup_files = [aio.DataFile(p, clamp) for p in sup["sources"] + [sup["mix"]]] if sup else []
+    # the data needs checked by _data_block name at least one file
+    first, *rest = sources + [mixes] * (mixes is not None) + sup_files
+    for f in rest:
+        if f.shape[0] != first.shape[0]:
+            raise ValueError(f"{f.path} has {f.shape[0]} rows, but {first.path} has {first.shape[0]}")
     sets = None
     if adversarial:
         wm = _weight_model(cfg, max(len(sources), 2), path)
         sets, sources = adv.adversarial_sets(sources, mixes, wm, seed)
-    return sources, sets, supervised
+    else:
+        sources = [f.load() for f in sources]
+    supervised = None
+    if sup:
+        *sup_sources, sup_mix = (f.load() for f in sup_files)
+        # the pairs score tune's trials column by column, also when training does not read them
+        for src_path, u in zip(sup["sources"], sup_sources):
+            _checked_reference(src_path, u, sup["mix"], sup_mix, cfg.get("metric"))
+        supervised = sup_sources, sup_mix
+    return sources or None, sets, supervised
 
 
 def _train_and_save(out, method, data, spec):
@@ -278,10 +279,11 @@ def cmd_train(args):
     cfg = _load_config(args, TRAIN_KEYS)
     method, train = _config_method(cfg, args.config)
     # the spec comes first: whether the adversarial sets are built, and their betas' seed, are read from it;
-    # it needs one latent dimension per basis before any data is read
+    # it needs one latent dimension and one gamma per basis before any data is read
     spec = build_train_spec(train, method, args.seed)
     data_block, n_bases = _data_block(cfg, args.config, method)
     spec.dims(n_bases)
+    spec.gammas(n_bases)
     data = _training_inputs(args.clamp_negatives, cfg, args.config, data_block, spec.seed, spec.tau_A > 0)
     _train_and_save(cfg["output"], method, data, spec)
     return 0
@@ -386,7 +388,7 @@ def cmd_tune(args):
     if not 0 < peak < math.inf:
         raise ValueError(f"{args.config}: peak must be positive and finite, not {peak}")
     # the untuned train keys, and each of them with every value a trial can draw, must
-    # make a spec, with one latent dimension per basis, before any data is read: a
+    # make a spec, with one latent dimension and gamma per basis, before any data is read: a
     # value the method rejects would otherwise fail its trials one by one. A trial
     # draws each choice option; uniform and log_uniform draw from [lo, hi), and lo
     # itself almost never, so a range is checked at each end one step inward (a tau_S
@@ -397,6 +399,7 @@ def cmd_tune(args):
     def checked_spec(overrides):
         spec = build_train_spec(untuned_cfg, method, seed, overrides=overrides)
         spec.dims(n_bases)
+        spec.gammas(n_bases)
         return spec
 
     untuned = checked_spec({})

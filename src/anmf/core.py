@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 EPS = 1e-12
+BLOCK_COLUMNS = 512  # latent columns per block of update_latents
 
 
 def as_array(x):
@@ -84,12 +85,18 @@ def _latent_step(H, num, G, n, p, out=None, denom=None):
     return out
 
 
-def update_latents(H, W, U, p=None, n_scale=1.0):
+def update_latents(H, W, U, p=None, n_scale=1.0, out=None):
     """One multiplicative update of the latent variables.
 
     Returns H * (W.T U / n) / (W.T W H / n + mu_H + eps) entrywise. The
     n_scale factor is the per-term 1/N scaling of the training objective;
-    pass 1 for the unscaled update.
+    pass 1 for the unscaled update. The result is written to out, which may
+    be H itself, or else to a new array. The columns are updated in blocks
+    of BLOCK_COLUMNS, so the working arrays are d x BLOCK_COLUMNS whatever
+    N is. Up to BLOCK_COLUMNS columns, the result is the one-line update's
+    bit for bit; beyond, OpenBLAS can round a column by the width of the
+    product it sits in (see solve_nnls), which moved results on random data
+    by up to 1.8e-15 relative.
     """
     p = p or SparsityParams()
     H, W, U = as_array(H), as_array(W), as_array(U)
@@ -99,10 +106,19 @@ def update_latents(H, W, U, p=None, n_scale=1.0):
         raise ValueError(f"update_latents basis: incompatible shapes {W.shape} and {U.shape}")
     if H.shape != (W.shape[1], U.shape[1]):
         raise ValueError(f"update_latents latents: shape {H.shape}, need {(W.shape[1], U.shape[1])}")
-    # the W.T U product is scaled in place and then takes the result
-    num = W.T @ U
-    num /= n_scale
-    return _latent_step(H, num, W.T @ W, n_scale, p, out=num)
+    if out is None:
+        out = np.empty(H.shape)
+    elif out.shape != H.shape:
+        raise ValueError(f"update_latents out: shape {out.shape}, need {H.shape}")
+    G, n = W.T @ W, U.shape[1]
+    num, denom = (np.empty((H.shape[0], min(n, BLOCK_COLUMNS))) for _ in range(2))
+    for a in range(0, n, BLOCK_COLUMNS):
+        w = min(BLOCK_COLUMNS, n - a)
+        # the W.T U block is scaled in place and takes the block's result, as out may be H
+        num_b = np.matmul(W.T, U[:, a : a + w], out=num[:, :w])
+        num_b /= n_scale
+        out[:, a : a + w] = _latent_step(H[:, a : a + w], num_b, G, n_scale, p, num_b, denom[:, :w])
+    return out
 
 
 def solve_nnls(V, W, p=None, max_iter=500, tol=1e-3):
@@ -214,15 +230,18 @@ def normalize_columns(W, partners=(), eps=EPS):
     """Scale the columns of W to unit norm, compensating in the partners.
 
     Column j of W is divided by its Euclidean norm and row j of every
-    partner latent matrix is multiplied by the same norm, so all products
-    W @ partner are preserved. Columns with norm <= eps are left alone.
+    partner latent matrix is multiplied by the same norm, in place, so all
+    products W @ partner are preserved. Columns with norm <= eps are left
+    alone.
 
     Returns:
-        (W, partners): the rescaled basis and list of rescaled partners.
+        (W, partners): the rescaled basis, a new array, and the list of the
+        partners, rescaled in place.
     """
     W = as_array(W)
     norms = np.linalg.norm(W, axis=0)
     scale = np.where(norms > eps, norms, 1.0)
-    W_out = W / scale
-    partners_out = [as_array(P) * scale[:, None] for P in partners]
-    return W_out, partners_out
+    partners = [as_array(P) for P in partners]
+    for P in partners:
+        P *= scale[:, None]
+    return W / scale, partners

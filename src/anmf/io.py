@@ -82,38 +82,59 @@ def write_matrix(path, matrix):
         write(a)
 
 
-def read_matrix(path):
+def _matrix_header(f, path):
+    # the (rows, cols) of the open matrix file f, once its header and size are checked
+    head = f.read(24)
+    if len(head) < 24 or head[:4] != MATRIX_MAGIC:
+        raise ValueError(f"{path}: not a matrix file (bad magic)")
+    version, rows, cols = struct.unpack("<IQQ", head[4:])
+    if version != MATRIX_VERSION:
+        raise ValueError(f"{path}: unsupported matrix file version {version}")
+    size = os.fstat(f.fileno()).st_size
+    expected = 24 + rows * cols * 8
+    if size != expected:
+        raise ValueError(f"{path}: payload truncated ({size} bytes, expected {expected})")
+    return rows, cols
+
+
+def read_matrix(path, out=None):
     """Read a matrix file written by write_matrix; bit-exact round trip.
 
     The header and the file size are checked before anything is allocated,
     so a corrupt header cannot request a huge array; the payload is then
     read straight into the result, with no second copy of the file. The
-    result is a writable, native float64 array in the file's column-major
-    layout that owns its memory. NaN or inf entries are a ValueError
-    naming the file.
+    result is out, an F-contiguous float64 array (such as a column block of
+    a column-major matrix) of the file's shape, or else a new writable,
+    native float64 array in the file's column-major layout that owns its
+    memory. NaN or inf entries are a ValueError naming the file.
     """
     with open(path, "rb") as f:
-        head = f.read(24)
-        if len(head) < 24 or head[:4] != MATRIX_MAGIC:
-            raise ValueError(f"{path}: not a matrix file (bad magic)")
-        version, rows, cols = struct.unpack("<IQQ", head[4:])
-        if version != MATRIX_VERSION:
-            raise ValueError(f"{path}: unsupported matrix file version {version}")
-        size = os.fstat(f.fileno()).st_size
-        expected = 24 + rows * cols * 8
-        if size != expected:
-            raise ValueError(f"{path}: payload truncated ({size} bytes, expected {expected})")
-        mat = np.empty((rows, cols), order="F")
+        rows, cols = _matrix_header(f, path)
+        if out is None:
+            out = np.empty((rows, cols), order="F")
+        elif out.shape != (rows, cols) or out.dtype != np.float64 or not out.flags.f_contiguous:
+            raise ValueError(f"{path}: a {rows} x {cols} matrix is read into an F-contiguous float64 array "
+                             f"of its shape, not {out.dtype} {out.shape}")
         # the transpose is the same memory in C order, which readinto needs
-        got = f.readinto(mat.T)
-        if got != expected - 24:
-            raise ValueError(f"{path}: payload truncated ({24 + got} bytes read, expected {expected})")
+        got = f.readinto(out.T)
+        if got != rows * cols * 8:
+            raise ValueError(f"{path}: payload truncated ({24 + got} bytes read, expected {24 + rows * cols * 8})")
     if sys.byteorder == "big":
-        mat.byteswap(inplace=True)
+        out.byteswap(inplace=True)
     # one min/max pair shows NaN, +inf and -inf; the entries are counted only for the message
-    if mat.size and not (np.isfinite(mat.min()) and np.isfinite(mat.max())):
-        raise ValueError(f"{path}: {np.count_nonzero(~np.isfinite(mat))} non-finite (NaN or inf) entries")
-    return mat
+    if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
+        raise ValueError(f"{path}: {np.count_nonzero(~np.isfinite(out))} non-finite (NaN or inf) entries")
+    return out
+
+
+def _idx_header(data, path):
+    # (count, rows, cols) of an IDX image file's bytes data, once its header is checked
+    if len(data) < 16:
+        raise ValueError(f"{path}: truncated IDX header")
+    magic, count, rows, cols = struct.unpack(">IIII", data[:16])
+    if magic != IDX_IMAGE_MAGIC:
+        raise ValueError(f"{path}: bad IDX magic 0x{magic:08x}")
+    return count, rows, cols
 
 
 def load_idx_images(path):
@@ -123,11 +144,7 @@ def load_idx_images(path):
     [0, 255] to [0, 1].
     """
     data = Path(path).read_bytes()
-    if len(data) < 16:
-        raise ValueError(f"{path}: truncated IDX header")
-    magic, count, rows, cols = struct.unpack(">IIII", data[:16])
-    if magic != IDX_IMAGE_MAGIC:
-        raise ValueError(f"{path}: bad IDX magic 0x{magic:08x}")
+    count, rows, cols = _idx_header(data, path)
     expected = 16 + count * rows * cols
     if len(data) < expected:
         raise ValueError(f"{path}: truncated IDX payload ({len(data)} bytes, expected {expected})")
@@ -172,19 +189,47 @@ def write_wav(path, samples, sample_rate):
         f.writeframes(pcm.tobytes())
 
 
-def load_data_matrix(path, clamp_negatives=False):
-    """Load a data matrix, dispatching on extension (.anmf or .idx).
+def load_data_matrix(path, clamp_negatives=False, out=None):
+    """Load a data matrix, dispatching on extension (.anmf or .idx), into
+    out, an F-contiguous block of its shape (see read_matrix), or a new array.
 
     NaN or inf entries are a ValueError; so are negative entries, unless
     clamp_negatives sets them to 0.
     """
     path = Path(path)
-    mat = load_idx_images(path) if path.suffix == ".idx" else read_matrix(path)
+    if path.suffix != ".idx":
+        mat = read_matrix(path, out)
+    elif out is None:
+        mat = load_idx_images(path)
+    else:
+        out[...] = load_idx_images(path)
+        mat = out
     if mat.size and np.min(mat) < 0:
         if not clamp_negatives:
             raise ValueError(f"{path}: negative entries (pass --clamp-negatives to clamp to 0)")
         np.maximum(mat, 0.0, out=mat)
     return mat
+
+
+class DataFile:
+    """A data matrix file (.anmf or .idx) known by its header, whose payload
+    is read only by load(out=None), which is load_data_matrix.
+
+    The header is read and checked at construction, as read_matrix and
+    load_idx_images check it, and gives shape, (rows, cols).
+    """
+
+    def __init__(self, path, clamp_negatives=False):
+        self.path, self.clamp_negatives = Path(path), clamp_negatives
+        with open(self.path, "rb") as f:
+            if self.path.suffix == ".idx":
+                count, rows, cols = _idx_header(f.read(16), self.path)
+                self.shape = (rows * cols, count)
+            else:
+                self.shape = _matrix_header(f, self.path)
+
+    def load(self, out=None):
+        return load_data_matrix(self.path, self.clamp_negatives, out)
 
 
 def mix_synthetic(sources, wm=None, snr_db=None, seed=0):

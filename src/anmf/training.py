@@ -206,12 +206,14 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
     columns through it. Each epoch then updates the supervised latents,
     then per source normalizes the basis, updates that source's other
     latents and runs the batched basis update; all bases and latents are
-    normalized at the end of the epoch. The first active term, the true
-    data (the supervised data when tau_S = 1), is covered by the batches;
-    the others are resampled with replacement to the same batch count. A
-    batch's basis step sums each active term's gradient parts, scaled by
-    the term's signed weight. The recorded history is the total objective
-    after each epoch, the sum over sources of what those steps descend.
+    normalized at the end of the epoch. Latents are updated and normalized
+    in place, so each term holds its latents once. The first active term,
+    the true data (the supervised data when tau_S = 1), is covered by the
+    batches; the others are resampled with replacement to the same batch
+    count. A batch's basis step sums each active term's gradient parts,
+    scaled by the term's signed weight. The recorded history is the total
+    objective after each epoch, the sum over sources of what those steps
+    descend.
 
     Returns:
         TrainState with final bases, true-data latents and objective history.
@@ -227,12 +229,17 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
     dims = spec.dims(s)
     sq_norms = _sq_norms(data)
     p = spec.sparsity
-    row0 = np.cumsum([0] + dims)  # row offsets of each source in concatenated latents
     W = [
         _init_basis(spec, U[i] if U[i] is not None else data["supervised"][i], dims[i], [spec.seed, 1, i])
         for i in range(s)
     ]
-    L = {name: [np.ones((dims[i], x.shape[1])) for i, x in enumerate(sets)] for name, sets in data.items()}
+    L = {name: [np.ones((dims[i], x.shape[1])) for i, x in enumerate(sets)]
+         for name, sets in data.items() if name != "supervised"}
+    if "supervised" in data:
+        # one array whose row blocks are the per-source latents takes the joint update in place
+        row0 = np.cumsum([0] + dims)
+        Hsup = np.ones((row0[-1], Vsup.shape[1]))
+        L["supervised"] = [Hsup[row0[i] : row0[i + 1]] for i in range(s)]
     order = {name: [np.arange(x.shape[1]) for x in sets] for name, sets in data.items()}
     per_source = [name for name in data if name != "supervised"]
     anchor = next(iter(data))  # true data when tau_S < 1, else the supervised data
@@ -241,9 +248,8 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
     history = []
 
     def normalize_source(i):
-        W[i], scaled = normalize_columns(W[i], [L[name][i] for name in data], p.eps)
-        for name, h in zip(data, scaled):
-            L[name][i] = h
+        # the latents are rescaled in place
+        W[i], _ = normalize_columns(W[i], [L[name][i] for name in data], p.eps)
 
     def term_batch(name, i, b, n_batches):
         # a batch of the term's columns in this epoch's shuffled order
@@ -268,19 +274,17 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
         if "supervised" in data:
             o = order["supervised"][0]
             order["supervised"] = [o[shuffle_rng.permutation(len(o))]] * s
-            # the old row blocks are freed once concatenated, before the joint update
-            Hsup = update_latents(np.concatenate(L.pop("supervised")), np.concatenate(W, axis=1), Vsup, p,
-                                  n_scale=Vsup.shape[1])
-            L["supervised"] = [Hsup[row0[i] : row0[i + 1]] for i in range(s)]
+            update_latents(Hsup, np.concatenate(W, axis=1), Vsup, p, n_scale=Vsup.shape[1], out=Hsup)
 
         for i in range(s):
             normalize_source(i)
             for name in per_source:
-                L[name][i] = update_latents(L[name][i], W[i], data[name][i], p, n_scale=data[name][i].shape[1])
+                update_latents(L[name][i], W[i], data[name][i], p, n_scale=data[name][i].shape[1], out=L[name][i])
             n_batches = max(1, math.ceil(data[anchor][i].shape[1] / spec.batch_size))
             for b in range(n_batches):
                 parts = [grad_parts(W[i], *term_batch(name, i, b, n_batches), weight[name][i]) for name in data]
                 W[i] = update_basis(W[i], *map(sum, zip(*parts)), p.mu_W, p.eps)
+                del parts  # freed before the next batch's parts are made
 
         for i in range(s):
             normalize_source(i)

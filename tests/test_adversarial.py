@@ -197,3 +197,40 @@ class TestAssemble:
             out[:] = -1.0
         for x, before in zip(sources + [mixes], kept):
             assert np.array_equal(x, before)
+
+
+class Unread:
+    """An entry that loads itself, as io.DataFile does, counting its loads."""
+
+    def __init__(self, a):
+        self.a, self.shape, self.loads = a, a.shape, 0
+
+    def load(self, out=None):
+        self.loads += 1
+        if out is None:
+            return self.a.copy(order="F")
+        out[...] = self.a
+        return out
+
+
+class TestFilledFromEntries:
+    # one source needs the mixes: without, no set can be built (test_empty_adversarial_rejected)
+    @pytest.mark.parametrize("counts, n_mix", [([5, 7, 3], 0), ([5, 7, 3], 4), ([4, 6], 0), ([4, 6], 4), ([6], 4),
+                                               ([4, 0, 5], 0), ([4, 0, 5], 4)])
+    def test_entries_read_once_into_the_sets(self, counts, n_mix):
+        rng = np.random.default_rng(len(counts) + n_mix)
+        arrays = [np.asfortranarray(rng.random((3, n))) for n in counts]
+        mix = np.asfortranarray(rng.random((3, n_mix))) if n_mix else None
+        wm = WeightModel(values=np.full(max(len(counts), 2), 1.0 / max(len(counts), 2)))
+        entries, mix_entry = [Unread(a) for a in arrays], Unread(mix) if n_mix else None
+        sets, true_data = adversarial_sets(entries, mix_entry, wm, seed=5)
+        assert len(sets) == len(counts)
+        for i, got in enumerate(sets):
+            assert np.array_equal(got, concatenation(i, arrays, mix, wm, seed=5))
+            assert got.flags.f_contiguous and got.flags.owndata
+        assert all(e.loads == 1 for e in entries + [mix_entry] * bool(n_mix))
+        for j, (u, want) in enumerate(zip(true_data, arrays)):
+            assert np.array_equal(u, want)
+            # a source trains from its block in the first set that holds it, or from its own array
+            holders = [i for i, s in enumerate(sets) if np.shares_memory(u, s)]
+            assert holders == ([] if len(counts) == 1 or not counts[j] else [1 if j == 0 else 0])

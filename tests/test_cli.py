@@ -575,6 +575,27 @@ class TestTrainingInputs:
         assert builds == [] and sets is None
         assert all(u.flags.owndata for u in true_data)
 
+    @pytest.mark.parametrize("method, train", [("nmf", {}), ("enmf", {}), ("dnmf", {}), ("danmf", {"tau_A": 0.0}),
+                                               ("anmf", {})])
+    def test_mixes_read_only_for_the_sets(self, tmp_path, method, train, capsys):
+        # a method that builds no sets does not open data.mixes, so a corrupt mixes file goes unreported
+        rng = np.random.default_rng(12)
+        (tmp_path / "mix.anmf").write_bytes(b"not a matrix file")
+        cfg = write_config(tmp_path, "train.json", {
+            "method": method,
+            "data": {"sources": make_sources(tmp_path, rng), "mixes": str(tmp_path / "mix.anmf"),
+                     "supervised": self._supervised(tmp_path, rng)},
+            "train": {"d": 2, "epochs": 1, **train},
+            "output": str(tmp_path / "model"),
+        })
+        if method == "anmf":
+            assert run_cli(["train", "--config", cfg]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"anmf: error: {tmp_path / 'mix.anmf'}: not a matrix file (bad magic)"]
+        else:
+            assert run_cli(["train", "--config", cfg]) == 0
+            assert (tmp_path / "model" / "manifest.json").exists()
+
     @pytest.mark.parametrize("method, builds_expected", [("danmf", 1), ("nmf", 0)])
     def test_tune_builds_the_sets_once(self, tmp_path, monkeypatch, method, builds_expected):
         rng = np.random.default_rng(13)
@@ -607,7 +628,6 @@ class TestTrainingInputs:
         src = [matrix(f"src_{i}.anmf", 2000) for i in range(2)]
         sup = [matrix(f"sup_{i}.anmf", 250) for i in range(2)]
         paths = src + sup + [matrix("mix.anmf", 500), matrix("sup_mix.anmf", 250)]
-        payload = 8 * 257 * (2 * 2000 + 2 * 250 + 500 + 250)
         cfg = write_config(tmp_path, "train.json", {
             "method": "danmf",
             "data": {"sources": src, "mixes": paths[4], "supervised": {"sources": sup, "mix": paths[5]}},
@@ -621,10 +641,13 @@ class TestTrainingInputs:
         finally:
             tracemalloc.stop()
         assert rc == 0
-        # the loaded inputs next to the sets built from them are about 1.97 x
-        # the payload; a second copy of the sources kept through training
-        # would reach about 2.4 x
-        assert peak < 2.2 * payload
+        # what training must hold: the two sets (each the other source and the mix),
+        # the supervised inputs and every latent at d = 32, plus 10 %: about 1.45 x the
+        # input files' payload. The loaded inputs next to the sets built from them reach
+        # about 1.97 x
+        cols = 2 * (2000 + 500) + 2 * 250 + 250
+        latents = 32 * (2 * 2000 + 2 * (2000 + 500)) + 2 * 32 * 250
+        assert peak < 1.1 * 8 * (257 * cols + latents)
 
 
 class TestAudioBlocks:
@@ -807,6 +830,8 @@ class TestErrors:
             for p in [*sup["sources"], sup["mix"]]:
                 write_matrix(p, rng.random((9, 12)))
         monkeypatch.setattr(anmf.cli, "train_smu", lambda *a, **k: pytest.fail("a model was trained"))
+        # the headers are checked before any payload is read
+        monkeypatch.setattr(anmf.io, "load_data_matrix", lambda *a: pytest.fail("a payload was read"))
         assert run_cli([command, "--config", write_config(tmp_path, "c.json", cfg)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"anmf: error: {named} has 9 rows, but {cfg['data']['sources'][0]} has 8"]
@@ -1031,6 +1056,45 @@ class TestErrors:
         assert run_cli(["train", "--config", write_config(tmp_path, "c.json", cfg)]) == 1
         assert capsys.readouterr().err.splitlines() == ["anmf: error: need 2 latent dimensions, got 3"]
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def _no_reads(monkeypatch):
+        # neither a header nor a payload may be read
+        fail = lambda *a, **k: pytest.fail("data were read")  # noqa: E731
+        monkeypatch.setattr(anmf.io, "load_data_matrix", fail)
+        monkeypatch.setattr(anmf.io, "DataFile", fail, raising=False)
+
+    @pytest.mark.parametrize("method", ["nmf", "anmf", "danmf", "dnmf"])
+    def test_train_checks_gamma_before_reading_data(self, tmp_path, monkeypatch, method, capsys):
+        # a gamma of the wrong length is an error for every method, also where the supervised term is off
+        cfg = self._configs(tmp_path)["tune"]
+        del cfg["tuning"]
+        cfg["method"] = method
+        cfg["train"]["gamma"] = [1.0, 1.0, 1.0]
+        if method == "dnmf":
+            del cfg["data"]["sources"]
+        self._no_reads(monkeypatch)
+        assert run_cli(["train", "--config", write_config(tmp_path, "c.json", cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "anmf: error: gamma must be a positive vector, one entry per source"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tuned", [False, True])
+    def test_tune_checks_gamma_before_any_trial(self, tmp_path, monkeypatch, tuned, capsys):
+        cfg = self._configs(tmp_path)["tune"]
+        cfg["method"] = "danmf"
+        if tuned:
+            cfg["tuning"]["space"] = {"gamma": {"type": "choice", "options": [[1.0, 2.0], [1.0, 1.0, 1.0]]}}
+        else:
+            cfg["train"]["gamma"] = [1.0, 1.0, 1.0]
+        path = write_config(tmp_path, "c.json", cfg)
+        why = f"{path}: tuning.space.gamma value [1.0, 1.0, 1.0]: " if tuned else ""
+        self._no_reads(monkeypatch)
+        monkeypatch.setattr(anmf.cli, "train_smu", lambda *a, **k: pytest.fail("a trial ran"))
+        assert run_cli(["tune", "--config", path]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"anmf: error: {why}gamma must be a positive vector, one entry per source"]
+        assert not (tmp_path / "out" / "tune_result.json").exists()
 
     @pytest.mark.parametrize("command, extra, named", [
         ("mix", {"clamp_negatives": True}, "clamp_negatives"),

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from anmf.core import (
+    BLOCK_COLUMNS,
     Basis,
     SparsityParams,
     as_array,
@@ -105,6 +108,49 @@ class TestUpdateLatents:
         H1 = update_latents(H, W, U, P0)
         assert np.all(H1 >= 0)
         assert np.all(H1[1, :] == 0.0)
+
+    @staticmethod
+    def _reference(H, W, U, p, n):
+        # the one-line update, over all columns at once
+        return H * (W.T @ U / n) / (W.T @ W @ H / n + p.mu_H + p.eps)
+
+    @pytest.mark.parametrize("n", [1, 7, 511, 512, 513, 1001, 4999])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_blocks_match_one_line_update(self, n, in_place):
+        # one block is the one-line update bit for bit; across blocks OpenBLAS can
+        # round a column by the width of the product it sits in (see the docstring),
+        # which moved results by up to 1.8e-15 relative on random data
+        rng = np.random.default_rng(n)
+        W, U, H = rng.random((257, 16)), rng.random((257, n)), rng.random((16, n))
+        p = SparsityParams(0.0, 1e-3)
+        want = self._reference(H, W, U, p, n)
+        before = H.copy()
+        got = update_latents(H, W, U, p, n_scale=n, out=H if in_place else None)
+        assert (got is H) == in_place
+        if not in_place:
+            assert np.array_equal(H, before)
+        if n <= BLOCK_COLUMNS:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_out_must_fit(self):
+        with pytest.raises(ValueError, match=r"update_latents out: shape \(2, 4\), need \(2, 3\)"):
+            update_latents(np.ones((2, 3)), np.ones((5, 2)), np.ones((5, 3)), P0, out=np.ones((2, 4)))
+
+    def test_in_place_peak_memory_is_one_block(self):
+        # working arrays of d x BLOCK_COLUMNS, whatever N, and W's Gram matrix
+        m, d, n = 257, 64, 20000
+        rng = np.random.default_rng(5)
+        W, U, H = rng.random((m, d)), np.asfortranarray(rng.random((m, n))), np.ones((d, n))
+        tracemalloc.start()
+        try:
+            out = update_latents(H, W, U, SparsityParams(0.0, 1e-3), n_scale=n, out=H)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out is H
+        assert peak < 4 * 8 * d * BLOCK_COLUMNS + 8 * d * d
 
     @pytest.mark.parametrize("seed", range(5))
     def test_residual_monotone(self, seed):
@@ -310,12 +356,17 @@ class TestInit:
 
 
 class TestNormalizeColumns:
+    """The partners are rescaled in place, so every check compares against
+    copies taken before the call."""
+
     def test_idempotent_bitwise(self):
         W = np.eye(3)
         H = np.random.default_rng(0).random((3, 5))
+        W0, H0 = W.copy(), H.copy()
         W1, (H1,) = normalize_columns(W, [H])
-        assert np.array_equal(W1, W)
-        assert np.array_equal(H1, H)
+        assert H1 is H
+        assert np.array_equal(W1, W0)
+        assert np.array_equal(H1, H0)
 
     def test_product_preserved(self):
         rng = np.random.default_rng(2)
@@ -323,14 +374,29 @@ class TestNormalizeColumns:
         H = rng.random((3, 6))
         W[:, 1] *= 5.0
         H[1, :] /= 5.0
-        prod = W @ H
+        prod, H0 = W @ H, H.copy()
         W1, (H1,) = normalize_columns(W, [H])
+        assert H1 is H
         assert np.allclose(W1 @ H1, prod, rtol=1e-12)
         assert np.allclose(np.linalg.norm(W1, axis=0), 1.0)
+        norms = np.linalg.norm(W, axis=0)
+        assert np.array_equal(H1, H0 * norms[:, None])
 
     def test_zero_column_left_alone(self):
         W = np.array([[1.0, 0.0], [0.0, 0.0]])
         H = np.ones((2, 3))
+        H0 = H.copy()
         W1, (H1,) = normalize_columns(W, [H])
+        assert H1 is H
         assert np.array_equal(W1[:, 1], np.zeros(2))
-        assert np.array_equal(H1[1], H[1])
+        assert np.array_equal(H1[1], H0[1])
+
+    def test_partners_rescaled_in_place(self):
+        # views of one array, as train_smu's supervised latents are, stay views of it
+        rng = np.random.default_rng(3)
+        W, H = rng.random((5, 2)), rng.random((4, 6))
+        H0 = H.copy()
+        _, (top, bottom) = normalize_columns(W, [H[:2], H[2:]])
+        assert np.shares_memory(top, H) and np.shares_memory(bottom, H)
+        scale = np.linalg.norm(W, axis=0)[:, None]
+        assert np.array_equal(H, np.vstack([H0[:2] * scale, H0[2:] * scale]))

@@ -8,6 +8,7 @@ import pytest
 
 from anmf.adversarial import WeightModel
 from anmf.io import (
+    DataFile,
     load_bundle,
     load_data_matrix,
     load_idx_images,
@@ -303,6 +304,77 @@ class TestLoadDataMatrix:
         for clamp in (False, True):
             with pytest.raises(ValueError, match=f"^{p}: 1 non-finite \\(NaN or inf\\) entries$"):
                 load_data_matrix(p, clamp_negatives=clamp)
+
+
+class TestReadInto:
+    """read_matrix and load_data_matrix fill a given column block, with the checks of a new read."""
+
+    def test_column_block_filled_in_place(self, tmp_path):
+        rng = np.random.default_rng(4)
+        mat = rng.random((6, 5))
+        p = tmp_path / "m.anmf"
+        write_matrix(p, mat)
+        whole = np.zeros((6, 9), order="F")
+        block = whole[:, 2:7]
+        assert read_matrix(p, out=block) is block
+        assert np.array_equal(whole[:, 2:7], mat)
+        assert not whole[:, :2].any() and not whole[:, 7:].any()
+
+    @pytest.mark.parametrize("out", [np.zeros((6, 4), order="F"), np.zeros((6, 5), order="C"),
+                                     np.zeros((6, 5), dtype=np.float32, order="F")], ids=["shape", "layout", "dtype"])
+    def test_unfit_block_rejected(self, tmp_path, out):
+        p = tmp_path / "m.anmf"
+        write_matrix(p, np.ones((6, 5)))
+        with pytest.raises(ValueError, match=f"^{p}: a 6 x 5 matrix is read into an F-contiguous float64 array"):
+            read_matrix(p, out=out)
+        assert not out.any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_block_rejected(self, tmp_path, bad):
+        p = tmp_path / "m.anmf"
+        write_matrix(p, np.array([[1.0, bad]]))
+        with pytest.raises(ValueError, match=f"^{p}: 1 non-finite \\(NaN or inf\\) entries$"):
+            read_matrix(p, out=np.empty((1, 2), order="F"))
+
+    def test_sign_check_and_clamp_on_the_block(self, tmp_path):
+        p = tmp_path / "m.anmf"
+        write_matrix(p, np.array([[1.0, -0.5]]))
+        with pytest.raises(ValueError, match=f"^{p}: negative entries"):
+            load_data_matrix(p, False, np.empty((1, 2), order="F"))
+        whole = np.full((1, 3), 7.0, order="F")
+        assert load_data_matrix(p, True, whole[:, 1:]).base is whole
+        assert np.array_equal(whole, [[7.0, 1.0, 0.0]])
+
+    def test_data_file_reads_header_only(self, tmp_path):
+        p = tmp_path / "m.anmf"
+        mat = np.random.default_rng(5).random((4, 3))
+        write_matrix(p, mat)
+        f = DataFile(p)
+        assert f.shape == (4, 3)
+        out = np.empty((4, 3), order="F")
+        assert f.load(out) is out and np.array_equal(out, mat)
+        assert np.array_equal(f.load(), mat)
+
+    def test_data_file_header_errors(self, tmp_path):
+        p = tmp_path / "m.anmf"
+        write_matrix(p, np.ones((3, 3)))
+        p.write_bytes(p.read_bytes()[:-8])
+        with pytest.raises(ValueError, match=f"^{p}: payload truncated \\(88 bytes, expected 96\\)$"):
+            DataFile(p)
+        p.write_bytes(b"NOPE" + b"\x00" * 40)
+        with pytest.raises(ValueError, match=f"^{p}: not a matrix file \\(bad magic\\)$"):
+            DataFile(p)
+
+    def test_idx_data_file(self, tmp_path):
+        p, _ = TestIdx().make_idx(tmp_path)
+        f = DataFile(p)
+        assert f.shape == (8, 3)
+        whole = np.zeros((8, 4), order="F")
+        f.load(whole[:, 1:])
+        assert np.array_equal(whole[:, 1:], load_idx_images(p))
+        p.write_bytes(struct.pack(">IIII", 0x00000801, 1, 1, 1))
+        with pytest.raises(ValueError, match=f"^{p}: bad IDX magic 0x00000801$"):
+            DataFile(p)
 
 
 class TestMixSynthetic:
