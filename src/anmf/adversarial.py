@@ -33,14 +33,14 @@ class WeightModel:
             if self.values is None:
                 raise ValueError("deterministic weights need values")
             self.values = np.asarray(self.values, dtype=float)
-            if np.any(self.values < 0) or abs(self.values.sum() - 1.0) > 1e-9:
+            if not (np.all(self.values >= 0) and abs(self.values.sum() - 1.0) <= 1e-9):  # NaN too
                 raise ValueError("deterministic weights must lie on the simplex")
         else:
             if self.concentration is None:
                 raise ValueError("dirichlet weights need a concentration vector")
             self.concentration = np.asarray(self.concentration, dtype=float)
-            if np.any(self.concentration <= 0):
-                raise ValueError("dirichlet concentration must be positive")
+            if not np.all((self.concentration > 0) & (self.concentration < np.inf)):  # NaN too
+                raise ValueError("dirichlet concentration must be positive and finite")
             if self.mc_samples < 1:
                 raise ValueError("mc_samples must be >= 1")
 

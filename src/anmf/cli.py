@@ -234,9 +234,9 @@ def _training_inputs(clamp, cfg, path, data, seed, adversarial):
     data, _data_block's data block of a train or tune config read from path,
     each None when there is none. Every file's header is read first:
     matrices of different row counts are a ValueError naming two of the
-    files before any payload is read. So is a supervised source whose
-    shape is not the supervised mix's and, under a tune config's sisdr
-    metric, a zero supervised source column.
+    files before any payload is read, and so is a supervised source whose
+    shape is not the supervised mix's. Under a tune config's sisdr metric,
+    a zero supervised source column is one once the pairs are read.
 
     With adversarial true, the sets are built here, once, from the source
     files and data.mixes, with betas seeded [seed, 77, i]
@@ -252,6 +252,8 @@ def _training_inputs(clamp, cfg, path, data, seed, adversarial):
     for f in rest:
         if f.shape[0] != first.shape[0]:
             raise ValueError(f"{f.path} has {f.shape[0]} rows, but {first.path} has {first.shape[0]}")
+    for f in sup_files[:-1]:
+        _check_shape(f.path, f, sup_files[-1].path, sup_files[-1])
     sets = None
     if adversarial:
         wm = _weight_model(cfg, max(len(sources), 2), path)

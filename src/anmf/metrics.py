@@ -82,7 +82,7 @@ def weighted_score(per_source_scores, weights):
     w = np.asarray(weights, dtype=float)
     if len(scores) != len(w):
         raise ValueError("scores and weights must have equal length")
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+    if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-9):  # NaN too
         raise ValueError("weights must lie on the simplex")
     return float(np.dot(w, scores))
 

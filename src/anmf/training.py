@@ -10,10 +10,9 @@ adversarial data. tau_A = tau_S = 0 is standard NMF, tau_S = 1 is
 discriminative NMF, tau_A > 0 with tau_S = 0 is adversarial NMF, anything
 else is the combined method.
 
-The basis step treats every term alike (grad_parts): the Gram product
-W L L^T goes to the denominator of the multiplicative update and the data
-product D L^T to the numerator, each scaled by |weight| / N and swapped
-for a negative weight; update_basis divides their sums.
+The basis step treats every term alike: grad_parts gives each term's Gram
+and data parts, swapped for a negative weight, and update_basis divides
+their sums.
 
 The objective is reported once, as the history: after each epoch, with
 latents paired with their data columns, from m x d and d x d products.
@@ -21,11 +20,10 @@ Each fit is expanded as ||D - W L||^2 = ||D||^2 + <W, W (L L^T) - 2 D L^T>,
 ||D||^2 computed once per run; where that cancels to at most 1e-8 ||D||^2,
 which rounding could dominate, the fit is computed directly instead.
 
-Randomness is derived from the master seed as follows: the epoch shuffle
-stream is ``default_rng([seed, 0])``, the exemplar/random initialization
-of basis i uses ``[seed, 1, i]``, and the per-source batch resampling
-stream is ``default_rng([seed, 1000 + i])``. Latent matrices start as all
-ones (strictly positive, deterministic).
+Randomness is derived from the master seed alone: the epoch shuffle
+stream is ``default_rng([seed, 0])`` and the exemplar/random
+initialization of basis i uses ``[seed, 1, i]``. Latent matrices start as
+all ones (strictly positive, deterministic).
 """
 
 import math
@@ -154,7 +152,7 @@ def _term_table(spec, true_data, adversarial, supervised):
     """(weight, data, mix): _term_weights' table, each active term's
     per-source arrays in TERMS order, and the supervised mix or None.
     An inactive term's data is not read; an active term's must cover every
-    source and be finite and non-negative, or a ValueError names the term.
+    source with finite, non-negative columns, or a ValueError names it.
     """
     s = len(true_data)
     weight = _term_weights(spec, s)
@@ -168,13 +166,15 @@ def _term_table(spec, true_data, adversarial, supervised):
             raise ValueError(f"{name} data must cover every source")
         data[name] = [as_array(x) for x in sets]
         for i, x in enumerate(data[name]):
+            if not x.shape[1]:
+                raise ValueError(f"{name} data of source {i} has no columns")
             _check_nonneg(x, f"{name} data of source {i}")
     mix = None
     if "supervised" in data:
         mix = as_array(supervised[1])
         _check_nonneg(mix, "supervised mix")
         if any(u.shape[1] != mix.shape[1] for u in data["supervised"]):
-            raise ValueError("supervised sources and mix must have the same column count")
+            raise ValueError("supervised mix must have the same column count as the supervised sources")
     return weight, data, mix
 
 
@@ -197,7 +197,7 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
             required when tau_S > 0.
 
     An active term's data (and the supervised mix) must be given for every
-    source, finite and non-negative, or a ValueError names the term.
+    source with finite, non-negative columns, or a ValueError names the term.
 
     Bases start from each source's true data, or its supervised data when
     none is given. Data and latents keep their given column order: each
@@ -208,12 +208,14 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
     latents and runs the batched basis update; all bases and latents are
     normalized at the end of the epoch. Latents are updated and normalized
     in place, so each term holds its latents once. The first active term,
-    the true data (the supervised data when tau_S = 1), is covered by the
-    batches; the others are resampled with replacement to the same batch
-    count. A batch's basis step sums each active term's gradient parts,
-    scaled by the term's signed weight. The recorded history is the total
-    objective after each epoch, the sum over sources of what those steps
-    descend.
+    the true data (the supervised data when tau_S = 1), is cut into
+    n_batches batches of batch_size columns; batch b of any other term, of
+    n columns in order o, is the wrapped slice o[(b k + arange(k)) % n],
+    k = ceil(n / n_batches). So each epoch steps on every column, and on
+    none more than twice when n >= n_batches. Each basis step sums the
+    active terms' gradient parts, scaled by their signed weights. The
+    history is the total objective after each epoch, the sum over sources
+    of what those steps descend.
 
     Returns:
         TrainState with final bases, true-data latents and objective history.
@@ -244,7 +246,6 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
     per_source = [name for name in data if name != "supervised"]
     anchor = next(iter(data))  # true data when tau_S < 1, else the supervised data
     shuffle_rng = np.random.default_rng([spec.seed, 0])
-    samp_rng = [np.random.default_rng([spec.seed, 1000 + i]) for i in range(s)]
     history = []
 
     def normalize_source(i):
@@ -252,16 +253,12 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
         W[i], _ = normalize_columns(W[i], [L[name][i] for name in data], p.eps)
 
     def term_batch(name, i, b, n_batches):
-        # a batch of the term's columns in this epoch's shuffled order
-        x, h, o = data[name][i], L[name][i], order[name][i]
-        n = x.shape[1]
-        if name == anchor:
-            cols = o[b * spec.batch_size : (b + 1) * spec.batch_size]
-        elif n_batches == 1:
-            cols = o
-        else:
-            cols = o[samp_rng[i].integers(0, n, size=max(1, math.ceil(n / n_batches)))]
-        return x[:, cols], h[:, cols]
+        # batch b of the term's columns in this epoch's shuffled order: the anchor's
+        # b-th slice of k = batch_size, any other term's b-th of n_batches wrapped slices
+        o = order[name][i]
+        k = spec.batch_size if name == anchor else math.ceil(len(o) / n_batches)
+        cols = o[b * k : (b + 1) * k] if name == anchor else o[(b * k + np.arange(k)) % len(o)]
+        return data[name][i][:, cols], L[name][i][:, cols]
 
     for _ in range(spec.epochs):
         # column shuffles, composed into each term's order: one permutation
@@ -280,7 +277,7 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
             normalize_source(i)
             for name in per_source:
                 update_latents(L[name][i], W[i], data[name][i], p, n_scale=data[name][i].shape[1], out=L[name][i])
-            n_batches = max(1, math.ceil(data[anchor][i].shape[1] / spec.batch_size))
+            n_batches = math.ceil(data[anchor][i].shape[1] / spec.batch_size)
             for b in range(n_batches):
                 parts = [grad_parts(W[i], *term_batch(name, i, b, n_batches), weight[name][i]) for name in data]
                 W[i] = update_basis(W[i], *map(sum, zip(*parts)), p.mu_W, p.eps)

@@ -29,7 +29,11 @@ class TestWeightModel:
         ({}, "deterministic weights need values"),
         ({"mode": "dirichlet"}, "dirichlet weights need a concentration vector"),
         ({"mode": "dirichlet", "concentration": [1.0, 1.0], "mc_samples": 0}, "mc_samples must be >= 1"),
-    ], ids=["unknown_mode", "no_values", "no_concentration", "mc_samples_0"])
+        ({"values": [np.nan, np.nan]}, "deterministic weights must lie on the simplex"),
+        ({"mode": "dirichlet", "concentration": [np.nan, 1.0]}, "dirichlet concentration must be positive and finite"),
+        ({"mode": "dirichlet", "concentration": [np.inf, 1.0]}, "dirichlet concentration must be positive and finite"),
+    ], ids=["unknown_mode", "no_values", "no_concentration", "mc_samples_0", "values_nan", "concentration_nan",
+            "concentration_inf"])
     def test_incomplete_model_named(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             WeightModel(**kwargs)

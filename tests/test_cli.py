@@ -798,20 +798,22 @@ class TestErrors:
 
     def test_tune_honours_clamp_negatives(self, tmp_path, capsys):
         src = tmp_path / "neg.anmf"
-        write_matrix(src, np.array([[1.0, -0.5], [0.2, 0.3]]))
-        write_matrix(tmp_path / "wide.anmf", np.ones((2, 3)))
+        write_matrix(src, np.array([[1.0, -0.5], [0.2, -0.3]]))
+        write_matrix(tmp_path / "mix.anmf", np.ones((2, 2)))
         cfg = write_config(tmp_path, "tune.json", {
             "method": "nmf",
-            "data": {"sources": [str(src)], "supervised": {"sources": [str(src)], "mix": str(tmp_path / "wide.anmf")}},
+            "data": {"sources": [str(src)], "supervised": {"sources": [str(src)], "mix": str(tmp_path / "mix.anmf")}},
             "tuning": {"space": {}},
+            "metric": "sisdr",
             "output": str(tmp_path / "out"),
         })
         assert run_cli(["tune", "--config", cfg]) == 1
         assert "negative entries" in capsys.readouterr().err
-        # with the flag the source loads and the run stops at the next check
+        # with the flag the source loads, its second column clamped to zero, and
+        # the run stops at the next check: sisdr needs a nonzero reference
         assert run_cli(["tune", "--config", cfg, "--clamp-negatives"]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"anmf: error: {src} has shape (2, 2), but {tmp_path / 'wide.anmf'} has shape (2, 3)"]
+            f"anmf: error: {src}: column 1 is zero, and sisdr needs a nonzero reference"]
 
     @pytest.mark.parametrize("command", ["train", "tune"])
     @pytest.mark.parametrize("odd", ["source", "supervised"])
@@ -1176,6 +1178,27 @@ class TestErrors:
         mix = cfg["data"]["supervised"]["mix"]
         assert capsys.readouterr().err.splitlines() == [
             f"anmf: error: {wide[0]} has shape (8, 30), but {mix} has shape (8, 12)"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "tune"])
+    def test_supervised_shapes_checked_from_headers(self, tmp_path, monkeypatch, command, capsys):
+        # danmf reads sources, mixes and the supervised pairs: a supervised source
+        # of another shape than the mix is named before any payload is read
+        cfg = self._configs(tmp_path)["tune"]
+        if command == "train":
+            cfg.pop("tuning")
+        cfg["method"] = "danmf"
+        cfg["train"]["tau_S"] = 0.5
+        cfg["data"]["mixes"] = cfg["data"]["supervised"]["mix"]
+        narrow = cfg["data"]["supervised"]["sources"][1]
+        write_matrix(narrow, np.random.default_rng(2).random((8, 11)))
+        fail = lambda *a, **k: pytest.fail("a payload was read")  # noqa: E731
+        monkeypatch.setattr(anmf.io, "load_data_matrix", fail)
+        monkeypatch.setattr(anmf.io.DataFile, "load", fail)
+        assert run_cli([command, "--config", write_config(tmp_path, "c.json", cfg)]) == 1
+        mix = cfg["data"]["supervised"]["mix"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"anmf: error: {narrow} has shape (8, 11), but {mix} has shape (8, 12)"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("block, edit, message", [

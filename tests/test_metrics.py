@@ -118,6 +118,13 @@ class TestAggregation:
         with pytest.raises(ValueError):
             weighted_score([1.0], [0.5, 0.5])
 
+    @pytest.mark.parametrize("weights", [[0.5, 0.6], [-0.1, 1.1], [np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf]],
+                             ids=["sum_above_1", "negative", "nan", "nan_and_1", "inf"])
+    def test_weighted_score_rejects_weights_off_the_simplex(self, weights):
+        # each is a comparison NaN fails, so NaN weights are no score
+        with pytest.raises(ValueError, match="^weights must lie on the simplex$"):
+            weighted_score([1.0, 2.0], weights)
+
     def test_median_bootstrap_se_deterministic(self):
         vals = np.random.default_rng(3).random(40)
         assert median_bootstrap_se(vals, seed=5) == median_bootstrap_se(vals, seed=5)

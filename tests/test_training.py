@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -30,11 +31,17 @@ def make_spec(**kw):
 def method_runs():
     """train_smu at gamma = 1 on one seeded data set, once per method.
 
-    Returns {method: TrainState}. REFERENCE_RUNS holds these states as
-    computed before the objective was expanded into m x d and d x d
-    products, written by
+    Returns {method: TrainState}. REFERENCE_RUNS holds these states. The
+    nmf/* and dnmf/* entries were computed before the objective was
+    expanded into m x d and d x d products, written by
     np.savez_compressed(REFERENCE_RUNS, **run_arrays(method_runs())) while
-    TrainState also returned the adversarial and supervised latents.
+    TrainState also returned the adversarial and supervised latents. The
+    anmf/* and danmf/* entries were regenerated when the non-anchor terms
+    changed from resampling with replacement to wrapped batch slices: the
+    file was rewritten with the nmf/* and dnmf/* arrays copied as they
+    were and the anmf/* and danmf/* arrays taken from
+    run_arrays(method_runs()), which drops their adversarial and
+    supervised latents.
     """
     rng = np.random.default_rng(21)
     U = [rng.random((8, 14)), rng.random((8, 12))]
@@ -66,11 +73,12 @@ def run_arrays(states):
 def minibatch_run():
     """A seeded danmf train_smu run in several batches per epoch: the
     true-data anchor is sliced into batches of 7 and the adversarial and
-    supervised terms are resampled to the same batch count.
+    supervised terms each take wrapped slices at the same batch count.
 
-    MINIBATCH_RUN holds its arrays as computed while train_smu still
-    copied every term's data and latents into shuffled order each epoch,
-    written by np.savez_compressed(MINIBATCH_RUN, **run_arrays({"danmf": minibatch_run()})).
+    MINIBATCH_RUN holds its arrays, all of them regenerated when the
+    non-anchor terms changed from resampling with replacement to wrapped
+    batch slices, by
+    np.savez_compressed(MINIBATCH_RUN, **run_arrays({"danmf": minibatch_run()})).
     """
     rng = np.random.default_rng(40)
     U = [rng.random((8, 40)), rng.random((8, 40))]
@@ -322,6 +330,85 @@ class TestTrainSmu:
         # run that copied the data into shuffled order
         assert_matches_saved(run_arrays({"danmf": minibatch_run()}), MINIBATCH_RUN)
 
+    @staticmethod
+    def _wrapped_slice_run(method):
+        # two sources of 40 true columns in 10 batches of 4: 23 and 31
+        # adversarial columns, and 5 supervised pairs, fewer than the batches;
+        # returns the spec, each active term's data and a call that trains
+        rng = np.random.default_rng(19)
+        U = [rng.random((6, 40)), rng.random((6, 40))]
+        adv = [rng.random((6, 23)), rng.random((6, 31))]
+        sup_sources = [rng.random((6, 5)), rng.random((6, 5))]
+        taus = {"anmf": {"tau_A": 0.2}, "danmf": {"tau_A": 0.2, "tau_S": 0.5}}[method]
+        spec = make_spec(d=3, epochs=3, batch_size=4, seed=4, **taus)
+        terms = {"true_data": U, "adversarial": adv}
+        if method == "danmf":
+            terms["supervised"] = sup_sources
+        sup = (sup_sources, sup_sources[0] + sup_sources[1])
+        return spec, terms, lambda: train_smu(U, spec, adversarial=adv, supervised=sup)
+
+    @staticmethod
+    def _column_index(x, batch):
+        # the data columns of x that a gathered batch holds, in batch order
+        where = {c.tobytes(): j for j, c in enumerate(x.T)}
+        return [where[c.tobytes()] for c in np.asarray(batch).T]
+
+    @pytest.mark.parametrize("method", ["anmf", "danmf"])
+    def test_each_epoch_steps_on_every_column(self, basis_steps, method):
+        # every term steps on each of its columns at least once per epoch, and
+        # on none more than twice where it has at least as many columns as batches
+        spec, terms, run = self._wrapped_slice_run(method)
+        run()
+        n_batches = 10
+        assert len(basis_steps) == spec.epochs * 2 * n_batches
+        for e in range(spec.epochs):
+            for i in range(2):
+                steps = basis_steps[(2 * e + i) * n_batches : (2 * e + i + 1) * n_batches]
+                for t, (name, sets) in enumerate(terms.items()):
+                    n = sets[i].shape[1]
+                    cols = [j for parts, _, _ in steps for j in self._column_index(sets[i], parts[t][0][1])]
+                    counts = np.bincount(cols, minlength=n)
+                    assert np.all(counts >= 1), (e, i, name)
+                    if n >= n_batches:
+                        assert np.all(counts <= 2), (e, i, name)
+
+    def test_first_epoch_batches_are_wrapped_slices_of_shuffle(self, basis_steps):
+        # replay the documented shuffle stream default_rng([seed, 0]): per
+        # source its true-data then its adversarial permutation, then the
+        # supervised one; the first epoch's orders are those permutations.
+        # A non-anchor term's batches split its order, repeated cyclically to
+        # k * n_batches columns, into n_batches equal slices
+        spec, terms, run = self._wrapped_slice_run("danmf")
+        run()
+        shuffle = np.random.default_rng([spec.seed, 0])
+        perm = {}
+        for i in range(2):
+            for name in ("true_data", "adversarial"):
+                perm[name, i] = shuffle.permutation(terms[name][i].shape[1])
+        perm["supervised", 0] = perm["supervised", 1] = shuffle.permutation(5)
+        n_batches = 10
+        for i in range(2):
+            for b, (parts, _, _) in enumerate(basis_steps[i * n_batches : (i + 1) * n_batches]):
+                for t, name in enumerate(terms):
+                    o = perm[name, i]
+                    k = math.ceil(len(o) / n_batches)
+                    want = o[b * 4 : (b + 1) * 4] if name == "true_data" else np.resize(o, (n_batches, k))[b]
+                    assert self._column_index(terms[name][i], parts[t][0][1]) == list(want), (i, b, name)
+
+    def test_no_stream_but_shuffle_and_initialization(self, monkeypatch):
+        # training's only randomness: the shuffle [seed, 0] and the init [seed, 1, i]
+        spec, _, run = self._wrapped_slice_run("danmf")
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def spy(seed=None):
+            seeds.append(np.atleast_1d(seed).tolist())
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        run()
+        assert sorted(seeds) == [[spec.seed, 0], [spec.seed, 1, 0], [spec.seed, 1, 1]]
+
     def test_epochs_copy_no_data(self):
         # the data stay where they are: the peak working memory of a run at
         # the train benchmark's m and d is a small multiple of the latents
@@ -394,7 +481,7 @@ class TestTrainSmu:
     ENTRY_TERMS = ("true_data data of source 1", "adversarial data of source 1",
                    "supervised data of source 1", "supervised mix")
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, None], ids=["nan", "inf", "negative", "no_columns"])
     @pytest.mark.parametrize("term", ENTRY_TERMS, ids=["true_data", "adversarial", "supervised", "mix"])
     def test_bad_entries_in_active_term_named(self, term, bad):
         # random init and no epochs: only the entry check reads the data
@@ -404,7 +491,11 @@ class TestTrainSmu:
         sup_sources = [rng.random((4, 4)), rng.random((4, 4))]
         mix = sup_sources[0] + sup_sources[1]
         data = dict(zip(self.ENTRY_TERMS, (U[1], adv_sets[1], sup_sources[1], mix)))
-        data[term][2, 2] = bad
+        if bad is None:  # every column dropped
+            data[term] = data[term][:, :0]
+        else:
+            data[term][2, 2] = bad
+        U[1], adv_sets[1], sup_sources[1], mix = data.values()
         spec = make_spec(d=2, tau_A=0.3, tau_S=0.5, epochs=0, init="random")
         with pytest.raises(ValueError, match=term):
             train_smu(U, spec, adversarial=adv_sets, supervised=(sup_sources, mix))
