@@ -298,11 +298,13 @@ def cmd_separate(args):
     bundle = aio.load_bundle(args.model)
     if args.references is not None and len(args.references) != len(bundle.bases):
         raise ValueError(f"need one reference per basis: {len(bundle.bases)} bases, {len(args.references)} references")
-    clamp = args.clamp_negatives
-    V = aio.load_data_matrix(args.input, clamp)
-    # the references are checked before any source file is written
-    refs = [_checked_reference(path, aio.load_data_matrix(path, clamp), args.input, V, args.metric)
-            for path in args.references or ()]
+    # the reference shapes are checked from the headers before any payload is read,
+    # and the references before any source file is written
+    mix, *ref_files = (aio.DataFile(path, args.clamp_negatives) for path in [args.input, *(args.references or ())])
+    for f in ref_files:
+        _check_shape(f.path, f, mix.path, mix)
+    V = mix.load()
+    refs = [_checked_reference(f.path, f.load(), mix.path, V, args.metric) for f in ref_files]
     result = separate(V, bundle.bases, p, max_iter=args.max_iter)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -43,6 +43,12 @@ def read_json(path):
         raise ValueError(f"{path}: not a JSON file ({e})") from None
 
 
+def _check_finite(a, path, what="entries"):
+    # one min/max pair shows NaN, +inf and -inf; the entries are counted only for the message
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        raise ValueError(f"{path}: {np.count_nonzero(~np.isfinite(a))} non-finite (NaN or inf) {what}")
+
+
 @contextmanager
 def matrix_writer(path, rows, cols):
     """Write a rows x cols matrix file one block of columns at a time.
@@ -50,8 +56,8 @@ def matrix_writer(path, rows, cols):
     Yields write(block), which appends the columns of a block of rows rows.
     The file is the one write_matrix writes: 'ANMF' magic, u32 version, u64
     rows/cols (little-endian), then the column-major little-endian float64
-    payload. A block of another row count, or blocks of other than cols
-    columns in total, is a ValueError.
+    payload. A block of another row count or with a NaN or inf entry, or
+    blocks of other than cols columns in total, is a ValueError.
     """
     written = 0
     with open(path, "wb") as f:
@@ -64,6 +70,7 @@ def matrix_writer(path, rows, cols):
             if a.ndim != 2 or a.shape[0] != rows or written + a.shape[1] > cols:
                 raise ValueError(f"{path}: a block of shape {a.shape} does not fit the {rows} x {cols} "
                                  f"matrix after {written} columns")
+            _check_finite(a, path)
             # the transpose is the same memory in C order: written with no copy
             f.write(a.T.data)
             written += a.shape[1]
@@ -121,9 +128,7 @@ def read_matrix(path, out=None):
             raise ValueError(f"{path}: payload truncated ({24 + got} bytes read, expected {24 + rows * cols * 8})")
     if sys.byteorder == "big":
         out.byteswap(inplace=True)
-    # one min/max pair shows NaN, +inf and -inf; the entries are counted only for the message
-    if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
-        raise ValueError(f"{path}: {np.count_nonzero(~np.isfinite(out))} non-finite (NaN or inf) entries")
+    _check_finite(out, path)
     return out
 
 
@@ -174,12 +179,15 @@ def load_wav(path):
 
 
 def write_wav(path, samples, sample_rate):
-    """Write samples in [-1, 1) as PCM16 mono WAV; a sample_rate outside [1, 2**31 - 1] is an error."""
+    """Write samples in [-1, 1) as PCM16 mono WAV; a NaN or inf sample, or a
+    sample_rate outside [1, 2**31 - 1], is an error before the file is opened."""
     rate = int(sample_rate)
     if not 1 <= rate <= 2**31 - 1:
         raise ValueError(f"{path}: sample_rate must be in [1, 2147483647], not {rate}")
+    x = np.asarray(samples, dtype=float)
+    _check_finite(x, path, "samples")
     # one float copy, scaled and rounded in place
-    x = np.clip(np.asarray(samples, dtype=float), -1.0, 32767.0 / 32768.0)
+    x = np.clip(x, -1.0, 32767.0 / 32768.0)
     x *= 32768.0
     pcm = np.round(x, out=x).astype("<i2")
     with wave.open(str(path), "wb") as f:

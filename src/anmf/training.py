@@ -10,9 +10,10 @@ adversarial data. tau_A = tau_S = 0 is standard NMF, tau_S = 1 is
 discriminative NMF, tau_A > 0 with tau_S = 0 is adversarial NMF, anything
 else is the combined method.
 
-The basis step treats every term alike: grad_parts gives each term's Gram
-and data parts, swapped for a negative weight, and update_basis divides
-their sums.
+The basis step treats every term alike: it takes the b-th of n_batches =
+ceil(N / batch_size) wrapped slices of each term's shuffled columns, for N
+true-data columns (supervised ones when tau_S = 1), and update_basis
+divides the sums of their grad_parts, swapped for a negative weight.
 
 The objective is reported once, as the history: after each epoch, with
 latents paired with their data columns, from m x d and d x d products.
@@ -207,15 +208,14 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
     then per source normalizes the basis, updates that source's other
     latents and runs the batched basis update; all bases and latents are
     normalized at the end of the epoch. Latents are updated and normalized
-    in place, so each term holds its latents once. The first active term,
-    the true data (the supervised data when tau_S = 1), is cut into
-    n_batches batches of batch_size columns; batch b of any other term, of
-    n columns in order o, is the wrapped slice o[(b k + arange(k)) % n],
-    k = ceil(n / n_batches). So each epoch steps on every column, and on
-    none more than twice when n >= n_batches. Each basis step sums the
-    active terms' gradient parts, scaled by their signed weights. The
-    history is the total objective after each epoch, the sum over sources
-    of what those steps descend.
+    in place, so each term holds its latents once. Batch b of each active
+    term, of n columns in order o, is o[(b k + arange(k)) % n], k =
+    ceil(n / n_batches), n_batches = ceil(N / batch_size) for the true
+    data's N (the supervised data's when tau_S = 1): each epoch steps on
+    every column, and on none more than twice when n >= n_batches. Each
+    basis step sums the active terms' gradient parts, scaled by their
+    signed weights. The history is the total objective after each epoch,
+    the sum over sources of what those steps descend.
 
     Returns:
         TrainState with final bases, true-data latents and objective history.
@@ -244,7 +244,8 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
         L["supervised"] = [Hsup[row0[i] : row0[i + 1]] for i in range(s)]
     order = {name: [np.arange(x.shape[1]) for x in sets] for name, sets in data.items()}
     per_source = [name for name in data if name != "supervised"]
-    anchor = next(iter(data))  # true data when tau_S < 1, else the supervised data
+    # the true data's column count (the supervised data's when tau_S = 1) sets the batch count
+    n_batches = [math.ceil(x.shape[1] / spec.batch_size) for x in next(iter(data.values()))]
     shuffle_rng = np.random.default_rng([spec.seed, 0])
     history = []
 
@@ -252,12 +253,11 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
         # the latents are rescaled in place
         W[i], _ = normalize_columns(W[i], [L[name][i] for name in data], p.eps)
 
-    def term_batch(name, i, b, n_batches):
-        # batch b of the term's columns in this epoch's shuffled order: the anchor's
-        # b-th slice of k = batch_size, any other term's b-th of n_batches wrapped slices
+    def term_batch(name, i, b):
+        # the b-th of n_batches[i] wrapped slices of the term's shuffled columns
         o = order[name][i]
-        k = spec.batch_size if name == anchor else math.ceil(len(o) / n_batches)
-        cols = o[b * k : (b + 1) * k] if name == anchor else o[(b * k + np.arange(k)) % len(o)]
+        k = math.ceil(len(o) / n_batches[i])
+        cols = o[(b * k + np.arange(k)) % len(o)]
         return data[name][i][:, cols], L[name][i][:, cols]
 
     for _ in range(spec.epochs):
@@ -277,9 +277,8 @@ def train_smu(true_data, spec, adversarial=None, supervised=None):
             normalize_source(i)
             for name in per_source:
                 update_latents(L[name][i], W[i], data[name][i], p, n_scale=data[name][i].shape[1], out=L[name][i])
-            n_batches = math.ceil(data[anchor][i].shape[1] / spec.batch_size)
-            for b in range(n_batches):
-                parts = [grad_parts(W[i], *term_batch(name, i, b, n_batches), weight[name][i]) for name in data]
+            for b in range(n_batches[i]):
+                parts = [grad_parts(W[i], *term_batch(name, i, b), weight[name][i]) for name in data]
                 W[i] = update_basis(W[i], *map(sum, zip(*parts)), p.mu_W, p.eps)
                 del parts  # freed before the next batch's parts are made
 

@@ -3,8 +3,8 @@
 These deliberately avoid the code paths they verify: brute-force grid
 refinement for non-negative least squares, a column-at-a-time
 multiplicative NNLS loop, naive triple-loop matrix products, a plain
-full-batch multiplicative NMF loop, and a WAV file in a format the
-library rejects.
+full-batch multiplicative NMF loop, a WAV file in a format the library
+rejects, and a matrix file with entries that write_matrix refuses.
 """
 
 import struct
@@ -163,3 +163,11 @@ def float32_wav_bytes(samples, rate):
     fmt = struct.pack("<HHIIHH", 3, 1, rate, 4 * rate, 4, 32)
     body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(data)) + data
     return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def matrix_file_bytes(mat):
+    """A version 1 matrix file holding mat as it is, NaN or inf entries too,
+    which write_matrix refuses: 'ANMF', u32 version, u64 rows and cols, then
+    the column-major float64 payload, all little-endian."""
+    a = np.asarray(mat, dtype="<f8")
+    return b"ANMF" + struct.pack("<IQQ", 1, *a.shape) + a.T.tobytes()

@@ -18,7 +18,7 @@ from anmf.features import StftConfig, apply_gain, istft, stft
 from anmf.io import load_bundle, load_wav, read_matrix, save_bundle, write_matrix, write_wav
 from anmf.separation import separate, wiener_mask
 from anmf.training import TrainSpec, train_smu
-from oracles import float32_wav_bytes
+from oracles import float32_wav_bytes, matrix_file_bytes
 
 
 def write_config(tmp_path, name, cfg):
@@ -957,6 +957,23 @@ class TestErrors:
         assert f"anmf: error: {refs[0]} has shape (8, {cols}), but {mix} has shape (8, 5)" in capsys.readouterr().err
         assert not (tmp_path / "sep").exists()
 
+    def test_separate_checks_reference_shapes_before_any_payload(self, tmp_path, monkeypatch, capsys):
+        # the headers give every shape: a reference of another shape than the
+        # mix is named before the mix or any reference is read
+        rng = np.random.default_rng(0)
+        save_bundle(tmp_path / "model", [rng.random((8, 2)), rng.random((8, 2))])
+        mix = str(tmp_path / "mix.anmf")
+        write_matrix(mix, rng.random((8, 5)))
+        refs = make_sources(tmp_path, rng, n=5)
+        write_matrix(refs[1], rng.random((8, 4)))
+        fail = lambda *a, **k: pytest.fail("a payload was read")  # noqa: E731
+        monkeypatch.setattr(anmf.io, "load_data_matrix", fail)
+        assert run_cli(["separate", "--model", str(tmp_path / "model"), "--input", mix,
+                        "--output-dir", str(tmp_path / "sep"), "--references", *refs]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"anmf: error: {refs[1]} has shape (8, 4), but {mix} has shape (8, 5)"]
+        assert not (tmp_path / "sep").exists()
+
     def test_eval_scores_negative_estimate_as_written(self, tmp_path):
         rng = np.random.default_rng(16)
         ref = rng.random((8, 5))
@@ -1478,12 +1495,13 @@ class TestErrors:
 
     @staticmethod
     def _invert(tmp_path, mag, phase, window="hann"):
-        # synth on a hand-written .mag/.phase pair and an n_fft 512 .cfg.json
+        # synth on a hand-written .mag/.phase pair, which may hold what write_matrix
+        # refuses, and an n_fft 512 .cfg.json
         prefix = str(tmp_path / "feat")
         (tmp_path / "feat.cfg.json").write_text(json.dumps(
             {"n_fft": 512, "hop": 128, "window": window, "sample_rate": 16000, "length": 512}))
-        write_matrix(prefix + ".mag.anmf", mag)
-        write_matrix(prefix + ".phase.anmf", phase)
+        Path(prefix + ".mag.anmf").write_bytes(matrix_file_bytes(mag))
+        Path(prefix + ".phase.anmf").write_bytes(matrix_file_bytes(phase))
         return run_cli(["synth", "--input-prefix", prefix, "--output", str(tmp_path / "y.wav")])
 
     def test_features_inverse_rejects_non_finite(self, tmp_path, capsys):

@@ -21,7 +21,7 @@ from anmf.io import (
     write_matrix,
     write_wav,
 )
-from oracles import float32_wav_bytes
+from oracles import float32_wav_bytes, matrix_file_bytes
 
 
 class TestReadJson:
@@ -139,6 +139,22 @@ class TestMatrixFile:
                 for block in blocks:
                     write(block)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_not_written(self, tmp_path, bad):
+        # what read_matrix refuses, neither write_matrix nor a block of
+        # matrix_writer writes
+        p = tmp_path / "m.anmf"
+        message = f"^{p}: 1 non-finite \\(NaN or inf\\) entries$"
+        with pytest.raises(ValueError, match=message):
+            write_matrix(p, np.array([[1.0, bad]]))
+        with pytest.raises(ValueError, match=message):
+            with matrix_writer(p, 1, 3) as write:
+                write(np.ones((1, 1)))
+                write(np.array([[bad, 1.0]]))
+        # matrix_file_bytes, which the tests write such files with, writes what write_matrix writes
+        write_matrix(p, np.array([[1.0, 2.0]]))
+        assert p.read_bytes() == matrix_file_bytes([[1.0, 2.0]])
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.anmf"
         p.write_bytes(b"NOPE" + b"\x00" * 40)
@@ -246,6 +262,14 @@ class TestWav:
         assert str(err.value) == f"{p}: sample_rate must be in [1, 2147483647], not {rate}"
         assert not p.exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_rejected_before_writing(self, tmp_path, bad):
+        # a NaN would be cast to 0 and an inf clipped to full scale
+        p = tmp_path / "n.wav"
+        with pytest.raises(ValueError, match=f"^{p}: 1 non-finite \\(NaN or inf\\) samples$"):
+            write_wav(p, np.array([0.5, bad, 0.0]), 8000)
+        assert not p.exists()
+
     def test_largest_rate_round_trips(self, tmp_path):
         p = tmp_path / "r.wav"
         write_wav(p, np.zeros(4), 2**31 - 1)
@@ -300,7 +324,7 @@ class TestLoadDataMatrix:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries(self, tmp_path, bad):
         p = tmp_path / "m.anmf"
-        write_matrix(p, np.array([[1.0, bad]]))
+        p.write_bytes(matrix_file_bytes([[1.0, bad]]))
         for clamp in (False, True):
             with pytest.raises(ValueError, match=f"^{p}: 1 non-finite \\(NaN or inf\\) entries$"):
                 load_data_matrix(p, clamp_negatives=clamp)
@@ -332,7 +356,7 @@ class TestReadInto:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_block_rejected(self, tmp_path, bad):
         p = tmp_path / "m.anmf"
-        write_matrix(p, np.array([[1.0, bad]]))
+        p.write_bytes(matrix_file_bytes([[1.0, bad]]))
         with pytest.raises(ValueError, match=f"^{p}: 1 non-finite \\(NaN or inf\\) entries$"):
             read_matrix(p, out=np.empty((1, 2), order="F"))
 
@@ -476,6 +500,6 @@ class TestBundle:
 
     def test_non_finite_basis_rejected(self, tmp_path):
         save_bundle(tmp_path / "model", [np.ones((4, 2))])
-        write_matrix(tmp_path / "model" / "basis_000.anmf", np.array([[1.0, np.nan]] * 4))
+        (tmp_path / "model" / "basis_000.anmf").write_bytes(matrix_file_bytes([[1.0, np.nan]] * 4))
         with pytest.raises(ValueError, match=f"^{tmp_path / 'model' / 'basis_000.anmf'}: 4 non-finite "):
             load_bundle(tmp_path / "model")

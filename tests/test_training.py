@@ -31,17 +31,9 @@ def make_spec(**kw):
 def method_runs():
     """train_smu at gamma = 1 on one seeded data set, once per method.
 
-    Returns {method: TrainState}. REFERENCE_RUNS holds these states. The
-    nmf/* and dnmf/* entries were computed before the objective was
-    expanded into m x d and d x d products, written by
-    np.savez_compressed(REFERENCE_RUNS, **run_arrays(method_runs())) while
-    TrainState also returned the adversarial and supervised latents. The
-    anmf/* and danmf/* entries were regenerated when the non-anchor terms
-    changed from resampling with replacement to wrapped batch slices: the
-    file was rewritten with the nmf/* and dnmf/* arrays copied as they
-    were and the anmf/* and danmf/* arrays taken from
-    run_arrays(method_runs()), which drops their adversarial and
-    supervised latents.
+    Returns {method: TrainState}. REFERENCE_RUNS holds these states,
+    written by
+    np.savez_compressed(REFERENCE_RUNS, **run_arrays(method_runs())).
     """
     rng = np.random.default_rng(21)
     U = [rng.random((8, 14)), rng.random((8, 12))]
@@ -71,13 +63,11 @@ def run_arrays(states):
 
 
 def minibatch_run():
-    """A seeded danmf train_smu run in several batches per epoch: the
-    true-data anchor is sliced into batches of 7 and the adversarial and
-    supervised terms each take wrapped slices at the same batch count.
+    """A seeded danmf train_smu run in several batches per epoch: 40
+    true-data columns in batches of 7 set 6 batches, and every term takes
+    wrapped slices at that batch count.
 
-    MINIBATCH_RUN holds its arrays, all of them regenerated when the
-    non-anchor terms changed from resampling with replacement to wrapped
-    batch slices, by
+    MINIBATCH_RUN holds its arrays, written by
     np.savez_compressed(MINIBATCH_RUN, **run_arrays({"danmf": minibatch_run()})).
     """
     rng = np.random.default_rng(40)
@@ -92,12 +82,9 @@ def minibatch_run():
 
 def assert_matches_saved(now, path):
     """run_arrays output against a saved run: bases and latents bitwise,
-    the history within rounding. The saved run's adversarial and supervised
-    latents, which TrainState no longer returns, are the only keys skipped."""
+    the history within rounding."""
     with np.load(path) as saved:
-        assert set(now) <= set(saved.files)
-        dropped = [k for k in saved.files if "/latents_adv/" in k or k.endswith("/latents_sup")]
-        assert sorted(set(saved.files) - set(now)) == sorted(dropped)
+        assert set(now) == set(saved.files)
         for key, x in now.items():
             if key.endswith("/history"):
                 np.testing.assert_allclose(x, saved[key], rtol=1e-12, atol=0)
@@ -332,11 +319,12 @@ class TestTrainSmu:
 
     @staticmethod
     def _wrapped_slice_run(method):
-        # two sources of 40 true columns in 10 batches of 4: 23 and 31
-        # adversarial columns, and 5 supervised pairs, fewer than the batches;
-        # returns the spec, each active term's data and a call that trains
+        # two sources of 38 true columns, not a multiple of the batch size 4,
+        # in 10 batches: 23 and 31 adversarial columns, and 5 supervised
+        # pairs, fewer than the batches; returns the spec, each active term's
+        # data and a call that trains
         rng = np.random.default_rng(19)
-        U = [rng.random((6, 40)), rng.random((6, 40))]
+        U = [rng.random((6, 38)), rng.random((6, 38))]
         adv = [rng.random((6, 23)), rng.random((6, 31))]
         sup_sources = [rng.random((6, 5)), rng.random((6, 5))]
         taus = {"anmf": {"tau_A": 0.2}, "danmf": {"tau_A": 0.2, "tau_S": 0.5}}[method]
@@ -355,8 +343,9 @@ class TestTrainSmu:
 
     @pytest.mark.parametrize("method", ["anmf", "danmf"])
     def test_each_epoch_steps_on_every_column(self, basis_steps, method):
-        # every term steps on each of its columns at least once per epoch, and
-        # on none more than twice where it has at least as many columns as batches
+        # every term, the true data too, steps on ceil(n / n_batches) of its n
+        # columns per batch and on each at least once per epoch, and on none
+        # more than twice where it has at least as many columns as batches
         spec, terms, run = self._wrapped_slice_run(method)
         run()
         n_batches = 10
@@ -366,7 +355,9 @@ class TestTrainSmu:
                 steps = basis_steps[(2 * e + i) * n_batches : (2 * e + i + 1) * n_batches]
                 for t, (name, sets) in enumerate(terms.items()):
                     n = sets[i].shape[1]
-                    cols = [j for parts, _, _ in steps for j in self._column_index(sets[i], parts[t][0][1])]
+                    batches = [self._column_index(sets[i], parts[t][0][1]) for parts, _, _ in steps]
+                    assert [len(c) for c in batches] == [math.ceil(n / n_batches)] * n_batches, (e, i, name)
+                    cols = [j for c in batches for j in c]
                     counts = np.bincount(cols, minlength=n)
                     assert np.all(counts >= 1), (e, i, name)
                     if n >= n_batches:
@@ -376,7 +367,7 @@ class TestTrainSmu:
         # replay the documented shuffle stream default_rng([seed, 0]): per
         # source its true-data then its adversarial permutation, then the
         # supervised one; the first epoch's orders are those permutations.
-        # A non-anchor term's batches split its order, repeated cyclically to
+        # Every term's batches split its order, repeated cyclically to
         # k * n_batches columns, into n_batches equal slices
         spec, terms, run = self._wrapped_slice_run("danmf")
         run()
@@ -392,7 +383,7 @@ class TestTrainSmu:
                 for t, name in enumerate(terms):
                     o = perm[name, i]
                     k = math.ceil(len(o) / n_batches)
-                    want = o[b * 4 : (b + 1) * 4] if name == "true_data" else np.resize(o, (n_batches, k))[b]
+                    want = np.resize(o, (n_batches, k))[b]
                     assert self._column_index(terms[name][i], parts[t][0][1]) == list(want), (i, b, name)
 
     def test_no_stream_but_shuffle_and_initialization(self, monkeypatch):
