@@ -99,13 +99,13 @@ def adversarial_sets(sources, mixes, wm, seed=0):
     Each set is a new array, column-major unless an array entry is not.
     An entry of sources, and mixes, is an array or a file not yet read
     (io.DataFile): anything with a shape and load(out=None), which reads
-    the payload into out, an F-contiguous block, or a new array. Each entry
-    is read or copied once, into its block of the first set that holds it,
-    and that block is copied into the other sets; the mix blocks are scaled
-    in place once all are copied. Source j's training data is its block in
-    the first set: the same values in the same layout, and no other copy.
-    A source that no set holds (one source, or no columns) keeps its own
-    array, or is loaded into one.
+    and checks the payload, into out, an F-contiguous block, or a new array.
+    Each entry is read or copied once, into its block of the first set that
+    holds it, and that block is copied into the other sets; the mix blocks
+    are scaled in place once all are copied. Source j's training data is its
+    block in the first set: the same values in the same layout, and no other
+    copy. A source that no set holds (one source, or no columns) keeps its
+    own array, or is loaded into one.
 
     Returns:
         (sets, true_data): per-source lists; the given lists are unchanged.

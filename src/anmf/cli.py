@@ -189,7 +189,7 @@ def cmd_mix(args):
                          f"{len(cfg['sources'])} sources, {len(out['ground_truth'])} paths")
     if "snr_db" in cfg and "weight_model" in cfg:
         raise ValueError(f"{args.config}: snr_db and weight_model exclude each other; SNR mixing reads no weight model")
-    sources = [aio.load_data_matrix(p, args.clamp_negatives) for p in cfg["sources"]]
+    sources = [aio.DataFile(p, args.clamp_negatives).load() for p in cfg["sources"]]
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     snr_db = cfg.get("snr_db")
     wm = None if snr_db is not None else _weight_model(cfg, len(sources), args.config)

@@ -26,15 +26,15 @@ def as_array(x):
     return np.asarray(x, dtype=float)
 
 
-def _check_nonneg(a, name):
-    # one min/max pair: NaN, +inf and -inf all show in it, before the sign is read
+def _check_entries(a, name, nonneg=True, what="entries"):
+    # one min/max pair shows NaN, +inf and -inf before the sign is read; the entries are counted only for the message
     if not a.size:
         return
     lo, hi = np.min(a), np.max(a)
     if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError(f"{name} must be finite, found NaN or inf entries")
-    if lo < 0:
-        raise ValueError(f"{name} must be non-negative, found min {lo}")
+        raise ValueError(f"{name}: {np.count_nonzero(~np.isfinite(a))} non-finite (NaN or inf) {what}")
+    if nonneg and lo < 0:
+        raise ValueError(f"{name}: negative entries, min {lo}")
 
 
 @dataclass
@@ -66,7 +66,7 @@ class Basis:
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=float)
-        _check_nonneg(self.entries, "basis")
+        _check_entries(self.entries, "basis")
 
 
 def _latent_step(H, num, G, n, p, out=None, denom=None):

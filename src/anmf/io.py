@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .adversarial import WeightModel
-from .core import Basis, _check_nonneg, as_array
+from .core import Basis, _check_entries, as_array
 
 MATRIX_MAGIC = b"ANMF"
 MATRIX_VERSION = 1
@@ -43,12 +43,6 @@ def read_json(path):
         raise ValueError(f"{path}: not a JSON file ({e})") from None
 
 
-def _check_finite(a, path, what="entries"):
-    # one min/max pair shows NaN, +inf and -inf; the entries are counted only for the message
-    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
-        raise ValueError(f"{path}: {np.count_nonzero(~np.isfinite(a))} non-finite (NaN or inf) {what}")
-
-
 @contextmanager
 def matrix_writer(path, rows, cols):
     """Write a rows x cols matrix file one block of columns at a time.
@@ -57,27 +51,33 @@ def matrix_writer(path, rows, cols):
     The file is the one write_matrix writes: 'ANMF' magic, u32 version, u64
     rows/cols (little-endian), then the column-major little-endian float64
     payload. A block of another row count or with a NaN or inf entry, or
-    blocks of other than cols columns in total, is a ValueError.
+    blocks of other than cols columns in total, is a ValueError. Whatever
+    error ends the writing, the file is removed: none is left half-written.
     """
     written = 0
-    with open(path, "wb") as f:
-        f.write(MATRIX_MAGIC)
-        f.write(struct.pack("<IQQ", MATRIX_VERSION, rows, cols))
+    f = open(path, "wb")
+    try:
+        with f:
+            f.write(MATRIX_MAGIC)
+            f.write(struct.pack("<IQQ", MATRIX_VERSION, rows, cols))
 
-        def write(block):
-            nonlocal written
-            a = np.asfortranarray(block, dtype="<f8")
-            if a.ndim != 2 or a.shape[0] != rows or written + a.shape[1] > cols:
-                raise ValueError(f"{path}: a block of shape {a.shape} does not fit the {rows} x {cols} "
-                                 f"matrix after {written} columns")
-            _check_finite(a, path)
-            # the transpose is the same memory in C order: written with no copy
-            f.write(a.T.data)
-            written += a.shape[1]
+            def write(block):
+                nonlocal written
+                a = np.asfortranarray(block, dtype="<f8")
+                if a.ndim != 2 or a.shape[0] != rows or written + a.shape[1] > cols:
+                    raise ValueError(f"{path}: a block of shape {a.shape} does not fit the {rows} x {cols} "
+                                     f"matrix after {written} columns")
+                _check_entries(a, path, nonneg=False)
+                # the transpose is the same memory in C order: written with no copy
+                f.write(a.T.data)
+                written += a.shape[1]
 
-        yield write
-    if written != cols:
-        raise ValueError(f"{path}: {written} of {cols} columns written")
+            yield write
+        if written != cols:
+            raise ValueError(f"{path}: {written} of {cols} columns written")
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def write_matrix(path, matrix):
@@ -113,7 +113,8 @@ def read_matrix(path, out=None):
     result is out, an F-contiguous float64 array (such as a column block of
     a column-major matrix) of the file's shape, or else a new writable,
     native float64 array in the file's column-major layout that owns its
-    memory. NaN or inf entries are a ValueError naming the file.
+    memory. NaN or inf entries are a ValueError naming the file; the sign
+    is left to the caller (DataFile.load, load_bundle).
     """
     with open(path, "rb") as f:
         rows, cols = _matrix_header(f, path)
@@ -128,7 +129,7 @@ def read_matrix(path, out=None):
             raise ValueError(f"{path}: payload truncated ({24 + got} bytes read, expected {24 + rows * cols * 8})")
     if sys.byteorder == "big":
         out.byteswap(inplace=True)
-    _check_finite(out, path)
+    _check_entries(out, path, nonneg=False)
     return out
 
 
@@ -185,7 +186,7 @@ def write_wav(path, samples, sample_rate):
     if not 1 <= rate <= 2**31 - 1:
         raise ValueError(f"{path}: sample_rate must be in [1, 2147483647], not {rate}")
     x = np.asarray(samples, dtype=float)
-    _check_finite(x, path, "samples")
+    _check_entries(x, path, nonneg=False, what="samples")
     # one float copy, scaled and rounded in place
     x = np.clip(x, -1.0, 32767.0 / 32768.0)
     x *= 32768.0
@@ -197,31 +198,9 @@ def write_wav(path, samples, sample_rate):
         f.writeframes(pcm.tobytes())
 
 
-def load_data_matrix(path, clamp_negatives=False, out=None):
-    """Load a data matrix, dispatching on extension (.anmf or .idx), into
-    out, an F-contiguous block of its shape (see read_matrix), or a new array.
-
-    NaN or inf entries are a ValueError; so are negative entries, unless
-    clamp_negatives sets them to 0.
-    """
-    path = Path(path)
-    if path.suffix != ".idx":
-        mat = read_matrix(path, out)
-    elif out is None:
-        mat = load_idx_images(path)
-    else:
-        out[...] = load_idx_images(path)
-        mat = out
-    if mat.size and np.min(mat) < 0:
-        if not clamp_negatives:
-            raise ValueError(f"{path}: negative entries (pass --clamp-negatives to clamp to 0)")
-        np.maximum(mat, 0.0, out=mat)
-    return mat
-
-
 class DataFile:
-    """A data matrix file (.anmf or .idx) known by its header, whose payload
-    is read only by load(out=None), which is load_data_matrix.
+    """A data matrix file (.anmf or .idx) known by its header until load
+    reads its payload.
 
     The header is read and checked at construction, as read_matrix and
     load_idx_images check it, and gives shape, (rows, cols).
@@ -237,7 +216,22 @@ class DataFile:
                 self.shape = _matrix_header(f, self.path)
 
     def load(self, out=None):
-        return load_data_matrix(self.path, self.clamp_negatives, out)
+        """The payload, read into out, an F-contiguous block of the file's
+        shape (see read_matrix), or into a new array. NaN or inf entries are
+        a ValueError naming the file; so are negative entries, unless
+        clamp_negatives sets them to 0."""
+        if self.path.suffix != ".idx":
+            mat = read_matrix(self.path, out)
+        elif out is None:
+            mat = load_idx_images(self.path)
+        else:
+            out[...] = load_idx_images(self.path)
+            mat = out
+        if mat.size and np.min(mat) < 0:
+            if not self.clamp_negatives:
+                raise ValueError(f"{self.path}: negative entries (pass --clamp-negatives to clamp to 0)")
+            np.maximum(mat, 0.0, out=mat)
+        return mat
 
 
 def mix_synthetic(sources, wm=None, snr_db=None, seed=0):
@@ -301,7 +295,7 @@ def save_bundle(directory, bases, train_spec=None, history=None, metadata=None):
     for i, a in enumerate(arrays):
         if a.ndim != 2:
             raise ValueError(f"{directory}: basis {i} must be a matrix, not {a.ndim}-D")
-        _check_nonneg(a, f"basis {i}")
+        _check_entries(a, f"{directory}: basis {i}")
         if a.shape[0] != arrays[0].shape[0]:
             raise ValueError(f"{directory}: basis {i} has {a.shape[0]} rows, but basis 0 has {arrays[0].shape[0]}")
     directory = Path(directory)
@@ -347,5 +341,6 @@ def load_bundle(directory):
         a = read_matrix(basis_path)
         if a.shape != (m, manifest["d"][i]):
             raise ValueError(f"{basis_path}: shape {a.shape} does not match the manifest's ({m}, {manifest['d'][i]})")
+        _check_entries(a, basis_path)
         bases.append(Basis(a))
     return ModelBundle(bases, manifest)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import (
     SparsityParams,
-    _check_nonneg,
+    _check_entries,
     as_array,
     init_exemplar,
     init_random,
@@ -169,11 +169,11 @@ def _term_table(spec, true_data, adversarial, supervised):
         for i, x in enumerate(data[name]):
             if not x.shape[1]:
                 raise ValueError(f"{name} data of source {i} has no columns")
-            _check_nonneg(x, f"{name} data of source {i}")
+            _check_entries(x, f"{name} data of source {i}")
     mix = None
     if "supervised" in data:
         mix = as_array(supervised[1])
-        _check_nonneg(mix, "supervised mix")
+        _check_entries(mix, "supervised mix")
         if any(u.shape[1] != mix.shape[1] for u in data["supervised"]):
             raise ValueError("supervised mix must have the same column count as the supervised sources")
     return weight, data, mix

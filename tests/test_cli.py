@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from anmf.adversarial import WeightModel, adversarial_sets, compute_beta
 from anmf.cli import build_train_spec, run_cli, score_separation
 from anmf.core import SparsityParams, solve_nnls
 from anmf.features import StftConfig, apply_gain, istft, stft
-from anmf.io import load_bundle, load_wav, read_matrix, save_bundle, write_matrix, write_wav
+from anmf.io import load_bundle, load_idx_images, load_wav, read_matrix, save_bundle, write_matrix, write_wav
 from anmf.separation import separate, wiener_mask
 from anmf.training import TrainSpec, train_smu
 from oracles import float32_wav_bytes, matrix_file_bytes
@@ -596,6 +597,23 @@ class TestTrainingInputs:
             assert run_cli(["train", "--config", cfg]) == 0
             assert (tmp_path / "model" / "manifest.json").exists()
 
+    def test_idx_sources_train_as_their_images(self, tmp_path):
+        # IDX image files, in TestIdx.make_idx's layout, train as their load_idx_images matrices do
+        rng = np.random.default_rng(15)
+        paths = [tmp_path / "imgs_0.idx", tmp_path / "imgs_1.idx"]
+        for p, count in zip(paths, (9, 12)):
+            pixels = rng.integers(0, 256, size=(count, 4, 2), dtype=np.uint8)
+            p.write_bytes(struct.pack(">IIII", 0x00000803, count, 4, 2) + pixels.tobytes())
+        train = {"d": 2, "epochs": 3, "batch_size": 4}
+        cfg = write_config(tmp_path, "train.json", {"method": "nmf", "data": {"sources": [str(p) for p in paths]},
+                                                    "train": train, "output": str(tmp_path / "model")})
+        assert run_cli(["train", "--config", cfg, "--seed", "5"]) == 0
+        state = train_smu([load_idx_images(p) for p in paths], build_train_spec(train, "nmf", seed=5))
+        bases = load_bundle(tmp_path / "model").bases
+        assert len(bases) == len(state.bases) == 2
+        for got, want in zip(bases, state.bases):
+            assert np.array_equal(got.entries, want)
+
     @pytest.mark.parametrize("method, builds_expected", [("danmf", 1), ("nmf", 0)])
     def test_tune_builds_the_sets_once(self, tmp_path, monkeypatch, method, builds_expected):
         rng = np.random.default_rng(13)
@@ -771,7 +789,7 @@ class TestErrors:
         write_matrix(tmp_path / "sup_mix.anmf", sum(read_matrix(p) for p in sup))
         data = {"sources": make_sources(tmp_path, rng),
                 "supervised": {"sources": sup, "mix": str(tmp_path / "sup_mix.anmf")}}
-        monkeypatch.setattr(anmf.io, "load_data_matrix", lambda *a: pytest.fail("data were read"))
+        monkeypatch.setattr(anmf.io.DataFile, "load", lambda *a: pytest.fail("data were read"))
         monkeypatch.setattr(anmf.cli, "train_smu", lambda *a, **k: pytest.fail("a model was trained"))
         for missing in self.NEEDS[method]:
             for command, extra in [("train", {}), ("tune", {"tuning": {"trials": 2, "space": {}}})]:
@@ -786,7 +804,7 @@ class TestErrors:
         # tune scores its trials on data.supervised: a config without it, or with no supervised
         # source, is rejected before any file is read
         sources = make_sources(tmp_path, np.random.default_rng(0))
-        monkeypatch.setattr(anmf.io, "load_data_matrix", lambda *a: pytest.fail("data were read"))
+        monkeypatch.setattr(anmf.io.DataFile, "load", lambda *a: pytest.fail("data were read"))
         for method, data in [("nmf", {"sources": sources}),
                              ("dnmf", {"supervised": {"sources": [], "mix": sources[0]}})]:
             cfg = write_config(tmp_path, "tune.json", {
@@ -833,7 +851,7 @@ class TestErrors:
                 write_matrix(p, rng.random((9, 12)))
         monkeypatch.setattr(anmf.cli, "train_smu", lambda *a, **k: pytest.fail("a model was trained"))
         # the headers are checked before any payload is read
-        monkeypatch.setattr(anmf.io, "load_data_matrix", lambda *a: pytest.fail("a payload was read"))
+        monkeypatch.setattr(anmf.io.DataFile, "load", lambda *a: pytest.fail("a payload was read"))
         assert run_cli([command, "--config", write_config(tmp_path, "c.json", cfg)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"anmf: error: {named} has 9 rows, but {cfg['data']['sources'][0]} has 8"]
@@ -967,7 +985,7 @@ class TestErrors:
         refs = make_sources(tmp_path, rng, n=5)
         write_matrix(refs[1], rng.random((8, 4)))
         fail = lambda *a, **k: pytest.fail("a payload was read")  # noqa: E731
-        monkeypatch.setattr(anmf.io, "load_data_matrix", fail)
+        monkeypatch.setattr(anmf.io.DataFile, "load", fail)
         assert run_cli(["separate", "--model", str(tmp_path / "model"), "--input", mix,
                         "--output-dir", str(tmp_path / "sep"), "--references", *refs]) == 1
         assert capsys.readouterr().err.splitlines() == [
@@ -1058,7 +1076,7 @@ class TestErrors:
         if method == "dnmf":
             # dnmf trains on the supervised pairs alone: their sources count the bases
             del cfg["data"]["sources"]
-        monkeypatch.setattr(anmf.io, "load_data_matrix", lambda *a: pytest.fail("data were read"))
+        monkeypatch.setattr(anmf.io.DataFile, "load", lambda *a: pytest.fail("data were read"))
         assert run_cli(["tune", "--config", write_config(tmp_path, "c.json", cfg)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"anmf: error: need {need} latent dimensions, got {len(d)}"]
 
@@ -1071,7 +1089,7 @@ class TestErrors:
         cfg["train"]["d"] = [2, 2, 2]
         if method == "dnmf":
             del cfg["data"]["sources"]
-        monkeypatch.setattr(anmf.io, "load_data_matrix", lambda *a: pytest.fail("data were read"))
+        monkeypatch.setattr(anmf.io.DataFile, "load", lambda *a: pytest.fail("data were read"))
         assert run_cli(["train", "--config", write_config(tmp_path, "c.json", cfg)]) == 1
         assert capsys.readouterr().err.splitlines() == ["anmf: error: need 2 latent dimensions, got 3"]
         assert not (tmp_path / "out").exists()
@@ -1080,7 +1098,6 @@ class TestErrors:
     def _no_reads(monkeypatch):
         # neither a header nor a payload may be read
         fail = lambda *a, **k: pytest.fail("data were read")  # noqa: E731
-        monkeypatch.setattr(anmf.io, "load_data_matrix", fail)
         monkeypatch.setattr(anmf.io, "DataFile", fail, raising=False)
 
     @pytest.mark.parametrize("method", ["nmf", "anmf", "danmf", "dnmf"])
@@ -1210,7 +1227,6 @@ class TestErrors:
         narrow = cfg["data"]["supervised"]["sources"][1]
         write_matrix(narrow, np.random.default_rng(2).random((8, 11)))
         fail = lambda *a, **k: pytest.fail("a payload was read")  # noqa: E731
-        monkeypatch.setattr(anmf.io, "load_data_matrix", fail)
         monkeypatch.setattr(anmf.io.DataFile, "load", fail)
         assert run_cli([command, "--config", write_config(tmp_path, "c.json", cfg)]) == 1
         mix = cfg["data"]["supervised"]["mix"]

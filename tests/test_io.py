@@ -10,7 +10,6 @@ from anmf.adversarial import WeightModel
 from anmf.io import (
     DataFile,
     load_bundle,
-    load_data_matrix,
     load_idx_images,
     load_wav,
     matrix_writer,
@@ -138,6 +137,7 @@ class TestMatrixFile:
             with matrix_writer(tmp_path / "m.anmf", 5, 3) as write:
                 for block in blocks:
                     write(block)
+        assert not (tmp_path / "m.anmf").exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_not_written(self, tmp_path, bad):
@@ -147,10 +147,12 @@ class TestMatrixFile:
         message = f"^{p}: 1 non-finite \\(NaN or inf\\) entries$"
         with pytest.raises(ValueError, match=message):
             write_matrix(p, np.array([[1.0, bad]]))
+        assert not p.exists()
         with pytest.raises(ValueError, match=message):
             with matrix_writer(p, 1, 3) as write:
                 write(np.ones((1, 1)))
                 write(np.array([[bad, 1.0]]))
+        assert not p.exists()
         # matrix_file_bytes, which the tests write such files with, writes what write_matrix writes
         write_matrix(p, np.array([[1.0, 2.0]]))
         assert p.read_bytes() == matrix_file_bytes([[1.0, 2.0]])
@@ -311,14 +313,14 @@ class TestLoadDataMatrix:
     def test_dispatch_by_extension(self, tmp_path):
         p = tmp_path / "m.anmf"
         write_matrix(p, np.ones((2, 2)))
-        assert load_data_matrix(p).shape == (2, 2)
+        assert DataFile(p).load().shape == (2, 2)
 
     def test_negative_entries(self, tmp_path):
         p = tmp_path / "m.anmf"
         write_matrix(p, np.array([[1.0, -0.5]]))
         with pytest.raises(ValueError, match=f"^{p}: negative entries \\(pass --clamp-negatives to clamp to 0\\)$"):
-            load_data_matrix(p)
-        mat = load_data_matrix(p, clamp_negatives=True)
+            DataFile(p).load()
+        mat = DataFile(p, clamp_negatives=True).load()
         assert np.array_equal(mat, [[1.0, 0.0]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -327,11 +329,11 @@ class TestLoadDataMatrix:
         p.write_bytes(matrix_file_bytes([[1.0, bad]]))
         for clamp in (False, True):
             with pytest.raises(ValueError, match=f"^{p}: 1 non-finite \\(NaN or inf\\) entries$"):
-                load_data_matrix(p, clamp_negatives=clamp)
+                DataFile(p, clamp_negatives=clamp).load()
 
 
 class TestReadInto:
-    """read_matrix and load_data_matrix fill a given column block, with the checks of a new read."""
+    """read_matrix and DataFile.load fill a given column block, with the checks of a new read."""
 
     def test_column_block_filled_in_place(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -364,9 +366,9 @@ class TestReadInto:
         p = tmp_path / "m.anmf"
         write_matrix(p, np.array([[1.0, -0.5]]))
         with pytest.raises(ValueError, match=f"^{p}: negative entries"):
-            load_data_matrix(p, False, np.empty((1, 2), order="F"))
+            DataFile(p, False).load(np.empty((1, 2), order="F"))
         whole = np.full((1, 3), 7.0, order="F")
-        assert load_data_matrix(p, True, whole[:, 1:]).base is whole
+        assert DataFile(p, True).load(whole[:, 1:]).base is whole
         assert np.array_equal(whole, [[7.0, 1.0, 0.0]])
 
     def test_data_file_reads_header_only(self, tmp_path):
@@ -457,11 +459,12 @@ class TestBundle:
         for a, b in zip(bundle.bases, bases):
             assert np.array_equal(a.entries, b)
 
-    @pytest.mark.parametrize("bad", [np.nan, -1.0], ids=["nan", "negative"])
-    def test_bad_basis_rejected_before_writing(self, tmp_path, bad):
+    @pytest.mark.parametrize("bad, message", [(np.nan, "1 non-finite \\(NaN or inf\\) entries"),
+                                              (-1.0, "negative entries, min -1.0")], ids=["nan", "negative"])
+    def test_bad_basis_rejected_before_writing(self, tmp_path, bad, message):
         worse = np.ones((4, 2))
         worse[1, 1] = bad
-        with pytest.raises(ValueError, match="basis 1"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'model'))}: basis 1: {message}$"):
             save_bundle(tmp_path / "model", [np.ones((4, 2)), worse])
         assert not (tmp_path / "model").exists()
 
@@ -500,6 +503,8 @@ class TestBundle:
 
     def test_non_finite_basis_rejected(self, tmp_path):
         save_bundle(tmp_path / "model", [np.ones((4, 2))])
-        (tmp_path / "model" / "basis_000.anmf").write_bytes(matrix_file_bytes([[1.0, np.nan]] * 4))
-        with pytest.raises(ValueError, match=f"^{tmp_path / 'model' / 'basis_000.anmf'}: 4 non-finite "):
-            load_bundle(tmp_path / "model")
+        # a negative basis entry is named by its file as a NaN is
+        for bad, message in [(np.nan, "4 non-finite "), (-1.0, "negative entries, min -1.0$")]:
+            (tmp_path / "model" / "basis_000.anmf").write_bytes(matrix_file_bytes([[1.0, bad]] * 4))
+            with pytest.raises(ValueError, match=f"^{tmp_path / 'model' / 'basis_000.anmf'}: {message}"):
+                load_bundle(tmp_path / "model")
